@@ -60,12 +60,10 @@ from .analysis import (
     sweep_time_scaling,
 )
 from .dense import (
-    DenseOperator,
     build_spin_hamiltonian,
     dense_evolve_qfi,
     parity_operator,
     polarized_vacuum,
-    propagate_dense,
 )
 
 __version__ = "0.1.0"

@@ -1,17 +1,29 @@
 """Dense spin-basis oracle for small chains.
 
-Builds the literal 2^N Hamiltonian of the periodic chain from Pauli
-strings, with no fermionic reduction, and computes the dynamical QFI by
-matrix exponentials and finite differences.  Everything here is an
-independent cross-check of the momentum-block pipeline: the only shared
-ingredient is the coupling profile.
+Builds the literal Hamiltonian of the periodic chain from its Pauli
+strings, with no fermionic reduction, and computes the dynamical QFI
+from the matrix exponential and its exact Frechet derivative
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
+Everything here is an independent cross-check of the momentum-block
+pipeline: the only shared ingredient is the coupling profile.
 
-Site basis: index 0 is spin up (sigma^z = +1), index 1 is spin down.
-Basis states are kron-ordered with site 0 leftmost, so the all-up state
-is global index 0 and the all-down state is index 2^N - 1.  The all-down
-state is annihilated by every string-dressed lowering operator, i.e. it
-is the fermionic vacuum behind the momentum-block picture, and is the
-initial state of every evolution here.
+Site basis: bit value 0 is spin up (sigma^z = +1), 1 is spin down.
+Basis states are kron-ordered with site 0 leftmost, so site j is bit
+N-1-j of the state index, the all-up state is index 0 and the all-down
+state is index 2^N - 1.  The all-down state is annihilated by every
+string-dressed lowering operator, i.e. it is the fermionic vacuum behind
+the momentum-block picture, and is the initial state of every evolution
+here.
+
+Every term of H flips two bits or none, so H conserves the parity of the
+number of down spins.  N is even, so the vacuum lies in the even sector,
+and the whole evolution is carried out there, in dimension 2^(N-1):
+
+    H = H_hop + gamma H_gamma + h H_z,
+
+where H_hop holds the XX + YY matrix elements between states whose two
+bits differ, H_gamma those between states whose two bits agree (times i
+for the imaginary anisotropy), and H_z = (1/2) sum_j sigma^z_j.
 """
 
 from __future__ import annotations
@@ -20,43 +32,55 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
 MAX_DENSE_SITES = 12
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """H on the even-parity sector, with its derivatives in h and gamma.
 
-@dataclass
-class DenseOperator:
-    """A dense many-body operator with its site count."""
+    matrix  -- H, dense, in the order of `sector_states(N)`
+    d_gamma -- dH/dgamma = H_gamma, dense
+    d_h     -- dH/dh = H_z, as its diagonal
+    """
 
     N: int
     matrix: np.ndarray
+    d_gamma: np.ndarray
+    d_h: np.ndarray
+
+    def derivative(self, theta_kind: ThetaKind) -> np.ndarray:
+        if theta_kind is ThetaKind.FIELD_H:
+            return np.diag(self.d_h)
+        return self.d_gamma
 
 
-def _chain(N: int, factors: dict[int, np.ndarray]) -> sp.csr_matrix:
-    """Kronecker chain with the given single-site factors, identity elsewhere."""
-    out = sp.identity(1, dtype=complex, format="csr")
-    eye = sp.identity(2, dtype=complex, format="csr")
-    for site in range(N):
-        mat = factors.get(site)
-        op = eye if mat is None else sp.csr_matrix(mat)
-        out = sp.kron(out, op, format="csr")
-    return out
+def parity_operator(N: int) -> np.ndarray:
+    """Diagonal of prod_j sigma^z_j: +1 on even numbers of down spins."""
+    pop = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1).sum(axis=1)
+    return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
-def build_spin_hamiltonian(params: ModelParams) -> DenseOperator:
-    """The periodic-chain Hamiltonian as a dense 2^N matrix.
+def sector_states(N: int) -> np.ndarray:
+    """Basis indices of the even-parity sector, ascending."""
+    return np.flatnonzero(parity_operator(N) > 0)
+
+
+def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
+    """The periodic-chain Hamiltonian on the even-parity sector.
 
     Site indices wrap modulo N; every (j, r) term of the double sum is
     built literally, including both antipodal partners at r = N/2, whose
-    parity strings dress complementary halves of the ring.
+    parity strings dress complementary halves of the ring.  On a basis
+    state, X_j X_k flips bits j and k, Y_j Y_k flips them with the sign
+    -sigma^z_j sigma^z_k, and the string between them gives the product
+    of its sigma^z.  With the weights -(1 +- gamma)/4 this leaves -1/2
+    on pairs of unequal bits (hopping) and -gamma/2 on pairs of equal
+    bits (pair creation or annihilation), times the string sign and J_r.
 
     Coupling sign is ferromagnetic: the string terms enter with -J_r, so
     the even-parity sector realizes quasiparticle blocks with diagonal
@@ -69,97 +93,58 @@ def build_spin_hamiltonian(params: ModelParams) -> DenseOperator:
     if n > MAX_DENSE_SITES:
         raise ValueError(
             f"dense oracle is limited to N <= {MAX_DENSE_SITES}, got N={n}")
-    profile = coupling_profile(params.alpha, params.Z)
-    if params.anisotropy_mode is AnisotropyMode.HERMITIAN:
-        cxx = -(1.0 + params.gamma) / 4.0
-        cyy = -(1.0 - params.gamma) / 4.0
-    else:
-        cxx = -(1.0 + 1j * params.gamma) / 4.0
-        cyy = -(1.0 - 1j * params.gamma) / 4.0
+    weights = coupling_profile(params.alpha, params.Z).weights
+    states = sector_states(n)
+    dim = len(states)
+    cols = np.arange(dim)
+    bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
+    sz = 1 - 2 * bits
 
-    acc = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
+    hop = np.zeros((dim, dim))
+    pair = np.zeros((dim, dim))
     for j in range(n):
         for r in range(1, params.Z + 1):
-            weight = profile.weights[r - 1]
-            string = {(j + k) % n: _SZ for k in range(1, r)}
-            xx = dict(string)
-            xx[j] = _SX
-            xx[(j + r) % n] = _SX
-            yy = dict(string)
-            yy[j] = _SY
-            yy[(j + r) % n] = _SY
-            acc = acc + weight * (cxx * _chain(n, xx) + cyy * _chain(n, yy))
-        acc = acc + (params.h / 2.0) * _chain(n, {j: _SZ})
-    return DenseOperator(N=n, matrix=acc.toarray())
+            k = (j + r) % n
+            string = [(j + m) % n for m in range(1, r)]
+            value = -0.5 * weights[r - 1] * np.prod(sz[:, string], axis=1)
+            flip = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
+            rows = np.searchsorted(states, states ^ flip)
+            same = bits[:, j] == bits[:, k]
+            hop[rows[~same], cols[~same]] += value[~same]
+            pair[rows[same], cols[same]] += value[same]
+
+    d_gamma = pair.astype(complex)
+    if params.anisotropy_mode is not AnisotropyMode.HERMITIAN:
+        d_gamma *= 1j
+    d_h = 0.5 * sz.sum(axis=1)
+    matrix = hop + params.gamma * d_gamma
+    matrix[cols, cols] += params.h * d_h
+    return SectorHamiltonian(N=n, matrix=matrix, d_gamma=d_gamma, d_h=d_h)
 
 
 def polarized_vacuum(N: int) -> np.ndarray:
-    """The all-down product state, the vacuum of the string-dressed fermions."""
-    psi = np.zeros(2 ** N, dtype=complex)
+    """The all-down product state in the even sector, whose last state it is."""
+    psi = np.zeros(2 ** (N - 1), dtype=complex)
     psi[-1] = 1.0
     return psi
 
 
-def parity_operator(N: int) -> np.ndarray:
-    """Diagonal of prod_j sigma^z_j: +1 on even numbers of down spins."""
-    idx = np.arange(2 ** N)
-    pop = np.array([bin(i).count("1") for i in idx])
-    return np.where(pop % 2 == 0, 1.0, -1.0)
+def propagate_dense(op: SectorHamiltonian, t: float,
+                    theta_kind: ThetaKind) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H t) psi0 and its theta-derivative, psi0 the vacuum.
 
-
-def propagate_dense(op: DenseOperator, t: float, psi: np.ndarray,
-                    method: str = "pade") -> np.ndarray:
-    """exp(-i H t) psi via scaling-and-squaring ("pade") or eigendecomposition ("eig")."""
-    if method == "pade":
-        return scipy.linalg.expm(-1j * op.matrix * t) @ psi
-    if method == "eig":
-        vals, vecs = np.linalg.eig(op.matrix)
-        coeff = np.linalg.solve(vecs, psi)
-        return vecs @ (np.exp(-1j * vals * t) * coeff)
-    raise ValueError(f"unknown method: {method!r}")
-
-
-def _normalized_evolved(params: ModelParams, t: float) -> np.ndarray:
-    op = build_spin_hamiltonian(params)
-    psi = propagate_dense(op, t, polarized_vacuum(params.N))
-    return psi / np.linalg.norm(psi)
-
-
-def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind,
-                     fd_step: float | None = None) -> float:
-    """Dynamical QFI from the dense evolution, gauge-smooth central FD.
-
-    The evolved normalized state is differentiated by central finite
-    differences with one Richardson refinement (steps fd_step and
-    fd_step/2).  Before differencing, each stencil state's overall phase
-    is fixed against the center state's largest amplitude; the evolved
-    amplitudes are entire functions of theta, so no branch issues arise.
+    One call of scipy.linalg.expm_frechet gives U = exp(A) and its
+    Frechet derivative L(A, E) for A = -i H t and E = -i t dH/dtheta;
+    the derivative of U psi0 is L psi0.
     """
-    from dataclasses import replace
+    a = -1j * t * op.matrix
+    e = -1j * t * op.derivative(theta_kind)
+    u, du = scipy.linalg.expm_frechet(a, e)
+    psi0 = polarized_vacuum(op.N)
+    return u @ psi0, du @ psi0
 
-    if theta_kind is ThetaKind.FIELD_H:
-        theta0 = params.h
-        vary = lambda v: replace(params, h=v)
-    else:
-        theta0 = params.gamma
-        vary = lambda v: replace(params, gamma=v)
-    step = fd_step if fd_step is not None else 1e-5 * max(1.0, abs(theta0))
-    if step <= 0:
-        raise ValueError(f"fd_step must be > 0, got {step}")
 
-    center = _normalized_evolved(params, t)
-    pivot = int(np.argmax(np.abs(center)))
-
-    def gauged(v: float) -> np.ndarray:
-        psi = _normalized_evolved(vary(v), t)
-        ref = psi[pivot]
-        mag = abs(ref)
-        if mag == 0.0:
-            return psi
-        return psi * (np.conj(ref) / mag)
-
-    center = gauged(theta0)
-    d_full = (gauged(theta0 + step) - gauged(theta0 - step)) / (2.0 * step)
-    d_half = (gauged(theta0 + 0.5 * step) - gauged(theta0 - 0.5 * step)) / step
-    dpsi = (4.0 * d_half - d_full) / 3.0
-    return mode_qfi(center, dpsi)
+def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> float:
+    """Dynamical QFI of the normalized evolved vacuum, from the dense evolution."""
+    psi, dpsi = propagate_dense(build_spin_hamiltonian(params), t, theta_kind)
+    return mode_qfi(psi, dpsi)

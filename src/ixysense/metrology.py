@@ -72,16 +72,18 @@ def mode_qfi(phi, dphi) -> float:
     """Fisher information from one amplitude pair and its derivative.
 
     Works for any state dimension; the inputs do not need to be
-    normalized (the formula divides the normalization out).
+    normalized (the formula divides the normalization out).  It takes
+    the projected form 4 |dphi - phi <phi|dphi>/n|^2 / n, n = <phi|phi>,
+    which is >= 0 by construction; the expanded form 4 (<dphi|dphi>/n -
+    |<phi|dphi>|^2/n^2) cancels badly when dphi is nearly parallel to phi.
     """
     phi = np.asarray(phi, dtype=complex)
     dphi = np.asarray(dphi, dtype=complex)
     n = np.vdot(phi, phi).real
     if n < 1e-300:
         raise UnderflowError(f"state norm underflow in mode_qfi (norm^2={n})")
-    g = np.vdot(dphi, dphi).real
-    o = np.vdot(phi, dphi)
-    return float(4.0 * (g / n - (o.real * o.real + o.imag * o.imag) / (n * n)))
+    perp = dphi - phi * (np.vdot(phi, dphi) / n)
+    return float(4.0 * np.vdot(perp, perp).real / n)
 
 
 def _clip_total(total: float) -> float:
