@@ -5,7 +5,6 @@ from .model import (
     AnisotropyMode,
     CouplingProfile,
     ModelParams,
-    ModeRange,
     ThetaKind,
     coupling_profile,
     critical_field_pi,
@@ -22,8 +21,6 @@ from .blocks import (
     TOL_PHASE,
     build_blocks,
     classify_phase,
-    dispersion,
-    stationary_probe,
 )
 from .dynamics import ModeTrajectory, evolve_mode, evolve_mode_derivative, propagator
 from .metrology import (

@@ -62,16 +62,14 @@ class SpectrumClassification:
 class ModeState:
     """Amplitudes on one block's (vacuum, pair) basis.
 
-    defective marks states returned at (or overridden by) an eigenvector
-    coalescence.  log_scale records an inert common factor exp(-log_scale)
-    applied to unnormalized amplitudes to keep them inside double range;
-    it cancels in any quantum Fisher information built from the state.
+    prenorm is the norm the amplitudes had before normalization.
+    log_scale records an inert common factor exp(-log_scale) applied to
+    unnormalized amplitudes to keep them inside double range; it cancels
+    in any quantum Fisher information built from the state.
     """
 
     amp0: complex
     amp2: complex
-    normalized: bool
-    defective: bool = False
     prenorm: float | None = None
     log_scale: float = 0.0
 
@@ -111,15 +109,6 @@ def build_blocks(params: ModelParams) -> list[ModeBlock]:
     ]
 
 
-def dispersion(block: ModeBlock) -> complex:
-    """Principal square root of eps_sq.
-
-    Real and >= 0 for unbroken blocks, pure imaginary with positive
-    imaginary part for broken ones.
-    """
-    return complex(np.sqrt(complex(block.eps_sq)))
-
-
 def classify_phase(blocks: list[ModeBlock]) -> SpectrumClassification:
     """Broken iff any block has eps_sq < -TOL_PHASE."""
     if not blocks:
@@ -131,86 +120,45 @@ def classify_phase(blocks: list[ModeBlock]) -> SpectrumClassification:
                                   argmin_mode=blocks[i].p)
 
 
-def _gauge_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-magnitude component is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    piv = v[k]
-    mag = abs(piv)
-    if mag == 0.0:
-        return v
-    return v * (np.conj(piv) / mag)
-
-
 def probe_vectors(a, b, hermitian: bool):
     """Batched reference eigenvectors for blocks given by arrays a, b.
 
     Returns (V, defective): V has shape (m, 2), each row normalized and
     gauge-fixed so its largest-magnitude component is real positive.
-    Selection per row: eigenvalue with lowest real part when eps_sq > 0
-    (always, for Hermitian blocks), largest imaginary part when
-    eps_sq < 0.  Rows within TOL_PHASE of coalescence are replaced by
-    the merging eigendirection (b, -a)/sqrt(a^2+b^2) and flagged;
-    vanishing blocks fall back to the vacuum basis vector, also flagged.
+    With m = M_10 (b non-Hermitian, -b Hermitian) the block has
+    eigenvalues +-sqrt(x), x = a^2 - m b.  The reference eigenvalue is
+    lam = -sqrt(x) (lowest real part) when x > 0, and +i sqrt(|x|)
+    (largest imaginary part) when x < 0.  Both rows of (M - lam) give an
+    eigenvector, (b, -(a + lam)) and (a - lam, -m); the longer one is
+    kept, which avoids cancellation.  Non-Hermitian rows within
+    TOL_PHASE of coalescence take lam = 0, which yields the merging
+    eigendirection (b, -a), and are flagged; vanishing blocks fall back
+    to the vacuum basis vector, also flagged.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    m = len(a)
-    v = np.empty((m, 2), dtype=complex)
-    defective = np.zeros(m, dtype=bool)
+    m = -b if hermitian else b
+    x = a * a - m * b
+    root = np.sqrt(np.abs(x))
+    lam = np.where(x > 0, -root, 1j * root)
+    defective = (np.abs(x) <= TOL_PHASE) & (not hermitian)
+    lam[defective] = 0.0
 
-    if hermitian:
-        mats = np.empty((m, 2, 2), dtype=float)
-        mats[:, 0, 0] = -a
-        mats[:, 0, 1] = -b
-        mats[:, 1, 0] = -b
-        mats[:, 1, 1] = a
-        _, vecs = np.linalg.eigh(mats)
-        v[:] = vecs[:, :, 0]  # eigh sorts ascending; column 0 is the lowest
-    else:
-        mats = np.empty((m, 2, 2), dtype=complex)
-        mats[:, 0, 0] = -a
-        mats[:, 0, 1] = -b
-        mats[:, 1, 0] = b
-        mats[:, 1, 1] = a
-        vals, vecs = np.linalg.eig(mats)
-        x = a * a - b * b
-        pick_low = np.argmin(vals.real, axis=1)
-        pick_top = np.argmax(vals.imag, axis=1)
-        pick = np.where(x < 0, pick_top, pick_low)
-        v[:] = np.take_along_axis(vecs, pick[:, None, None], axis=2)[:, :, 0]
-        coalesced = (np.abs(x) <= TOL_PHASE) & ~((a == 0.0) & (b == 0.0))
-        if coalesced.any():
-            norm = np.hypot(a[coalesced], b[coalesced])
-            v[coalesced, 0] = b[coalesced] / norm
-            v[coalesced, 1] = -a[coalesced] / norm
-            defective |= coalesced
+    u0, u1 = b, -(a + lam)
+    w0, w1 = a - lam, -m
+    keep_u = u0 * u0 + np.abs(u1) ** 2 >= np.abs(w0) ** 2 + w1 * w1
+    v = np.stack([np.where(keep_u, u0, w0), np.where(keep_u, u1, w1)], axis=1)
 
     degenerate = (a == 0.0) & (b == 0.0)
-    if degenerate.any():
-        v[degenerate, 0] = 1.0
-        v[degenerate, 1] = 0.0
-        defective |= degenerate
+    v[degenerate] = (1.0, 0.0)
+    defective |= degenerate
 
     # gauge: largest-magnitude component real positive, unit norm
     mags = np.abs(v)
     piv = np.take_along_axis(v, np.argmax(mags, axis=1)[:, None], axis=1)[:, 0]
     safe = np.abs(piv) > 0
-    phase = np.ones(m, dtype=complex)
+    phase = np.ones(len(a), dtype=complex)
     phase[safe] = np.conj(piv[safe]) / np.abs(piv[safe])
     v *= phase[:, None]
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v, defective
-
-
-def stationary_probe(block: ModeBlock) -> ModeState:
-    """Normalized reference eigenvector of one block.
-
-    Selection: the eigenvalue -eps (lowest real part) in an unbroken
-    block, +i|eps| (largest imaginary part) in a broken one.  Within
-    TOL_PHASE of coalescence the single merging eigendirection
-    (b, -a)/sqrt(a^2+b^2) is returned and flagged; a vanishing block
-    (a = b = 0) returns the vacuum basis vector, also flagged.
-    """
-    v, defective = probe_vectors([block.a], [block.b], block.hermitian)
-    return ModeState(complex(v[0, 0]), complex(v[0, 1]), normalized=True,
-                     defective=bool(defective[0]))

@@ -39,7 +39,7 @@ from .blocks import TOL_PHASE, build_blocks, classify_phase
 from .dense import dense_evolve_qfi
 from .errors import ConfigError, NumericalError
 from .metrology import dynamical_qfi, qfi_curve, qfi_ratio_time_avg
-from .model import AnisotropyMode, ModelParams, ModeRange, ThetaKind
+from .model import AnisotropyMode, ModelParams, ThetaKind
 
 EXPERIMENTS = ("dispersion", "exceptional-point", "ep-table", "qfi-dynamics",
                "time-scaling", "size-scaling", "stationary-scaling", "ratio",
@@ -47,7 +47,7 @@ EXPERIMENTS = ("dispersion", "exceptional-point", "ep-table", "qfi-dynamics",
 
 _MODEL_KEYS = {
     "N": 1024, "Z": 1, "alpha": 1.5, "gamma": 0.3, "h": -0.7,
-    "anisotropy": "non-hermitian", "mode_range": "full", "theta": "h",
+    "anisotropy": "non-hermitian", "theta": "h",
 }
 
 # Per-experiment keys on top of the model block.  Values are the
@@ -153,15 +153,9 @@ def _model_params(cfg: dict) -> ModelParams:
         raise ConfigError(f"anisotropy must be one of "
                           f"{[m.value for m in AnisotropyMode]}") from exc
     try:
-        mode_range = ModeRange(cfg["mode_range"])
-    except ValueError as exc:
-        raise ConfigError(f"mode_range must be one of "
-                          f"{[m.value for m in ModeRange]}") from exc
-    try:
         return ModelParams(N=int(cfg["N"]), Z=int(cfg["Z"]),
                            alpha=float(cfg["alpha"]), gamma=float(cfg["gamma"]),
-                           h=float(cfg["h"]), anisotropy_mode=aniso,
-                           mode_range=mode_range)
+                           h=float(cfg["h"]), anisotropy_mode=aniso)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -412,11 +406,8 @@ def _run_stationary_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
 def _run_ratio(cfg: dict, writer: RunWriter, threads: int) -> int:
     params = _model_params(cfg)
     theta = _theta(cfg)
-    try:
-        res = qfi_ratio_time_avg(params, theta, t0=float(cfg["t0"]),
-                                 t1=float(cfg["t1"]), n_grid=int(cfg["n_grid"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = qfi_ratio_time_avg(params, theta, t0=float(cfg["t0"]),
+                             t1=float(cfg["t1"]), n_grid=int(cfg["n_grid"]))
     if res.dropped:
         writer.warnings.append(
             f"{res.dropped} grid points dropped (benchmark QFI below floor)")
@@ -515,7 +506,10 @@ def main(argv=None) -> int:
             return 0
         out_dir = args.out if args.out else str(Path("runs") / args.experiment)
         writer = RunWriter(out_dir, args.experiment, cfg)
-        status = _RUNNERS[args.experiment](cfg, writer, max(1, args.threads))
+        try:
+            status = _RUNNERS[args.experiment](cfg, writer, max(1, args.threads))
+        except ValueError as exc:  # a value the runner's library call rejected
+            raise ConfigError(str(exc)) from exc
         writer.manifest()
         return status
     except ConfigError as exc:

@@ -28,15 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnderflowError
-from .model import (
-    AnisotropyMode,
-    ModelParams,
-    ModeRange,
-    ThetaKind,
-    coupling_profile,
-    momentum_coupling,
-)
-from .blocks import ModeBlock, ModeState
+from .model import AnisotropyMode, ModelParams, ThetaKind
+from .blocks import ModeBlock, ModeState, block_arrays
 
 # Taylor window for C and S: |x| t^2 below this.
 SERIES_Z = 1e-8
@@ -52,7 +45,7 @@ _EYE2 = np.eye(2, dtype=complex)
 class ModeTrajectory:
     """Unnormalized evolved amplitudes of one block and their theta-derivative.
 
-    state holds phi = U(t) (1, 0) with normalized=False; dstate is the
+    state holds the unnormalized phi = U(t) (1, 0); dstate is the
     analytic derivative of those amplitudes.  Both carry the same inert
     factor exp(-state.log_scale) when the block grows hyperbolically.
     """
@@ -143,19 +136,6 @@ def propagator(block: ModeBlock, t: float) -> np.ndarray:
     return complex(c) * _EYE2 - 1j * complex(s) * block.matrix()
 
 
-def evolved_arrays(a, m, x, t):
-    """Unnormalized amplitudes U(t)(1,0) = (C + i a S, -i m S), vectorized.
-
-    m is the lower-left block entry M_10: b for imaginary anisotropy,
-    -b for the real (Hermitian) benchmark.  Returns (amp0, amp2, sigma);
-    amplitudes carry the factor exp(-sigma).
-    """
-    c, s, sig = _kernels(x, t)
-    amp0 = c + 1j * (np.asarray(a) * s)
-    amp2 = -1j * (np.asarray(m) * s)
-    return amp0, amp2, sig
-
-
 def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     """Amplitudes plus analytic theta-derivatives, vectorized over modes/times.
 
@@ -192,30 +172,13 @@ def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     return amp0, amp2, d0, d1, sig
 
 
-def _mode_scalars(params: ModelParams, p: int):
-    """phi, J(phi), a, b, eps_sq for a single block index p."""
-    n_blocks = params.N // 2
-    if params.mode_range is ModeRange.TRUNCATED:
-        n_blocks -= 1
-    if not 1 <= p <= n_blocks:
-        raise ValueError(f"p must be in 1..{n_blocks}, got {p}")
-    phi = (2.0 * p - 1.0) * math.pi / params.N
-    j = momentum_coupling(coupling_profile(params.alpha, params.Z), phi)
-    a = params.h + j.real
-    b = params.gamma * j.imag
-    if params.anisotropy_mode is AnisotropyMode.HERMITIAN:
-        x = a * a + b * b
-    else:
-        x = a * a - b * b
-    return phi, j, a, b, x
-
-
 def evolve_mode(block: ModeBlock, t: float) -> ModeState:
     """Normalized evolved state of one block from the pair vacuum."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    m = -block.b if block.hermitian else block.b
-    amp0, amp2, sig = evolved_arrays(block.a, m, block.eps_sq, t)
+    amp0, amp2, _, _, sig = trajectory_arrays(
+        block.a, block.b, block.j_imag, block.eps_sq, block.hermitian, t,
+        ThetaKind.FIELD_H)
     amp0 = complex(amp0)
     amp2 = complex(amp2)
     n2 = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
@@ -223,19 +186,23 @@ def evolve_mode(block: ModeBlock, t: float) -> ModeState:
         raise UnderflowError(
             f"evolved norm underflow at t={t} (eps_sq={block.eps_sq})")
     n = math.sqrt(n2)
-    return ModeState(amp0 / n, amp2 / n, normalized=True,
-                     prenorm=n, log_scale=float(sig))
+    return ModeState(amp0 / n, amp2 / n, prenorm=n, log_scale=float(sig))
 
 
 def evolve_mode_derivative(params: ModelParams, p: int, t: float,
                            theta_kind: ThetaKind) -> ModeTrajectory:
-    """Unnormalized amplitudes of block p and their analytic theta-derivative."""
+    """Unnormalized amplitudes of block p and their analytic theta-derivative.
+
+    A view onto row p - 1 of the array path (block_arrays, trajectory_arrays).
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    _, j, a, b, x = _mode_scalars(params, p)
+    n_blocks = params.N // 2
+    if not 1 <= p <= n_blocks:
+        raise ValueError(f"p must be in 1..{n_blocks}, got {p}")
+    _, _, j_imag, a, b, x = (col[p - 1] for col in block_arrays(params))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    amp0, amp2, d0, d1, sig = trajectory_arrays(a, b, j.imag, x, hermitian, t, theta_kind)
-    state = ModeState(complex(amp0), complex(amp2), normalized=False,
-                      log_scale=float(sig))
+    amp0, amp2, d0, d1, sig = trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind)
+    state = ModeState(complex(amp0), complex(amp2), log_scale=float(sig))
     return ModeTrajectory(state=state, dstate=(complex(d0), complex(d1)),
                           theta_kind=theta_kind)

@@ -40,21 +40,6 @@ class ThetaKind(Enum):
     ANISOTROPY_GAMMA = "gamma"
 
 
-class ModeRange(Enum):
-    """Which momentum blocks enter mode sums.
-
-    FULL keeps p = 1 .. N/2, one block per (phi, -phi) pair, N fermionic
-    modes in total.  TRUNCATED drops the block closest to the zone
-    boundary (p = N/2) and keeps p = 1 .. N/2 - 1; it exists so the two
-    counting conventions can be compared against exact diagonalization.
-    FULL is the recorded default: it is the convention that matches the
-    dense oracle (see tests).
-    """
-
-    FULL = "full"
-    TRUNCATED = "truncated"
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Complete parameter set of one chain.
@@ -72,13 +57,15 @@ class ModelParams:
     gamma: float
     h: float
     anisotropy_mode: AnisotropyMode = AnisotropyMode.NON_HERMITIAN
-    mode_range: ModeRange = ModeRange.FULL
 
     def __post_init__(self):
         if self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 4, got N={self.N}")
         if not 1 <= self.Z <= self.N // 2:
             raise ValueError(f"Z must satisfy 1 <= Z <= N/2, got Z={self.Z} at N={self.N}")
+        for name in ("alpha", "gamma", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got alpha={self.alpha}")
 
@@ -142,11 +129,12 @@ def momentum_coupling(profile: CouplingProfile, phi):
 
 
 def mode_angles(params: ModelParams) -> np.ndarray:
-    """Momentum grid phi_p = (2p - 1) pi / N for the selected mode range."""
-    n_blocks = params.N // 2
-    if params.mode_range is ModeRange.TRUNCATED:
-        n_blocks -= 1
-    p = np.arange(1, n_blocks + 1, dtype=float)
+    """Momentum grid phi_p = (2p - 1) pi / N, p = 1 .. N/2.
+
+    One block per (phi, -phi) pair, N fermionic modes in total; this is
+    the counting that matches the dense oracle.
+    """
+    p = np.arange(1, params.N // 2 + 1, dtype=float)
     return (2.0 * p - 1.0) * math.pi / params.N
 
 

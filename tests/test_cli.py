@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ixysense
 from ixysense.cli import main, resolve_config
 from ixysense.errors import ConfigError
 
@@ -69,6 +74,31 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,override", [
+    ("dispersion", "h=NaN"),
+    ("dispersion", "gamma=Infinity"),
+    ("oracle-check", "N_list=[14]"),
+    ("size-scaling", "t_eval=-1"),
+    ("ratio", "t0=-1"),
+])
+def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
+    # non-finite model values and values a runner rejects end in one
+    # config-error line, not a traceback or a NaN result
+    assert main([experiment, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_import_skips_scipy_integrate():
+    code = "import sys, ixysense.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(ixysense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     code = main(["exceptional-point", "--set", "ep_bracket=[-3.0,-2.0]",
                  "--out", str(tmp_path / "o")])
@@ -83,11 +113,10 @@ def test_dispersion_outputs(tmp_path):
     comments, header, rows = _read_csv(out / "dispersion.csv")
     assert header == "p,phi,j_real,j_imag,a,b,eps_sq,broken"
     assert len(rows) == 8
-    assert any("mode_range" in c for c in comments)  # resolved config named
+    assert any('"gamma": 0.5' in c for c in comments)  # resolved config named
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "dispersion"
     assert manifest["derived"]["classification"] == "broken"
-    assert manifest["config"]["mode_range"] == "full"
     assert "dispersion.csv" in manifest["outputs"]
     assert manifest["wall_time_s"] >= 0
 

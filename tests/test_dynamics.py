@@ -12,7 +12,6 @@ from ixysense.dynamics import (
     RESCALE_EXPONENT,
     evolve_mode,
     evolve_mode_derivative,
-    evolved_arrays,
     propagator,
     trajectory_arrays,
     _kernels,
@@ -180,11 +179,20 @@ def test_trajectory_arrays_matches_scalar_path():
         assert traj.dstate[1] == pytest.approx(complex(d1[i]), rel=1e-13, abs=1e-15)
 
 
-def test_evolved_arrays_initial_condition():
-    amp0, amp2, sig = evolved_arrays(0.7, 0.4, 0.33, 0.0)
-    assert complex(amp0) == 1.0 + 0.0j
-    assert complex(amp2) == 0.0 + 0.0j
-    assert float(sig) == 0.0
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_evolve_mode_initial_condition(hermitian):
+    # t = 0 leaves the pair vacuum (1, 0) exactly, unscaled, on the
+    # single-block view and on the row view of the array path alike
+    state = evolve_mode(_block(0.7, 0.4, hermitian), 0.0)
+    assert state.vector().tolist() == [1.0 + 0.0j, 0.0 + 0.0j]
+    assert state.prenorm == 1.0 and state.log_scale == 0.0
+    mode = AnisotropyMode.HERMITIAN if hermitian else AnisotropyMode.NON_HERMITIAN
+    params = ModelParams(N=16, Z=3, alpha=1.3, gamma=0.4, h=-0.8, anisotropy_mode=mode)
+    for theta in (ThetaKind.FIELD_H, ThetaKind.ANISOTROPY_GAMMA):
+        traj = evolve_mode_derivative(params, 3, 0.0, theta)
+        assert traj.state.vector().tolist() == [1.0 + 0.0j, 0.0 + 0.0j]
+        assert traj.state.log_scale == 0.0
+        assert traj.dstate == (0.0, 0.0)
 
 
 def test_mode_index_validation():

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from ixysense.model import (
     ModelParams,
-    ModeRange,
     coupling_profile,
     critical_field_pi,
     critical_field_zero,
@@ -83,12 +82,9 @@ def test_momentum_coupling_scalar_matches_array():
     assert scalar == arr[0]
 
 
-def test_mode_angles_full_and_truncated():
+def test_mode_angles_full_range():
     p = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
     assert_allclose(mode_angles(p), np.array([1, 3, 5, 7]) * math.pi / 8.0, rtol=1e-15)
-    pt = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7,
-                     mode_range=ModeRange.TRUNCATED)
-    assert_allclose(mode_angles(pt), np.array([1, 3, 5]) * math.pi / 8.0, rtol=1e-15)
 
 
 def test_mode_angles_inside_zone():
@@ -120,7 +116,9 @@ def test_critical_field_pi_matches_alternating_sum(alpha, Z):
 
 
 @pytest.mark.parametrize("bad", [dict(N=3), dict(N=6, Z=0), dict(N=6, Z=4),
-                                 dict(N=2), dict(N=8, alpha=-0.5)])
+                                 dict(N=2), dict(N=8, alpha=-0.5),
+                                 dict(h=math.nan), dict(gamma=math.inf),
+                                 dict(alpha=math.nan), dict(alpha=math.inf)])
 def test_params_validation(bad):
     kw = dict(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
     kw.update(bad)
