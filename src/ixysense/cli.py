@@ -253,6 +253,8 @@ def _time_grid(cfg: dict) -> np.ndarray:
     lo, hi, n = float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["t_points"])
     if n < 2:
         raise ConfigError(f"t_points must be >= 2, got {n}")
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"t_min and t_max must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise ConfigError(f"need t_max > t_min, got [{lo}, {hi}]")
     spacing = cfg["t_spacing"]

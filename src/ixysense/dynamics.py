@@ -55,76 +55,86 @@ class ModeTrajectory:
     theta_kind: ThetaKind
 
 
+def _mode_grid(x, t):
+    """x as a column of modes, t as a row of times, and their broadcast shape.
+
+    x may vary only along axes before those along which t varies, as with
+    x[:, None] against t[None, :]; either one may be a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    x_axes = [i for i, n in enumerate(x.shape[::-1]) if n != 1]
+    t_axes = [i for i, n in enumerate(t.shape[::-1]) if n != 1]
+    if x_axes and t_axes and min(x_axes) <= max(t_axes):
+        raise ValueError(f"x {x.shape} must vary along axes before those of t {t.shape}")
+    return x.reshape(-1, 1), t.reshape(1, -1), shape
+
+
+def _window(x, t, bound):
+    """Cells (rows, cols) with |z| < bound, z = x t^2, with their z and t.
+
+    |x t t| does not decrease with |t| in floating point either, so only
+    modes inside the window at the smallest |t| are checked per cell.
+    """
+    t_min = np.abs(t).min(initial=np.inf)
+    rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < bound)
+    z = x[rows] * t * t
+    i, j = np.nonzero(np.abs(z) < bound)
+    return rows[i], j, z[i, j], t[0, j]
+
+
 def _kernels(x, t, rescale=True):
-    """C, S and the rescale exponent sigma, vectorized over broadcast shapes."""
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape = xb.shape
-    xf = xb.ravel().astype(float)
-    tf = tb.ravel().astype(float)
-    c = np.empty_like(xf)
-    s = np.empty_like(xf)
-    sig = np.zeros_like(xf)
+    """C, S and the rescale exponent sigma on the (modes x times) grid of x, t.
 
-    z = xf * tf * tf
-    ser = np.abs(z) < SERIES_Z
-    pos = ~ser & (xf > 0.0)
-    neg = ~ser & (xf < 0.0)
+    The trigonometric or hyperbolic branch is chosen once per mode and
+    written for whole rows; the cells past RESCALE_EXPONENT and the
+    Taylor cells near x t^2 = 0 are then patched, so every cell keeps
+    its own elementwise formula.
+    """
+    x, t, shape = _mode_grid(x, t)
+    limit = RESCALE_EXPONENT if rescale else np.inf
+    rt = np.sqrt(np.abs(x))
+    st = rt * t
+    c = np.empty(st.shape)
+    s = np.empty(st.shape)
+    sig = np.zeros(st.shape)
 
-    if ser.any():
-        zs = z[ser]
-        ts = tf[ser]
-        c[ser] = 1.0 - 0.5 * zs * (1.0 - zs / 12.0 * (1.0 - zs / 30.0))
-        s[ser] = ts * (1.0 - zs / 6.0 * (1.0 - zs / 20.0 * (1.0 - zs / 42.0)))
-    if pos.any():
-        rt = np.sqrt(xf[pos])
-        st = rt * tf[pos]
-        c[pos] = np.cos(st)
-        s[pos] = np.sin(st) / rt
-    if neg.any():
-        rt = np.sqrt(-xf[neg])
-        st = rt * tf[neg]
-        cn = np.empty_like(st)
-        sn = np.empty_like(st)
-        grow = st > RESCALE_EXPONENT if rescale else np.zeros(st.shape, dtype=bool)
-        if grow.any():
-            damp = np.exp(-2.0 * st[grow])
-            cn[grow] = 0.5 * (1.0 + damp)
-            sn[grow] = (1.0 - damp) / (2.0 * rt[grow])
-        tame = ~grow
-        cn[tame] = np.cosh(st[tame])
-        sn[tame] = np.sinh(st[tame]) / rt[tame]
-        c[neg] = cn
-        s[neg] = sn
-        sg = np.zeros_like(st)
-        sg[grow] = st[grow]
-        sig[neg] = sg
+    pos = x > 0.0
+    np.cos(st, out=c, where=pos)
+    np.sin(st, out=s, where=pos)
+    np.divide(s, rt, out=s, where=pos)
 
+    neg = x < 0.0
+    late = neg & (st > limit)
+    tame = neg & ~late
+    np.cosh(st, out=c, where=tame)
+    np.sinh(st, out=s, where=tame)
+    np.divide(s, rt, out=s, where=tame)
+    if late.any():
+        # growing cells: exp(-|eps| t) is factored out
+        st_l = st[late]
+        damp = np.exp(-2.0 * st_l)
+        c[late] = 0.5 * (1.0 + damp)
+        s[late] = (1.0 - damp) / (2.0 * np.broadcast_to(rt, st.shape)[late])
+        sig[late] = st_l
+
+    i, j, z, tz = _window(x, t, SERIES_Z)
+    c[i, j] = 1.0 - 0.5 * z * (1.0 - z / 12.0 * (1.0 - z / 30.0))
+    s[i, j] = tz * (1.0 - z / 6.0 * (1.0 - z / 20.0 * (1.0 - z / 42.0)))
     return c.reshape(shape), s.reshape(shape), sig.reshape(shape)
 
 
 def _kernel_derivs(x, t, c, s):
     """dC/dx and dS/dx given already-evaluated (possibly rescaled) C, S."""
-    xb, tb, cb, sb = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(t, dtype=float),
-        np.asarray(c), np.asarray(s))
-    shape = xb.shape
-    xf = xb.ravel()
-    tf = tb.ravel()
-    cf = cb.ravel()
-    sf = sb.ravel()
-
-    dc = -0.5 * tf * sf
-    z = xf * tf * tf
-    ser = np.abs(z) < DSERIES_Z
-    ds = np.empty_like(xf)
-    if ser.any():
-        zs = z[ser]
-        t3 = tf[ser] ** 3
-        ds[ser] = -t3 / 6.0 * (1.0 - zs / 10.0 * (1.0 - zs / 28.0 * (
-            1.0 - zs / 54.0 * (1.0 - zs / 88.0 * (1.0 - zs / 130.0)))))
-    rest = ~ser
-    if rest.any():
-        ds[rest] = (tf[rest] * cf[rest] - sf[rest]) / (2.0 * xf[rest])
+    x, t, shape = _mode_grid(x, t)
+    c = np.reshape(c, (x.size, t.size))
+    s = np.reshape(s, (x.size, t.size))
+    dc = -0.5 * t * s
+    ds = np.divide(t * c - s, 2.0 * x, out=np.empty(c.shape), where=x != 0.0)
+    i, j, z, tz = _window(x, t, DSERIES_Z)
+    ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
+        1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))
     return dc.reshape(shape), ds.reshape(shape)
 
 
@@ -137,7 +147,11 @@ def propagator(block: ModeBlock, t: float) -> np.ndarray:
 
 
 def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
-    """Amplitudes plus analytic theta-derivatives, vectorized over modes/times.
+    """Amplitudes plus analytic theta-derivatives on a (modes x times) grid.
+
+    a, b, j_imag and x hold one value per mode and t one per time, with
+    the mode axes before the time axes (x[:, None] against t[None, :]);
+    either side may be a scalar.
 
     Derivative of U(t)(1,0) at fixed t, with m = M_10 (b non-Hermitian,
     -b Hermitian):

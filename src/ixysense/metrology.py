@@ -33,6 +33,8 @@ from .dynamics import trajectory_arrays
 
 # Totals this far below zero are numerical dust and clip to zero.
 QFI_CLIP = -1e-10
+# Mode x time cells that qfi_curve evaluates at once (about 128 B each).
+CHUNK_CELLS = 1 << 16
 
 
 class Protocol(Enum):
@@ -92,28 +94,41 @@ def _clip_total(total: float) -> float:
 
 
 def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
-    """Dynamical QFI at each time in t_grid, one vectorized pass.
+    """Dynamical QFI at each time in t_grid, streamed over chunks of modes.
 
-    Modes and times are evaluated on a (modes x times) grid; the mode
-    reduction is numpy's fixed-tree pairwise sum, which is deterministic
-    for a fixed mode order.
+    Each chunk holds about CHUNK_CELLS mode x time cells, so the working
+    memory is O(CHUNK_CELLS) beyond the O(N) block arrays, whatever N and
+    the grid size.  The running totals are one row; each later chunk is
+    stacked under it and reduced along the mode axis.  numpy reduces a
+    C-ordered array over its leading axis row by row, so with two or more
+    times the totals are a sequential sum in mode order whatever the chunk
+    size.  (With a single time a chunk is one column, which numpy sums
+    pairwise; one chunk then holds up to CHUNK_CELLS modes.)
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.isfinite(t_grid).all():
+        raise ValueError("evolution times must be finite")
     if (t_grid < 0).any():
         raise ValueError("evolution times must be >= 0")
     _, _, j_imag, a, b, eps_sq = block_arrays(params)
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    amp0, amp2, d0, d1, _ = trajectory_arrays(
-        a[:, None], b[:, None], j_imag[:, None], eps_sq[:, None],
-        hermitian, t_grid[None, :], theta_kind)
-    n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
-    if (n < 1e-300).any():
-        raise UnderflowError("evolved norm underflow in qfi_curve")
-    g = d0.real ** 2 + d0.imag ** 2 + d1.real ** 2 + d1.imag ** 2
-    o = np.conj(amp0) * d0 + np.conj(amp2) * d1
-    per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
-    totals = np.add.reduce(per_mode, axis=0)
-    return np.array([_clip_total(v) for v in totals])
+    rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
+    totals = None
+    for lo in range(0, eps_sq.size, rows):
+        chunk = slice(lo, lo + rows)
+        amp0, amp2, d0, d1, _ = trajectory_arrays(
+            a[chunk, None], b[chunk, None], j_imag[chunk, None], eps_sq[chunk, None],
+            hermitian, t_grid[None, :], theta_kind)
+        n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
+        if (n < 1e-300).any():
+            raise UnderflowError("evolved norm underflow in qfi_curve")
+        g = d0.real ** 2 + d0.imag ** 2 + d1.real ** 2 + d1.imag ** 2
+        o = np.conj(amp0) * d0 + np.conj(amp2) * d1
+        per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+        if totals is not None:
+            per_mode = np.concatenate([totals, per_mode])
+        totals = np.add.reduce(per_mode, axis=0, keepdims=True)
+    return np.array([_clip_total(v) for v in totals[0]])
 
 
 def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSample:
@@ -168,8 +183,8 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
     """
     theta0 = _theta_value(params, theta_kind)
     step = fd_step if fd_step is not None else 1e-6 * max(1.0, abs(theta0))
-    if step <= 0:
-        raise ValueError(f"fd_step must be > 0, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"fd_step must be finite and > 0, got {step}")
 
     v0, eps0, defect0 = _probe_set(params)
     pivot = np.argmax(np.abs(v0), axis=1)

@@ -80,11 +80,16 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     ("oracle-check", "N_list=[14]"),
     ("size-scaling", "t_eval=-1"),
     ("ratio", "t0=-1"),
+    ("size-scaling", "t_eval=NaN N_list=[64,128,256]"),
+    ("qfi-dynamics", "t_max=Infinity N=64"),
+    ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
 ])
 def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     # non-finite model values and values a runner rejects end in one
-    # config-error line, not a traceback or a NaN result
-    assert main([experiment, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    # config-error line, not a traceback or a NaN result; override holds
+    # one or more space-separated --set values
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
 

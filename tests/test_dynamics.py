@@ -9,14 +9,90 @@ from numpy.testing import assert_allclose
 
 from ixysense.blocks import ModeBlock, build_blocks
 from ixysense.dynamics import (
+    DSERIES_Z,
     RESCALE_EXPONENT,
+    SERIES_Z,
     evolve_mode,
     evolve_mode_derivative,
     propagator,
     trajectory_arrays,
+    _kernel_derivs,
     _kernels,
 )
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
+
+
+def _reference_kernels(x, t, rescale=True):
+    """C, S, sigma classified cell by cell: the reference for _kernels."""
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = xb.shape
+    xf = xb.ravel().astype(float)
+    tf = tb.ravel().astype(float)
+    c = np.empty_like(xf)
+    s = np.empty_like(xf)
+    sig = np.zeros_like(xf)
+
+    z = xf * tf * tf
+    ser = np.abs(z) < SERIES_Z
+    pos = ~ser & (xf > 0.0)
+    neg = ~ser & (xf < 0.0)
+
+    if ser.any():
+        zs = z[ser]
+        ts = tf[ser]
+        c[ser] = 1.0 - 0.5 * zs * (1.0 - zs / 12.0 * (1.0 - zs / 30.0))
+        s[ser] = ts * (1.0 - zs / 6.0 * (1.0 - zs / 20.0 * (1.0 - zs / 42.0)))
+    if pos.any():
+        rt = np.sqrt(xf[pos])
+        st = rt * tf[pos]
+        c[pos] = np.cos(st)
+        s[pos] = np.sin(st) / rt
+    if neg.any():
+        rt = np.sqrt(-xf[neg])
+        st = rt * tf[neg]
+        cn = np.empty_like(st)
+        sn = np.empty_like(st)
+        grow = st > RESCALE_EXPONENT if rescale else np.zeros(st.shape, dtype=bool)
+        if grow.any():
+            damp = np.exp(-2.0 * st[grow])
+            cn[grow] = 0.5 * (1.0 + damp)
+            sn[grow] = (1.0 - damp) / (2.0 * rt[grow])
+        tame = ~grow
+        cn[tame] = np.cosh(st[tame])
+        sn[tame] = np.sinh(st[tame]) / rt[tame]
+        c[neg] = cn
+        s[neg] = sn
+        sg = np.zeros_like(st)
+        sg[grow] = st[grow]
+        sig[neg] = sg
+
+    return c.reshape(shape), s.reshape(shape), sig.reshape(shape)
+
+
+def _reference_kernel_derivs(x, t, c, s):
+    """dC/dx, dS/dx classified cell by cell: the reference for _kernel_derivs."""
+    xb, tb, cb, sb = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(t, dtype=float),
+        np.asarray(c), np.asarray(s))
+    shape = xb.shape
+    xf = xb.ravel()
+    tf = tb.ravel()
+    cf = cb.ravel()
+    sf = sb.ravel()
+
+    dc = -0.5 * tf * sf
+    z = xf * tf * tf
+    ser = np.abs(z) < DSERIES_Z
+    ds = np.empty_like(xf)
+    if ser.any():
+        zs = z[ser]
+        t3 = tf[ser] ** 3
+        ds[ser] = -t3 / 6.0 * (1.0 - zs / 10.0 * (1.0 - zs / 28.0 * (
+            1.0 - zs / 54.0 * (1.0 - zs / 88.0 * (1.0 - zs / 130.0)))))
+    rest = ~ser
+    if rest.any():
+        ds[rest] = (tf[rest] * cf[rest] - sf[rest]) / (2.0 * xf[rest])
+    return dc.reshape(shape), ds.reshape(shape)
 
 
 def _block(a, b, hermitian=False):
@@ -98,6 +174,45 @@ def test_kernels_match_complex_reference():
             s_ref = t if xi == 0.0 else (cmath.sin(root * t) / root).real
             assert ci == pytest.approx(c_ref, rel=1e-12, abs=1e-12)
             assert si == pytest.approx(s_ref, rel=1e-12, abs=1e-12)
+
+
+# Modes of both signs, Taylor-small |x|, x = 0 and strongly broken x,
+# against times from 0 through the Taylor windows to deep growth.
+_GRID_X = np.concatenate([np.geomspace(1e-30, 1e3, 37), -np.geomspace(1e-30, 1e3, 37),
+                          [0.0, 1e-320, -1e-320, 0.0225, -0.0225]])
+_GRID_T = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.02, 0.3, 1.0, 11.0,
+                    149.9, 150.1, 200.0, 1000.0])
+
+
+@pytest.mark.parametrize("rescale", [True, False])
+def test_kernels_match_cell_reference(rescale):
+    # the per-mode kernels reproduce the cell-by-cell classification bit
+    # for bit, on the (modes x times) grid and on the scalar layouts
+    t_all = _GRID_T if rescale else _GRID_T[_GRID_T <= 11.0]
+    x, t = _GRID_X[:, None], t_all[None, :]
+    got = _kernels(x, t, rescale)
+    want = _reference_kernels(x, t, rescale)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (x.size, t.size)
+        assert np.array_equal(g, w)
+    assert (got[2] > 0).any() == rescale  # growth cells were hit
+    c, s, _ = want
+    for g, w in zip(_kernel_derivs(x, t, c, s), _reference_kernel_derivs(x, t, c, s)):
+        assert np.array_equal(g, w)
+    for ti in t_all[::3]:
+        for g, w in zip(_kernels(_GRID_X, ti, rescale), _reference_kernels(_GRID_X, ti, rescale)):
+            assert g.shape == _GRID_X.shape and np.array_equal(g, w)
+    for g, w in zip(_kernels(-0.5, 400.0, rescale), _reference_kernels(-0.5, 400.0, rescale)):
+        assert g.shape == () and np.array_equal(g, w)
+
+
+def test_trajectory_arrays_rejects_shared_axis():
+    # one value per mode against one per time; pairing them cell by cell
+    # along a shared axis is not a (modes x times) grid
+    x = np.array([0.5, -0.2, 1.0])
+    with pytest.raises(ValueError, match="axes"):
+        trajectory_arrays(x, x, x, x, False, np.array([0.1, 0.2, 0.3]),
+                          ThetaKind.FIELD_H)
 
 
 def test_rescaled_growth_matches_direct_propagator():

@@ -1,6 +1,7 @@
 """QFI invariances, the dynamical pipeline, and the stationary closed-form oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ixysense.blocks import block_arrays
-from ixysense.dynamics import evolve_mode_derivative
+from ixysense import metrology
+from ixysense.dynamics import evolve_mode_derivative, trajectory_arrays
 from ixysense.errors import UnderflowError
 from ixysense.metrology import (
+    QFI_CLIP,
     dynamical_qfi,
     mode_qfi,
     qfi_curve,
@@ -116,6 +119,78 @@ def test_qfi_curve_negative_time_raises():
         qfi_curve(params, [-1.0], ThetaKind.FIELD_H)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_qfi_curve_non_finite_time_raises(bad):
+    params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
+    with pytest.raises(ValueError, match="finite"):
+        qfi_curve(params, [1.0, bad], ThetaKind.FIELD_H)
+
+
+def _reference_qfi_curve(params, t_grid, theta_kind):
+    """The whole (modes x times) grid in one pass: the reference for qfi_curve."""
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    _, _, j_imag, a, b, eps_sq = block_arrays(params)
+    hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
+    amp0, amp2, d0, d1, _ = trajectory_arrays(
+        a[:, None], b[:, None], j_imag[:, None], eps_sq[:, None],
+        hermitian, t_grid[None, :], theta_kind)
+    n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
+    g = d0.real ** 2 + d0.imag ** 2 + d1.real ** 2 + d1.imag ** 2
+    o = np.conj(amp0) * d0 + np.conj(amp2) * d1
+    per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+    totals = np.add.reduce(per_mode, axis=0)
+    return np.where((QFI_CLIP < totals) & (totals < 0.0), 0.0, totals)
+
+
+# t = 0 and Taylor-small times, then out to t = 1000, where the broken
+# blocks of h = -0.8 (|eps| t up to 230) are rescaled
+_STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
+
+
+@pytest.mark.parametrize("mode", list(AnisotropyMode))
+@pytest.mark.parametrize("theta", list(ThetaKind))
+@pytest.mark.parametrize("n,times,budget,chunks", [
+    (2000, _STREAM_TIMES, None, 5),          # 1000 modes, 218 a chunk
+    (2000, [200.0], None, 1),                # one time: one chunk
+    (64, _STREAM_TIMES[::3], 64, 32),        # 100 times > budget: one mode a chunk
+], ids=["chunks", "one-time", "one-mode-chunks"])
+def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, chunks,
+                                               theta, mode):
+    # streaming over mode chunks gives the full-grid totals bit for bit
+    if budget is not None:
+        monkeypatch.setattr(metrology, "CHUNK_CELLS", budget)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return trajectory_arrays(*args)
+
+    monkeypatch.setattr(metrology, "trajectory_arrays", counted)
+    for h in (-0.8, -2.0):
+        params = ModelParams(N=n, Z=3, alpha=1.5, gamma=0.4, h=h, anisotropy_mode=mode)
+        calls.clear()
+        got = qfi_curve(params, times, theta)
+        assert len(calls) == chunks
+        assert np.array_equal(got, _reference_qfi_curve(params, times, theta))
+
+
+def test_qfi_curve_memory_bounded():
+    # the working set is O(CHUNK_CELLS), not O(N/2 x T): bounded at
+    # N=2^16 with 300 times, and nearly the same as at N=2^14
+    grid = np.geomspace(0.02, 1000.0, 300)
+    peaks = []
+    for n in (2 ** 14, 2 ** 16):
+        params = ModelParams(N=n, Z=2, alpha=1.5, gamma=0.3, h=-0.85)
+        tracemalloc.start()
+        try:
+            qfi_curve(params, grid, ThetaKind.FIELD_H)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 64 * 2 ** 20
+    assert peaks[1] < 2 * peaks[0]
+
+
 STATIONARY_CELLS = [
     # (Z, alpha, gamma, h): both phases, both parameter targets
     (2, 1.0, 0.5, -1.5),    # unbroken, below the dome
@@ -149,8 +224,9 @@ def test_stationary_qfi_straddle_flagged():
 
 def test_stationary_qfi_step_validation():
     params = ModelParams(N=16, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
-    with pytest.raises(ValueError):
-        stationary_qfi(params, ThetaKind.FIELD_H, fd_step=0.0)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fd_step"):
+            stationary_qfi(params, ThetaKind.FIELD_H, fd_step=step)
 
 
 def test_ratio_gamma_zero_is_identically_one():
