@@ -24,7 +24,6 @@ from .blocks import (
 )
 from .dynamics import ModeTrajectory, evolve_mode, evolve_mode_derivative, propagator
 from .metrology import (
-    Protocol,
     QfiSample,
     RatioResult,
     dynamical_qfi,
@@ -40,7 +39,6 @@ from .analysis import (
     EPResult,
     LONGTIME_GRID,
     PowerFit,
-    QfiSeries,
     ScalingAnchor,
     SizeScalingResult,
     STATIONARY_DH_LIST,

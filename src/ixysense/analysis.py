@@ -14,7 +14,7 @@ from .errors import BracketError, FitError
 from .model import (AnisotropyMode, ModelParams, ThetaKind,
                     coupling_profile, critical_field_zero)
 from .blocks import TOL_PHASE
-from .metrology import Protocol, QfiSample, dynamical_qfi, qfi_curve, stationary_qfi
+from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
 
 # Time grids used throughout the scaling studies: the transient window
 # before the first dispersion-scale revival, and the late window where
@@ -58,13 +58,7 @@ class EPResult:
 
     h_e: float
     bracket: tuple[float, float]
-    tolerance: float
     iterations: int
-    gamma: float
-    alpha: float
-    Z: int
-    N: int
-    scan_angles: int = EP_SCAN_ANGLES
 
 
 @dataclass(frozen=True)
@@ -81,44 +75,36 @@ class PowerFit:
 
 
 @dataclass
-class QfiSeries:
-    """A sampled QFI curve with the metadata to interpret its abscissa."""
-
-    samples: tuple[QfiSample, ...]
-    x_kind: str  # "t", "N", or "dh"
-    protocol: Protocol
-    theta_kind: ThetaKind
-    meta: dict
-
-
-@dataclass
 class TimeScalingResult:
-    series: QfiSeries
+    t: np.ndarray
+    qfi: np.ndarray
     transient_fit: PowerFit
     longtime_fit: PowerFit
 
 
 @dataclass
 class SizeScalingResult:
-    series: QfiSeries
+    N: np.ndarray
+    qfi: np.ndarray
     fit: PowerFit
 
 
 @dataclass
 class StationaryRow:
+    """QFI against N at the field anchor + dh; fd_step is the stencil step used."""
+
     dh: float
-    series: QfiSeries
+    N: np.ndarray
+    qfi: np.ndarray
     fit: PowerFit
     straddled_modes: int
+    fd_step: float
 
 
 @dataclass
 class StationaryScalingResult:
-    anchor: ScalingAnchor
     anchor_value: float
-    theta_kind: ThetaKind
     rows: tuple[StationaryRow, ...]
-    meta: dict
 
 
 def run_cells(fn, cells, threads: int = 1) -> list:
@@ -134,8 +120,7 @@ def run_cells(fn, cells, threads: int = 1) -> list:
         return list(pool.map(fn, cells))
 
 
-def _dispersion_minimizer(profile, gamma: float, hermitian: bool,
-                          scan_angles: int):
+def _dispersion_minimizer(profile, gamma: float, hermitian: bool):
     """Callable h -> global minimum of eps_sq over angles in (0, pi).
 
     The coupling transform J(phi) is field-independent, so it is
@@ -145,17 +130,17 @@ def _dispersion_minimizer(profile, gamma: float, hermitian: bool,
     dispersion polishes the minimum inside that cell.
     """
     z = len(profile.weights)
-    big = 4 * scan_angles
+    big = 4 * EP_SCAN_ANGLES
     while big <= 2 * z:
         big *= 2
     coeff = np.zeros(big, dtype=complex)
     coeff[1:z + 1] = profile.weights
     harmonics = np.fft.ifft(coeff) * big
-    j_scan = harmonics[1:2 * scan_angles:2]
+    j_scan = harmonics[1:2 * EP_SCAN_ANGLES:2]
     jr_scan = np.ascontiguousarray(j_scan.real)
     bb_scan = gamma * np.ascontiguousarray(j_scan.imag)
     sign = 1.0 if hermitian else -1.0
-    step = math.pi / scan_angles
+    step = math.pi / EP_SCAN_ANGLES
     r = np.arange(1, z + 1, dtype=float)
     w = np.asarray(profile.weights, dtype=float)
 
@@ -163,7 +148,7 @@ def _dispersion_minimizer(profile, gamma: float, hermitian: bool,
         a = h + jr_scan
         eps_scan = a * a + sign * (bb_scan * bb_scan)
         k = int(np.argmin(eps_scan))
-        phi_k = (2 * k + 1) * math.pi / (2 * scan_angles)
+        phi_k = (2 * k + 1) * math.pi / (2 * EP_SCAN_ANGLES)
 
         def eps_sq_at(phi: float) -> float:
             rphi = r * phi
@@ -182,13 +167,12 @@ def _dispersion_minimizer(profile, gamma: float, hermitian: bool,
 
 def find_exceptional_point(params: ModelParams,
                            bracket: tuple[float, float] = DEFAULT_EP_BRACKET,
-                           tol: float = DEFAULT_EP_TOL,
-                           scan_angles: int = EP_SCAN_ANGLES) -> EPResult:
+                           tol: float = DEFAULT_EP_TOL) -> EPResult:
     """Bisect the field h to the boundary between spectrum classes.
 
     The phase predicate is boolean (min eps_sq >= -tol_phase), not a
     continuous root, so plain bisection on the classification is used;
-    the minimum is taken over continuous angles (see _dispersion_minimum)
+    the minimum is taken over continuous angles (see _dispersion_minimizer)
     so the returned boundary is the dispersion's own, not the finite
     chain's grid-shifted one.  The bracket ends must classify differently.
     """
@@ -199,7 +183,7 @@ def find_exceptional_point(params: ModelParams,
         raise ValueError(f"tol must be > 0, got {tol}")
     profile = coupling_profile(params.alpha, params.Z)
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    minimum = _dispersion_minimizer(profile, params.gamma, hermitian, scan_angles)
+    minimum = _dispersion_minimizer(profile, params.gamma, hermitian)
 
     def unbroken(h: float) -> bool:
         return minimum(h) >= -TOL_PHASE
@@ -220,50 +204,43 @@ def find_exceptional_point(params: ModelParams,
             hi = mid
         iterations += 1
 
-    return EPResult(h_e=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol,
-                    iterations=iterations, gamma=params.gamma,
-                    alpha=params.alpha, Z=params.Z, N=params.N,
-                    scan_angles=scan_angles)
+    return EPResult(h_e=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
 
 
-def fit_power_law(samples, window: tuple[float, float] | None = None) -> PowerFit:
-    """Ordinary least squares on (log10 x, log10 value).
+def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:
+    """Ordinary least squares on (log10 x, log10 y).
 
-    Samples outside the window or with non-positive value are excluded
-    and counted.  Needs at least three usable points.
+    Points outside the window, non-finite, or with non-positive x or y
+    are excluded and counted.  Needs at least three usable points.
     """
-    xs, ys = [], []
-    total = 0
-    for s in samples:
-        total += 1
-        if s.value <= 0.0 or s.x <= 0.0:
-            continue
-        if window is not None and not (window[0] <= s.x <= window[1]):
-            continue
-        xs.append(math.log10(s.x))
-        ys.append(math.log10(s.value))
-    n = len(xs)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y) & (x > 0.0) & (y > 0.0)
+    if window is not None:
+        keep &= (window[0] <= x) & (x <= window[1])
+    # math.log10 per point: np.log10 differs from it in the last bit
+    lx = np.array([math.log10(v) for v in x[keep]])
+    ly = np.array([math.log10(v) for v in y[keep]])
+    n = lx.size
     if n < 3:
         raise FitError(f"need >= 3 usable points for a power-law fit, got {n}")
-    x = np.array(xs)
-    y = np.array(ys)
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
+    xm = lx.mean()
+    ym = ly.mean()
+    sxx = float(np.sum((lx - xm) ** 2))
     if sxx == 0.0:
         raise FitError("all abscissas coincide; slope undefined")
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    slope = float(np.sum((lx - xm) * (ly - ym)) / sxx)
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
+    resid = ly - (intercept + slope * lx)
     ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
+    ss_tot = float(np.sum((ly - ym) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
     if window is None:
-        window = (float(10 ** x.min()), float(10 ** x.max()))
+        window = (float(10 ** lx.min()), float(10 ** lx.max()))
     return PowerFit(slope=slope, intercept=float(intercept), r_squared=r_squared,
                     window=(float(window[0]), float(window[1])), n_points=n,
-                    stderr=stderr, n_excluded=total - n)
+                    stderr=stderr, n_excluded=x.size - n)
 
 
 def sweep_time_scaling(params: ModelParams, theta_kind: ThetaKind,
@@ -273,38 +250,26 @@ def sweep_time_scaling(params: ModelParams, theta_kind: ThetaKind,
                     dtype=float)
     lg = np.asarray(longtime_grid if longtime_grid is not None else LONGTIME_GRID,
                     dtype=float)
-    grid = np.concatenate([tg, lg])
-    values = qfi_curve(params, grid, theta_kind)
-    samples = tuple(
-        QfiSample(x=float(t), value=float(v), protocol=Protocol.DYNAMICAL,
-                  theta_kind=theta_kind, params=params)
-        for t, v in zip(grid, values))
-    series = QfiSeries(samples=samples, x_kind="t", protocol=Protocol.DYNAMICAL,
-                       theta_kind=theta_kind, meta={"params": params})
-    transient_fit = fit_power_law(samples, (float(tg.min()), float(tg.max())))
-    longtime_fit = fit_power_law(samples, (float(lg.min()), float(lg.max())))
-    return TimeScalingResult(series=series, transient_fit=transient_fit,
-                             longtime_fit=longtime_fit)
+    t = np.concatenate([tg, lg])
+    qfi = qfi_curve(params, t, theta_kind)
+    return TimeScalingResult(
+        t=t, qfi=qfi,
+        transient_fit=fit_power_law(t, qfi, (float(tg.min()), float(tg.max()))),
+        longtime_fit=fit_power_law(t, qfi, (float(lg.min()), float(lg.max()))))
 
 
 def sweep_size_scaling(params: ModelParams, theta_kind: ThetaKind,
                        t_eval: float = 200.0, N_list=None,
                        threads: int = 1) -> SizeScalingResult:
     """QFI versus chain size at a fixed evolution time."""
-    sizes = tuple(N_list if N_list is not None else DYNAMICAL_N_LIST)
+    sizes = np.array(N_list if N_list is not None else DYNAMICAL_N_LIST)
 
-    def cell(n: int) -> QfiSample:
-        sample = dynamical_qfi(replace(params, N=n), t_eval, theta_kind)
-        return QfiSample(x=float(n), value=sample.value, protocol=Protocol.DYNAMICAL,
-                         theta_kind=theta_kind, params=sample.params,
-                         meta={"t_eval": t_eval})
+    def cell(n) -> float:
+        return dynamical_qfi(replace(params, N=int(n)), t_eval, theta_kind).value
 
-    samples = tuple(run_cells(cell, sizes, threads))
-    series = QfiSeries(samples=samples, x_kind="N", protocol=Protocol.DYNAMICAL,
-                       theta_kind=theta_kind,
-                       meta={"params": params, "t_eval": t_eval})
-    fit = fit_power_law(samples, (float(min(sizes)), float(max(sizes))))
-    return SizeScalingResult(series=series, fit=fit)
+    qfi = np.array(run_cells(cell, sizes, threads))
+    return SizeScalingResult(N=sizes, qfi=qfi, fit=fit_power_law(
+        sizes, qfi, (float(sizes.min()), float(sizes.max()))))
 
 
 def resolve_anchor(params: ModelParams, anchor: ScalingAnchor,
@@ -333,33 +298,23 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
     entry of params is ignored; the anchor supplies the field.
     """
     offsets = tuple(dh_list if dh_list is not None else STATIONARY_DH_LIST)
-    sizes = tuple(N_list if N_list is not None else STATIONARY_N_LIST)
+    sizes = np.array(N_list if N_list is not None else STATIONARY_N_LIST)
+    window = (float(sizes.min()), float(sizes.max()))
     anchor_value = resolve_anchor(params, anchor, ep_bracket)
 
     def cell(job):
         dh, n = job
-        p = replace(params, N=n, h=anchor_value + dh)
-        s = stationary_qfi(p, theta_kind, fd_step)
-        return QfiSample(x=float(n), value=s.value, protocol=Protocol.STATIONARY,
-                         theta_kind=theta_kind, params=p, meta=s.meta)
+        return stationary_qfi(replace(params, N=int(n), h=anchor_value + dh),
+                              theta_kind, fd_step)
 
-    jobs = [(dh, n) for dh in offsets for n in sizes]
-    flat = run_cells(cell, jobs, threads)
-
+    flat = run_cells(cell, [(dh, n) for dh in offsets for n in sizes], threads)
     rows = []
     for i, dh in enumerate(offsets):
-        samples = tuple(flat[i * len(sizes):(i + 1) * len(sizes)])
-        series = QfiSeries(samples=samples, x_kind="N", protocol=Protocol.STATIONARY,
-                           theta_kind=theta_kind,
-                           meta={"dh": dh, "anchor": anchor.value,
-                                 "anchor_value": anchor_value})
-        fit = fit_power_law(samples, (float(min(sizes)), float(max(sizes))))
-        straddled = sum(s.meta.get("straddled_modes", 0) for s in samples)
-        rows.append(StationaryRow(dh=dh, series=series, fit=fit,
-                                  straddled_modes=straddled))
-
-    meta = {"anchor_value": anchor_value, "fd_step": fd_step,
-            "N_list": sizes, "dh_list": offsets}
-    return StationaryScalingResult(anchor=anchor, anchor_value=anchor_value,
-                                   theta_kind=theta_kind, rows=tuple(rows),
-                                   meta=meta)
+        samples = flat[i * sizes.size:(i + 1) * sizes.size]
+        qfi = np.array([s.value for s in samples])
+        # the stencil step depends on the field and gamma only, so not on N
+        rows.append(StationaryRow(
+            dh=dh, N=sizes, qfi=qfi, fit=fit_power_law(sizes, qfi, window),
+            straddled_modes=sum(s.meta["straddled_modes"] for s in samples),
+            fd_step=samples[0].meta["fd_step"]))
+    return StationaryScalingResult(anchor_value=anchor_value, rows=tuple(rows))

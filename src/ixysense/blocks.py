@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import NumericalError
 from .model import AnisotropyMode, ModelParams, coupling_profile, mode_angles, momentum_coupling
 
 # Classification tolerance: eigenvalue-squared magnitudes below this are
@@ -77,6 +78,12 @@ class ModeState:
         return np.array([self.amp0, self.amp2], dtype=complex)
 
 
+def _describe(params: ModelParams) -> str:
+    """One-line parameter summary for error messages."""
+    return (f"N={params.N}, Z={params.Z}, alpha={params.alpha}, gamma={params.gamma}, "
+            f"h={params.h}, {params.anisotropy_mode.value}")
+
+
 def block_arrays(params: ModelParams):
     """Vectorized block data: (phi, j_real, j_imag, a, b, eps_sq).
 
@@ -90,10 +97,13 @@ def block_arrays(params: ModelParams):
     j_imag = j.imag.copy()
     a = params.h + j_real
     b = params.gamma * j_imag
-    if params.anisotropy_mode is AnisotropyMode.HERMITIAN:
-        eps_sq = a * a + b * b
-    else:
-        eps_sq = a * a - b * b
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: checked below
+        if params.anisotropy_mode is AnisotropyMode.HERMITIAN:
+            eps_sq = a * a + b * b
+        else:
+            eps_sq = a * a - b * b
+    if not np.isfinite(eps_sq).all():
+        raise NumericalError(f"non-finite eps_sq at {_describe(params)}")
     return phi, j_real, j_imag, a, b, eps_sq
 
 

@@ -41,53 +41,9 @@ from .errors import ConfigError, NumericalError
 from .metrology import dynamical_qfi, qfi_curve, qfi_ratio_time_avg
 from .model import AnisotropyMode, ModelParams, ThetaKind
 
-EXPERIMENTS = ("dispersion", "exceptional-point", "ep-table", "qfi-dynamics",
-               "time-scaling", "size-scaling", "stationary-scaling", "ratio",
-               "oracle-check")
-
 _MODEL_KEYS = {
     "N": 1024, "Z": 1, "alpha": 1.5, "gamma": 0.3, "h": -0.7,
     "anisotropy": "non-hermitian", "theta": "h",
-}
-
-# Per-experiment keys on top of the model block.  Values are the
-# defaults; every resolved config is the full union, no hidden knobs.
-_EXPERIMENT_KEYS: dict[str, dict] = {
-    "dispersion": {},
-    "exceptional-point": {
-        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
-    },
-    "ep-table": {
-        "Z_list": [1, 2, 4, 7], "alpha_list": [0.5, 1.0, 1.5, 2.0],
-        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
-    },
-    "qfi-dynamics": {
-        "Z_list": None, "t_min": 0.02, "t_max": 1000.0, "t_points": 300,
-        "t_spacing": "log",
-    },
-    "time-scaling": {
-        "transient_window": [float(TRANSIENT_GRID[0]), float(TRANSIENT_GRID[-1])],
-        "transient_points": len(TRANSIENT_GRID),
-        "longtime_window": [float(LONGTIME_GRID[0]), float(LONGTIME_GRID[-1])],
-        "longtime_points": len(LONGTIME_GRID),
-    },
-    "size-scaling": {
-        "N_list": list(DYNAMICAL_N_LIST), "t_eval": 200.0,
-    },
-    "stationary-scaling": {
-        "anchor": "critical-point", "dh_list": list(STATIONARY_DH_LIST),
-        "N_list": list(STATIONARY_N_LIST), "fd_step": None,
-        "ep_bracket": list(DEFAULT_EP_BRACKET),
-    },
-    "ratio": {
-        "t0": 200.0, "t1": 1000.0, "n_grid": 801,
-    },
-    "oracle-check": {
-        "N_list": [4, 6, 8], "Z_list": [1, 2], "alpha_list": [1.5],
-        "gamma_list": [0.0, 0.3], "h_list": [-0.7, -1.5],
-        "t_list": [0.5, 1.0, 2.0], "theta_list": ["h", "gamma"],
-        "rel_tol": 1e-8,
-    },
 }
 
 
@@ -121,7 +77,7 @@ def resolve_config(experiment: str, config_path: str | None,
                    overrides: list[str]) -> dict:
     """Defaults, then file keys, then --set pairs; unknown keys rejected."""
     cfg = dict(_MODEL_KEYS)
-    cfg.update(_EXPERIMENT_KEYS[experiment])
+    cfg.update(EXPERIMENTS[experiment][0])
     allowed = set(cfg) | {"experiment"}
 
     layered: dict = {}
@@ -284,7 +240,7 @@ def _run_dispersion(cfg: dict, writer: RunWriter, threads: int) -> int:
 
 def _ep_row(params: ModelParams, bracket, tol):
     res = find_exceptional_point(params, bracket=bracket, tol=tol)
-    return (res.Z, res.alpha, res.gamma, res.N, res.h_e, res.iterations)
+    return (params.Z, params.alpha, params.gamma, params.N, res.h_e, res.iterations)
 
 
 def _run_exceptional_point(cfg: dict, writer: RunWriter, threads: int) -> int:
@@ -343,8 +299,7 @@ def _run_time_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
     res = sweep_time_scaling(params, theta, transient_grid=tg, longtime_grid=lg)
     writer.derived["transient_window"] = list(res.transient_fit.window)
     writer.derived["longtime_window"] = list(res.longtime_fit.window)
-    writer.csv("time_scaling.csv", "t,qfi",
-               [(s.x, s.value) for s in res.series.samples])
+    writer.csv("time_scaling.csv", "t,qfi", list(zip(res.t, res.qfi)))
     writer.fits([("transient", res.transient_fit), ("longtime", res.longtime_fit)])
     print(f"transient slope {res.transient_fit.slope:.4f}, "
           f"longtime slope {res.longtime_fit.slope:.4f}")
@@ -359,8 +314,7 @@ def _run_size_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
                              N_list=n_list, threads=threads)
     writer.derived["t_eval"] = float(cfg["t_eval"])
     writer.derived["fit_window"] = list(res.fit.window)
-    writer.csv("size_scaling.csv", "N,qfi",
-               [(int(s.x), s.value) for s in res.series.samples])
+    writer.csv("size_scaling.csv", "N,qfi", list(zip(res.N, res.qfi)))
     writer.fits([("size", res.fit)])
     print(f"size-scaling slope {res.fit.slope:.4f}")
     return 0
@@ -384,15 +338,13 @@ def _run_stationary_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
                                    fd_step=fd_step, ep_bracket=bracket,
                                    threads=threads)
     writer.derived["anchor_value"] = res.anchor_value
-    writer.derived["fd_steps"] = sorted({
-        s.meta["fd_step"] for row in res.rows for s in row.series.samples})
+    writer.derived["fd_steps"] = sorted({row.fd_step for row in res.rows})
     rows_csv = []
     groups = []
     for row in res.rows:
         group = repr(float(row.dh))
         groups.append((group, row.fit))
-        for s in row.series.samples:
-            rows_csv.append((row.dh, int(s.x), s.value, group))
+        rows_csv.extend((row.dh, n, v, group) for n, v in zip(row.N, row.qfi))
         if row.straddled_modes:
             writer.warnings.append(
                 f"dh={row.dh!r}: {row.straddled_modes} straddled modes "
@@ -466,16 +418,43 @@ def _run_oracle_check(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-_RUNNERS = {
-    "dispersion": _run_dispersion,
-    "exceptional-point": _run_exceptional_point,
-    "ep-table": _run_ep_table,
-    "qfi-dynamics": _run_qfi_dynamics,
-    "time-scaling": _run_time_scaling,
-    "size-scaling": _run_size_scaling,
-    "stationary-scaling": _run_stationary_scaling,
-    "ratio": _run_ratio,
-    "oracle-check": _run_oracle_check,
+# Experiment name -> (keys on top of the model block, runner).  The key
+# values are the defaults; every resolved config is the full union, no
+# hidden knobs.
+EXPERIMENTS: dict[str, tuple[dict, object]] = {
+    "dispersion": ({}, _run_dispersion),
+    "exceptional-point": ({
+        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
+    }, _run_exceptional_point),
+    "ep-table": ({
+        "Z_list": [1, 2, 4, 7], "alpha_list": [0.5, 1.0, 1.5, 2.0],
+        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
+    }, _run_ep_table),
+    "qfi-dynamics": ({
+        "Z_list": None, "t_min": 0.02, "t_max": 1000.0, "t_points": 300,
+        "t_spacing": "log",
+    }, _run_qfi_dynamics),
+    "time-scaling": ({
+        "transient_window": [float(TRANSIENT_GRID[0]), float(TRANSIENT_GRID[-1])],
+        "transient_points": len(TRANSIENT_GRID),
+        "longtime_window": [float(LONGTIME_GRID[0]), float(LONGTIME_GRID[-1])],
+        "longtime_points": len(LONGTIME_GRID),
+    }, _run_time_scaling),
+    "size-scaling": ({
+        "N_list": list(DYNAMICAL_N_LIST), "t_eval": 200.0,
+    }, _run_size_scaling),
+    "stationary-scaling": ({
+        "anchor": "critical-point", "dh_list": list(STATIONARY_DH_LIST),
+        "N_list": list(STATIONARY_N_LIST), "fd_step": None,
+        "ep_bracket": list(DEFAULT_EP_BRACKET),
+    }, _run_stationary_scaling),
+    "ratio": ({"t0": 200.0, "t1": 1000.0, "n_grid": 801}, _run_ratio),
+    "oracle-check": ({
+        "N_list": [4, 6, 8], "Z_list": [1, 2], "alpha_list": [1.5],
+        "gamma_list": [0.0, 0.3], "h_list": [-0.7, -1.5],
+        "t_list": [0.5, 1.0, 2.0], "theta_list": ["h", "gamma"],
+        "rel_tol": 1e-8,
+    }, _run_oracle_check),
 }
 
 
@@ -509,7 +488,7 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out else str(Path("runs") / args.experiment)
         writer = RunWriter(out_dir, args.experiment, cfg)
         try:
-            status = _RUNNERS[args.experiment](cfg, writer, max(1, args.threads))
+            status = EXPERIMENTS[args.experiment][1](cfg, writer, max(1, args.threads))
         except ValueError as exc:  # a value the runner's library call rejected
             raise ConfigError(str(exc)) from exc
         writer.manifest()

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
-from .errors import UnderflowError
+from .errors import NumericalError, UnderflowError
 from .model import AnisotropyMode, ModelParams, ThetaKind
-from .blocks import block_arrays, probe_vectors
+from .blocks import _describe, block_arrays, probe_vectors
 from .dynamics import trajectory_arrays
 
 # Totals this far below zero are numerical dust and clip to zero.
@@ -37,20 +36,11 @@ QFI_CLIP = -1e-10
 CHUNK_CELLS = 1 << 16
 
 
-class Protocol(Enum):
-    DYNAMICAL = "dynamical"
-    STATIONARY = "stationary"
-
-
 @dataclass
 class QfiSample:
-    """One Fisher-information value at abscissa x (a time, size, or offset)."""
+    """One Fisher-information value and its numerical-health counters."""
 
-    x: float
     value: float
-    protocol: Protocol
-    theta_kind: ThetaKind
-    params: ModelParams
     meta: dict = field(default_factory=dict)
 
 
@@ -59,8 +49,6 @@ class RatioResult:
     """Time-averaged ratio of non-Hermitian to Hermitian-benchmark QFI."""
 
     mean_ratio: float
-    t0: float
-    t1: float
     n_samples: int
     dropped: int
     t: np.ndarray
@@ -128,14 +116,14 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
         if totals is not None:
             per_mode = np.concatenate([totals, per_mode])
         totals = np.add.reduce(per_mode, axis=0, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
     return np.array([_clip_total(v) for v in totals[0]])
 
 
 def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSample:
     """Fisher information of the evolved chain at time t."""
-    value = float(qfi_curve(params, [t], theta_kind)[0])
-    return QfiSample(x=float(t), value=value, protocol=Protocol.DYNAMICAL,
-                     theta_kind=theta_kind, params=params)
+    return QfiSample(value=float(qfi_curve(params, [t], theta_kind)[0]))
 
 
 def _theta_value(params: ModelParams, theta_kind: ThetaKind) -> float:
@@ -186,26 +174,29 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"fd_step must be finite and > 0, got {step}")
 
-    v0, eps0, defect0 = _probe_set(params)
-    pivot = np.argmax(np.abs(v0), axis=1)
-    v0 = _regauge(v0, pivot)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: checked below
+        v0, eps0, defect0 = _probe_set(params)
+        pivot = np.argmax(np.abs(v0), axis=1)
+        v0 = _regauge(v0, pivot)
 
-    stencil = {}
-    eps_edge = {}
-    for offs in (-step, -0.5 * step, 0.5 * step, step):
-        p_off = _with_theta(params, theta_kind, theta0 + offs)
-        v, eps, _ = _probe_set(p_off)
-        stencil[offs] = _regauge(v, pivot)
-        eps_edge[offs] = eps
+        stencil = {}
+        eps_edge = {}
+        for offs in (-step, -0.5 * step, 0.5 * step, step):
+            p_off = _with_theta(params, theta_kind, theta0 + offs)
+            v, eps, _ = _probe_set(p_off)
+            stencil[offs] = _regauge(v, pivot)
+            eps_edge[offs] = eps
 
-    d_full = (stencil[step] - stencil[-step]) / (2.0 * step)
-    d_half = (stencil[0.5 * step] - stencil[-0.5 * step]) / step
-    dv = (4.0 * d_half - d_full) / 3.0
+        d_full = (stencil[step] - stencil[-step]) / (2.0 * step)
+        d_half = (stencil[0.5 * step] - stencil[-0.5 * step]) / step
+        dv = (4.0 * d_half - d_full) / 3.0
 
-    n = np.sum(v0.real ** 2 + v0.imag ** 2, axis=1)
-    g = np.sum(dv.real ** 2 + dv.imag ** 2, axis=1)
-    o = np.sum(np.conj(v0) * dv, axis=1)
-    per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+        n = np.sum(v0.real ** 2 + v0.imag ** 2, axis=1)
+        g = np.sum(dv.real ** 2 + dv.imag ** 2, axis=1)
+        o = np.sum(np.conj(v0) * dv, axis=1)
+        per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+    if not np.isfinite(per_mode).all():
+        raise NumericalError(f"non-finite stationary QFI at {_describe(params)}")
     total = _clip_total(math.fsum(per_mode))
 
     straddled = int(np.count_nonzero(
@@ -215,8 +206,7 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
         "straddled_modes": straddled,
         "defective_modes": int(np.count_nonzero(defect0)),
     }
-    return QfiSample(x=theta0, value=total, protocol=Protocol.STATIONARY,
-                     theta_kind=theta_kind, params=params, meta=meta)
+    return QfiSample(value=total, meta=meta)
 
 
 def qfi_ratio_time_avg(params: ModelParams, theta_kind: ThetaKind,
@@ -236,10 +226,9 @@ def qfi_ratio_time_avg(params: ModelParams, theta_kind: ThetaKind,
     grid = np.linspace(t0, t1, n_grid)
 
     if params.gamma == 0.0 or params.anisotropy_mode is AnisotropyMode.HERMITIAN:
-        ones = np.ones_like(grid)
         f = qfi_curve(params, grid, theta_kind)
-        return RatioResult(mean_ratio=1.0, t0=t0, t1=t1, n_samples=n_grid,
-                           dropped=0, t=grid, qfi_nh=f, qfi_h=f.copy(), ratio=ones)
+        return RatioResult(mean_ratio=1.0, n_samples=n_grid, dropped=0, t=grid,
+                           qfi_nh=f, qfi_h=f.copy(), ratio=np.ones_like(grid))
 
     params_h = replace(params, anisotropy_mode=AnisotropyMode.HERMITIAN)
     f_nh = qfi_curve(params, grid, theta_kind)
@@ -253,6 +242,6 @@ def qfi_ratio_time_avg(params: ModelParams, theta_kind: ThetaKind,
     # trapezoid rule, in the operation order of scipy's trapezoid()
     area = np.sum(np.diff(tv) * (ratio[1:] + ratio[:-1]) / 2.0)
     mean = float(area / (tv[-1] - tv[0]))
-    return RatioResult(mean_ratio=mean, t0=t0, t1=t1,
-                       n_samples=int(np.count_nonzero(valid)), dropped=dropped,
-                       t=tv, qfi_nh=f_nh[valid], qfi_h=f_h[valid], ratio=ratio)
+    return RatioResult(mean_ratio=mean, n_samples=int(np.count_nonzero(valid)),
+                       dropped=dropped, t=tv, qfi_nh=f_nh[valid], qfi_h=f_h[valid],
+                       ratio=ratio)

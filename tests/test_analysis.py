@@ -8,6 +8,7 @@ import pytest
 
 from ixysense.analysis import (
     DEFAULT_EP_BRACKET,
+    DEFAULT_EP_TOL,
     LONGTIME_GRID,
     STATIONARY_DH_LIST,
     STATIONARY_N_LIST,
@@ -22,20 +23,13 @@ from ixysense.analysis import (
     sweep_time_scaling,
 )
 from ixysense.errors import BracketError, FitError
-from ixysense.metrology import Protocol, QfiSample
+from ixysense.metrology import dynamical_qfi, stationary_qfi
 from ixysense.model import ModelParams, ThetaKind
-
-
-def _samples(xs, ys):
-    p = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
-    return [QfiSample(x=float(x), value=float(y), protocol=Protocol.DYNAMICAL,
-                      theta_kind=ThetaKind.FIELD_H, params=p)
-            for x, y in zip(xs, ys)]
 
 
 def test_fit_power_law_exact():
     xs = np.geomspace(1.0, 100.0, 12)
-    fit = fit_power_law(_samples(xs, 3.7 * xs ** 2.5))
+    fit = fit_power_law(xs, 3.7 * xs ** 2.5)
     assert fit.slope == pytest.approx(2.5, abs=1e-12)
     assert 10 ** fit.intercept == pytest.approx(3.7, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -45,21 +39,31 @@ def test_fit_power_law_exact():
 
 
 def test_fit_power_law_window_and_exclusions():
-    xs = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    xs = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 3.0, 5.0, 6.0])
     ys = 2.0 * xs
     ys[5] = -1.0  # non-positive, dropped
-    fit = fit_power_law(_samples(xs, ys), window=(1.0, 16.0))
+    ys[6] = math.nan  # non-finite values inside the window, dropped
+    ys[7] = math.inf
+    ys[8] = -math.inf
+    fit = fit_power_law(xs, ys, window=(1.0, 16.0))
     assert fit.n_points == 4  # 1,2,4,8 survive; 0.5 out of window, 16 negative
-    assert fit.n_excluded == 2
+    assert fit.n_excluded == 5
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.window == (1.0, 16.0)
+    # without a window, non-finite abscissas are dropped too
+    xs[6:] = (math.nan, math.inf, 7.0)
+    fit = fit_power_law(xs, ys)
+    assert fit.n_points == 5  # 0.5,1,2,4,8
+    assert fit.n_excluded == 4
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
+    assert fit.window == (0.5, pytest.approx(8.0))
 
 
 def test_fit_power_law_too_few_points():
     with pytest.raises(FitError):
-        fit_power_law(_samples([1.0, 2.0], [1.0, 2.0]))
+        fit_power_law([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(FitError):
-        fit_power_law(_samples([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_find_exceptional_point_closed_form():
@@ -69,7 +73,7 @@ def test_find_exceptional_point_closed_form():
     assert abs(res.h_e - (-math.sqrt(1.25))) < 2e-9
     assert res.bracket[0] <= res.h_e <= res.bracket[1]
     assert res.iterations > 0
-    assert res.gamma == 0.5 and res.Z == 1
+    assert res.bracket[1] - res.bracket[0] <= DEFAULT_EP_TOL
 
 
 def test_find_exceptional_point_bad_bracket():
@@ -104,8 +108,8 @@ def test_default_grids_shape():
 def test_sweep_time_scaling_structure():
     params = ModelParams(N=64, Z=1, alpha=1.0, gamma=0.3, h=-3.0)
     res = sweep_time_scaling(params, ThetaKind.FIELD_H)
-    assert len(res.series.samples) == 120
-    assert res.series.x_kind == "t"
+    assert np.array_equal(res.t, np.concatenate([TRANSIENT_GRID, LONGTIME_GRID]))
+    assert res.qfi.shape == (120,)
     # deep unbroken late-time growth is quadratic
     assert res.longtime_fit.slope == pytest.approx(2.0, abs=0.1)
     assert res.transient_fit.window == (pytest.approx(0.02), pytest.approx(1.0))
@@ -115,8 +119,10 @@ def test_sweep_size_scaling_structure():
     params = ModelParams(N=64, Z=2, alpha=1.5, gamma=0.3, h=-3.0)
     res = sweep_size_scaling(params, ThetaKind.FIELD_H, t_eval=10.0,
                              N_list=(64, 128, 256))
-    assert [s.x for s in res.series.samples] == [64.0, 128.0, 256.0]
-    assert res.series.x_kind == "N"
+    assert res.N.tolist() == [64, 128, 256]
+    for n, value in zip(res.N, res.qfi):
+        p = replace(params, N=int(n))
+        assert value == dynamical_qfi(p, 10.0, ThetaKind.FIELD_H).value
     assert math.isfinite(res.fit.slope)
     # a fixed pre-revival time probes the extensive regime
     assert res.fit.slope == pytest.approx(1.0, abs=0.2)
@@ -128,7 +134,7 @@ def test_sweep_size_scaling_threads_deterministic():
                              N_list=(64, 128, 256), threads=1)
     four = sweep_size_scaling(params, ThetaKind.FIELD_H, t_eval=5.0,
                               N_list=(64, 128, 256), threads=4)
-    assert [s.value for s in one.series.samples] == [s.value for s in four.series.samples]
+    assert one.qfi.tolist() == four.qfi.tolist()
     assert one.fit.slope == four.fit.slope
 
 
@@ -140,13 +146,13 @@ def test_sweep_stationary_scaling_structure():
     assert res.anchor_value == -1.0
     assert [r.dh for r in res.rows] == [0.0, -0.3]
     for row in res.rows:
-        assert len(row.series.samples) == 3
+        assert row.N.tolist() == [256, 512, 1024]
         assert math.isfinite(row.fit.slope)
         assert row.straddled_modes >= 0
-        for s, n in zip(row.series.samples, (256, 512, 1024)):
-            assert s.x == float(n)
-            assert s.params.h == pytest.approx(-1.0 + row.dh)
-    assert res.meta["N_list"] == (256, 512, 1024)
+        assert row.fd_step == 1e-6
+        for value, n in zip(row.qfi, (256, 512, 1024)):
+            p = replace(params, N=n, h=-1.0 + row.dh)
+            assert value == stationary_qfi(p, ThetaKind.ANISOTROPY_GAMMA).value
 
 
 def test_run_cells_order_and_threads():

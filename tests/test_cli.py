@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,26 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,override,named", [
+    ("qfi-dynamics", "h=1e300 N=64", "h=1e+300"),
+    ("time-scaling", "h=1e200 N=64", "h=1e+200"),
+    ("dispersion", "h=1e300 N=64", "h=1e+300"),
+    ("stationary-scaling", "gamma=1e154 N_list=[16,32,64]", "gamma=1e+154"),
+])
+def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named):
+    # a field or anisotropy whose square overflows ends in one
+    # numerical-failure line naming it, not NaN rows, an inf eps_sq or a
+    # numpy warning
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert named in err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_dispersion_outputs(tmp_path):

@@ -1,0 +1,149 @@
+"""Property test of the exit-code and determinism contract of the CLI.
+
+For configs drawn per experiment over small chains: the exit code is 0,
+2 or 3; exit 0 leaves only finite numbers in every CSV and fits.json;
+and --threads 1 and --threads 2 write byte-identical files.  Draws are
+derandomized and no example database is kept, so every run tries the
+same configs and leaves no .hypothesis directory behind.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from ixysense.cli import main
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _lists(elements, max_size=3):
+    return st.lists(elements, min_size=1, max_size=max_size)
+
+
+def _sizes(*choices):
+    return st.lists(st.sampled_from(choices), min_size=3, max_size=4, unique=True)
+
+
+_BRACKETS = st.sampled_from([[-3.0, -0.5], [-1.2, -0.7], [-3.0, -2.0], [-0.7, -1.2]])
+
+MODEL = {
+    "Z": st.integers(1, 3),
+    "alpha": _floats(0.0, 3.0),
+    "gamma": _floats(-1.5, 1.5),
+    "h": _floats(-3.0, 3.0),
+    "anisotropy": st.sampled_from(["non-hermitian", "hermitian"]),
+    "theta": st.sampled_from(["h", "gamma"]),
+}
+# At most one invalid or extreme model value per config, in about a
+# third of the configs.
+EDGE = st.none() | st.none() | st.sampled_from([
+    {"gamma": math.nan}, {"gamma": -math.inf}, {"h": math.nan}, {"h": 1e155},
+    {"h": 1e200}, {"h": 1e300}, {"alpha": -0.5}, {"Z": 99}, {"anisotropy": "bogus"},
+])
+
+# Experiment -> (keys always drawn, which bound the run's cost; keys
+# drawn or left at their defaults).
+EXPERIMENT_KEYS = {
+    "dispersion": ({}, {}),
+    "exceptional-point": ({"ep_bracket": _BRACKETS}, {
+        "ep_tol": st.sampled_from([1e-9, 1e-4, 0.0]),
+    }),
+    "ep-table": ({
+        "Z_list": _lists(st.integers(1, 3), 2), "alpha_list": _lists(_floats(0.0, 2.5), 2),
+        "ep_bracket": _BRACKETS,
+    }, {}),
+    "qfi-dynamics": ({"t_points": st.integers(1, 30)}, {
+        "Z_list": st.none() | _lists(st.integers(1, 3), 2),
+        "t_min": _floats(0.0, 5.0), "t_max": _floats(0.0, 2000.0),
+        "t_spacing": st.sampled_from(["log", "linear"]),
+    }),
+    "time-scaling": ({
+        "transient_points": st.integers(2, 12), "longtime_points": st.integers(2, 12),
+    }, {
+        "transient_window": st.sampled_from([[0.02, 1.0], [0.0, 1.0], [1.0, 0.5]]),
+        "longtime_window": st.sampled_from([[200.0, 1000.0], [5.0, 50.0]]),
+    }),
+    "size-scaling": ({"N_list": _sizes(8, 16, 32, 64)}, {
+        "t_eval": _floats(0.0, 500.0),
+    }),
+    "stationary-scaling": ({
+        "N_list": _sizes(16, 32, 64, 128),
+        "dh_list": _lists(_floats(-0.5, 0.1), 2),
+    }, {
+        "anchor": st.sampled_from(["critical-point", "exceptional-point"]),
+        "fd_step": st.none() | _floats(1e-8, 1e-3),
+    }),
+    "ratio": ({
+        "t0": _floats(0.0, 60.0), "t1": _floats(40.0, 100.0), "n_grid": st.integers(1, 30),
+    }, {}),
+    "oracle-check": ({
+        "N_list": _lists(st.sampled_from([4, 6]), 2), "Z_list": _lists(st.integers(1, 2), 2),
+        "gamma_list": _lists(_floats(-1.0, 1.0), 1), "h_list": _lists(_floats(-2.0, 1.0), 1),
+        "t_list": _lists(_floats(0.0, 3.0), 2),
+    }, {"theta_list": _lists(st.sampled_from(["h", "gamma"]), 2)}),
+}
+
+
+def _configs(experiment):
+    required, optional = EXPERIMENT_KEYS[experiment]
+    base = st.fixed_dictionaries({"N": st.sampled_from([4, 6, 8, 16, 32]), **required},
+                                 optional={**MODEL, **optional})
+    return st.tuples(base, EDGE).map(lambda pair: {**pair[0], **(pair[1] or {})})
+
+
+def _assert_finite_numbers(path: Path):
+    if path.suffix == ".json":
+        fields = []
+        for record in json.loads(path.read_text())["fits"]:
+            for value in record.values():
+                fields.extend(value if isinstance(value, list) else [value])
+    else:
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        fields = [f for ln in lines[1:] for f in ln.split(",")]
+    for field in fields:
+        try:
+            value = float(field)
+        except (TypeError, ValueError):
+            continue  # a label: theta name, "mean" row, fit group
+        assert math.isfinite(value), f"{path.name}: {field}"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _hypothesis_home(tmp_path_factory):
+    # Hypothesis caches the constants of local source files in its home
+    # directory, ./.hypothesis by default; keep that out of the tree
+    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+    yield
+    set_hypothesis_home_dir(None)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_KEYS))
+def test_exit_codes_finite_outputs_and_thread_determinism(experiment):
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs(experiment))
+    def check(cfg):
+        sets = [arg for key, value in cfg.items()
+                for arg in ("--set", f"{key}={json.dumps(value)}")]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {t: Path(tmp) / f"threads{t}" for t in (1, 2)}
+            codes = {t: main([experiment, *sets, "--out", str(out[t]),
+                              "--threads", str(t)]) for t in (1, 2)}
+            assert codes[1] == codes[2] and codes[1] in (0, 2, 3)
+            files = sorted(p.name for p in out[1].glob("*")
+                           if p.suffix == ".csv" or p.name == "fits.json")
+            assert files == sorted(p.name for p in out[2].glob("*")
+                                   if p.suffix == ".csv" or p.name == "fits.json")
+            for name in files:
+                if codes[1] == 0:
+                    _assert_finite_numbers(out[1] / name)
+                assert (out[1] / name).read_bytes() == (out[2] / name).read_bytes()
+
+    check()

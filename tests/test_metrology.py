@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from ixysense.blocks import block_arrays
 from ixysense import metrology
 from ixysense.dynamics import evolve_mode_derivative, trajectory_arrays
-from ixysense.errors import UnderflowError
+from ixysense.errors import NumericalError, UnderflowError
 from ixysense.metrology import (
     QFI_CLIP,
     dynamical_qfi,
@@ -124,6 +124,18 @@ def test_qfi_curve_non_finite_time_raises(bad):
     params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
     with pytest.raises(ValueError, match="finite"):
         qfi_curve(params, [1.0, bad], ThetaKind.FIELD_H)
+
+
+def test_qfi_curve_non_finite_total_raises(monkeypatch):
+    # an overflowed state derivative must end in NumericalError, not NaN totals
+    def overflowed(*args):
+        amp0, amp2, d0, d1, sig = trajectory_arrays(*args)
+        return amp0, amp2, d0 * np.inf, d1, sig
+
+    monkeypatch.setattr(metrology, "trajectory_arrays", overflowed)
+    params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="h=-0.7"):
+        qfi_curve(params, [1.0, 2.0], ThetaKind.FIELD_H)
 
 
 def _reference_qfi_curve(params, t_grid, theta_kind):
