@@ -54,11 +54,6 @@ from .analysis import (
     sweep_stationary_scaling,
     sweep_time_scaling,
 )
-from .dense import (
-    build_spin_hamiltonian,
-    dense_evolve_qfi,
-    parity_operator,
-    polarized_vacuum,
-)
+from .dense import build_spin_hamiltonian, dense_evolve_qfi
 
 __version__ = "0.1.0"

@@ -134,6 +134,23 @@ def _list_of(cfg: dict, key: str, kind) -> list:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _bracket(cfg: dict) -> tuple[float, float]:
+    bracket = _list_of(cfg, "ep_bracket", float)
+    if len(bracket) != 2 or not bracket[0] < bracket[1]:
+        raise ConfigError(
+            f"ep_bracket must be [lo, hi] with lo < hi, got {cfg['ep_bracket']}")
+    return bracket[0], bracket[1]
+
+
+def _fit_sizes(cfg: dict) -> list:
+    """N_list of a sweep that fits a power law in N."""
+    sizes = _list_of(cfg, "N_list", int)
+    if len(set(sizes)) < 3:
+        raise ConfigError(
+            f"N_list needs at least 3 distinct sizes for a power-law fit, got {sizes}")
+    return sizes
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -245,7 +262,7 @@ def _ep_row(params: ModelParams, bracket, tol):
 
 def _run_exceptional_point(cfg: dict, writer: RunWriter, threads: int) -> int:
     params = _model_params(cfg)
-    bracket = tuple(_list_of(cfg, "ep_bracket", float))
+    bracket = _bracket(cfg)
     row = _ep_row(params, bracket, float(cfg["ep_tol"]))
     writer.derived["h_e"] = row[4]
     writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations", [row])
@@ -255,7 +272,7 @@ def _run_exceptional_point(cfg: dict, writer: RunWriter, threads: int) -> int:
 
 def _run_ep_table(cfg: dict, writer: RunWriter, threads: int) -> int:
     params = _model_params(cfg)
-    bracket = tuple(_list_of(cfg, "ep_bracket", float))
+    bracket = _bracket(cfg)
     tol = float(cfg["ep_tol"])
     z_list = _list_of(cfg, "Z_list", int)
     alpha_list = _list_of(cfg, "alpha_list", float)
@@ -309,7 +326,7 @@ def _run_time_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
 def _run_size_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
     params = _model_params(cfg)
     theta = _theta(cfg)
-    n_list = _list_of(cfg, "N_list", int)
+    n_list = _fit_sizes(cfg)
     res = sweep_size_scaling(params, theta, t_eval=float(cfg["t_eval"]),
                              N_list=n_list, threads=threads)
     writer.derived["t_eval"] = float(cfg["t_eval"])
@@ -329,10 +346,10 @@ def _run_stationary_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
         raise ConfigError(f"anchor must be one of "
                           f"{[a.value for a in ScalingAnchor]}") from exc
     dh_list = _list_of(cfg, "dh_list", float)
-    n_list = _list_of(cfg, "N_list", int)
+    n_list = _fit_sizes(cfg)
     fd_step = cfg["fd_step"]
     fd_step = None if fd_step is None else float(fd_step)
-    bracket = tuple(_list_of(cfg, "ep_bracket", float))
+    bracket = _bracket(cfg)
     res = sweep_stationary_scaling(params, theta, dh_list=dh_list,
                                    N_list=n_list, anchor=anchor,
                                    fd_step=fd_step, ep_bracket=bracket,

@@ -7,17 +7,26 @@ from the matrix exponential and its exact Frechet derivative
 Everything here is an independent cross-check of the momentum-block
 pipeline: the only shared ingredient is the coupling profile.
 
-Site basis: bit value 0 is spin up (sigma^z = +1), 1 is spin down.
-Basis states are kron-ordered with site 0 leftmost, so site j is bit
-N-1-j of the state index, the all-up state is index 0 and the all-down
-state is index 2^N - 1.  The all-down state is annihilated by every
-string-dressed lowering operator, i.e. it is the fermionic vacuum behind
-the momentum-block picture, and is the initial state of every evolution
-here.
+Site basis: bit value 0 is spin up (sigma^z = +1), 1 is spin down, and
+site j is bit N-1-j of a state's index, so the all-up state is 0 and
+the all-down state is 2^N - 1.  The all-down state is annihilated by
+every string-dressed lowering operator, i.e. it is the fermionic vacuum
+behind the momentum-block picture, and is the initial state of every
+evolution here.
 
 Every term of H flips two bits or none, so H conserves the parity of the
-number of down spins.  N is even, so the vacuum lies in the even sector,
-and the whole evolution is carried out there, in dimension 2^(N-1):
+number of down spins, and the sum over (j, r) makes H commute with the
+lattice shift.  The vacuum is even (N is even) and shift invariant, so
+the evolution never leaves the zero-momentum part of the even sector
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010), momentum states).  Its basis
+states are the normalized shift orbits
+
+    |a> = R_a^(-1/2) sum_{k < R_a} T^k |a>,
+
+one per representative a: an even state that is the smallest of its N
+rotations, with orbit period R_a.  The dimension is 20, 56, 180 and 596
+at N = 8, 10, 12 and 14, against 2^(N-1) for the whole even sector.
+In this basis
 
     H = H_hop + gamma H_gamma + h H_z,
 
@@ -36,19 +45,18 @@ import scipy.linalg
 from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
-MAX_DENSE_SITES = 12
+MAX_DENSE_SITES = 14
 
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """H on the even-parity sector, with its derivatives in h and gamma.
+    """H on the zero-momentum even sector, with its derivatives in h and gamma.
 
-    matrix  -- H, dense, in the order of `sector_states(N)`
+    matrix  -- H, dense, in the order of the ascending representatives
     d_gamma -- dH/dgamma = H_gamma, dense
     d_h     -- dH/dh = H_z, as its diagonal
     """
 
-    N: int
     matrix: np.ndarray
     d_gamma: np.ndarray
     d_h: np.ndarray
@@ -59,19 +67,25 @@ class SectorHamiltonian:
         return self.d_gamma
 
 
-def parity_operator(N: int) -> np.ndarray:
-    """Diagonal of prod_j sigma^z_j: +1 on even numbers of down spins."""
-    pop = ((np.arange(2 ** N)[:, None] >> np.arange(N)) & 1).sum(axis=1)
-    return np.where(pop % 2 == 0, 1.0, -1.0)
+def _orbit_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Representatives of the even shift orbits, their periods, and a lookup.
 
-
-def sector_states(N: int) -> np.ndarray:
-    """Basis indices of the even-parity sector, ascending."""
-    return np.flatnonzero(parity_operator(N) > 0)
+    Returns the representatives ascending, the orbit period R of each, and
+    for every one of the 2^n states the position of its orbit's
+    representative (meaningful for even states only).
+    """
+    every = np.arange(1 << n)
+    shifts = np.arange(n)[:, None]
+    rotations = ((every << shifts) | (every >> (n - shifts))) & ((1 << n) - 1)
+    smallest = rotations.min(axis=0)
+    states = np.flatnonzero((smallest == every) & (np.bitwise_count(every) % 2 == 0))
+    # a state is fixed by n / R of its n rotations
+    period = n // (rotations[:, states] == states).sum(axis=0)
+    return states, period, np.searchsorted(states, smallest)
 
 
 def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
-    """The periodic-chain Hamiltonian on the even-parity sector.
+    """The periodic-chain Hamiltonian on the zero-momentum even sector.
 
     Site indices wrap modulo N; every (j, r) term of the double sum is
     built literally, including both antipodal partners at r = N/2, whose
@@ -81,6 +95,12 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
     of its sigma^z.  With the weights -(1 +- gamma)/4 this leaves -1/2
     on pairs of unequal bits (hopping) and -gamma/2 on pairs of equal
     bits (pair creation or annihilation), times the string sign and J_r.
+
+    The terms act on the representatives only.  A term that maps a into
+    the orbit of b adds its value times sqrt(R_a / R_b) to H[b, a], which
+    is the orbit state's matrix element because H commutes with the
+    shift.  H_hop and H_gamma are real symmetric; their lower triangles
+    are accumulated and mirrored, so the symmetry holds bit for bit.
 
     Coupling sign is ferromagnetic: the string terms enter with -J_r, so
     the even-parity sector realizes quasiparticle blocks with diagonal
@@ -94,7 +114,7 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
         raise ValueError(
             f"dense oracle is limited to N <= {MAX_DENSE_SITES}, got N={n}")
     weights = coupling_profile(params.alpha, params.Z).weights
-    states = sector_states(n)
+    states, period, orbit = _orbit_basis(n)
     dim = len(states)
     cols = np.arange(dim)
     bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
@@ -108,10 +128,15 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
             string = [(j + m) % n for m in range(1, r)]
             value = -0.5 * weights[r - 1] * np.prod(sz[:, string], axis=1)
             flip = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
-            rows = np.searchsorted(states, states ^ flip)
+            rows = orbit[states ^ flip]
+            lower = rows >= cols
             same = bits[:, j] == bits[:, k]
-            hop[rows[~same], cols[~same]] += value[~same]
-            pair[rows[same], cols[same]] += value[same]
+            for target, keep in ((hop, lower & ~same), (pair, lower & same)):
+                target[rows[keep], cols[keep]] += value[keep]
+    scale = np.sqrt(period[None, :] / period[:, None])
+    for target in (hop, pair):
+        target *= scale
+        target += np.tril(target, -1).T
 
     d_gamma = pair.astype(complex)
     if params.anisotropy_mode is not AnisotropyMode.HERMITIAN:
@@ -119,14 +144,7 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
     d_h = 0.5 * sz.sum(axis=1)
     matrix = hop + params.gamma * d_gamma
     matrix[cols, cols] += params.h * d_h
-    return SectorHamiltonian(N=n, matrix=matrix, d_gamma=d_gamma, d_h=d_h)
-
-
-def polarized_vacuum(N: int) -> np.ndarray:
-    """The all-down product state in the even sector, whose last state it is."""
-    psi = np.zeros(2 ** (N - 1), dtype=complex)
-    psi[-1] = 1.0
-    return psi
+    return SectorHamiltonian(matrix=matrix, d_gamma=d_gamma, d_h=d_h)
 
 
 def propagate_dense(op: SectorHamiltonian, t: float,
@@ -134,14 +152,14 @@ def propagate_dense(op: SectorHamiltonian, t: float,
     """exp(-i H t) psi0 and its theta-derivative, psi0 the vacuum.
 
     One call of scipy.linalg.expm_frechet gives U = exp(A) and its
-    Frechet derivative L(A, E) for A = -i H t and E = -i t dH/dtheta;
-    the derivative of U psi0 is L psi0.
+    Frechet derivative L(A, E) for A = -i H t and E = -i t dH/dtheta.
+    The vacuum is its own one-state orbit and the last representative,
+    so U psi0 and its derivative L psi0 are the last columns.
     """
     a = -1j * t * op.matrix
     e = -1j * t * op.derivative(theta_kind)
     u, du = scipy.linalg.expm_frechet(a, e)
-    psi0 = polarized_vacuum(op.N)
-    return u @ psi0, du @ psi0
+    return u[:, -1], du[:, -1]
 
 
 def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> float:

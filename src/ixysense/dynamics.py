@@ -131,7 +131,10 @@ def _kernel_derivs(x, t, c, s):
     c = np.reshape(c, (x.size, t.size))
     s = np.reshape(s, (x.size, t.size))
     dc = -0.5 * t * s
-    ds = np.divide(t * c - s, 2.0 * x, out=np.empty(c.shape), where=x != 0.0)
+    # divide before halving: 2 x overflows once |x| passes half the float range
+    nonzero = x != 0.0
+    ds = np.divide(t * c - s, x, out=np.empty(c.shape), where=nonzero)
+    np.multiply(ds, 0.5, out=ds, where=nonzero)
     i, j, z, tz = _window(x, t, DSERIES_Z)
     ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
         1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))

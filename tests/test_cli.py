@@ -78,12 +78,15 @@ def test_invalid_model_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("experiment,override", [
     ("dispersion", "h=NaN"),
     ("dispersion", "gamma=Infinity"),
-    ("oracle-check", "N_list=[14]"),
+    ("oracle-check", "N_list=[16]"),
     ("size-scaling", "t_eval=-1"),
     ("ratio", "t0=-1"),
     ("size-scaling", "t_eval=NaN N_list=[64,128,256]"),
     ("qfi-dynamics", "t_max=Infinity N=64"),
     ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
+    ("exceptional-point", "ep_bracket=[-0.7,-1.2]"),
+    ("stationary-scaling", "N_list=[1024,2048]"),
+    ("size-scaling", "N_list=[64,64,128]"),
 ])
 def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     # non-finite model values and values a runner rejects end in one
@@ -130,6 +133,14 @@ def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert named in err
     assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def test_huge_finite_field_runs_without_warning(tmp_path):
+    # eps_sq near 1e308 is still finite, and so are its kernel derivatives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["qfi-dynamics", "--set", "h=1e154", "--set", "N=64",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 def test_dispersion_outputs(tmp_path):

@@ -10,10 +10,7 @@ from ixysense.dense import (
     MAX_DENSE_SITES,
     build_spin_hamiltonian,
     dense_evolve_qfi,
-    parity_operator,
-    polarized_vacuum,
     propagate_dense,
-    sector_states,
 )
 from ixysense.metrology import dynamical_qfi
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
@@ -47,6 +44,78 @@ def _kron_hamiltonian(params):
     return acc
 
 
+def parity_operator(n):
+    """Diagonal of prod_j sigma^z_j: +1 on even numbers of down spins."""
+    pop = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return np.where(pop % 2 == 0, 1.0, -1.0)
+
+
+def sector_states(n):
+    """Basis indices of the even-parity sector, ascending."""
+    return np.flatnonzero(parity_operator(n) > 0)
+
+
+def _sector_hamiltonian(params):
+    """(H, dH/dgamma, diagonal of dH/dh) on the whole even sector.
+
+    The same Pauli-string loop as the package builder, run over every
+    even state instead of the orbit representatives.
+    """
+    n = params.N
+    weights = coupling_profile(params.alpha, params.Z).weights
+    states = sector_states(n)
+    dim = len(states)
+    cols = np.arange(dim)
+    bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
+    sz = 1 - 2 * bits
+
+    hop = np.zeros((dim, dim))
+    pair = np.zeros((dim, dim))
+    for j in range(n):
+        for r in range(1, params.Z + 1):
+            k = (j + r) % n
+            string = [(j + m) % n for m in range(1, r)]
+            value = -0.5 * weights[r - 1] * np.prod(sz[:, string], axis=1)
+            flip = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
+            rows = np.searchsorted(states, states ^ flip)
+            same = bits[:, j] == bits[:, k]
+            hop[rows[~same], cols[~same]] += value[~same]
+            pair[rows[same], cols[same]] += value[same]
+
+    d_gamma = pair.astype(complex)
+    if params.anisotropy_mode is not AnisotropyMode.HERMITIAN:
+        d_gamma *= 1j
+    d_h = 0.5 * sz.sum(axis=1)
+    matrix = hop + params.gamma * d_gamma
+    matrix[cols, cols] += params.h * d_h
+    return matrix, d_gamma, d_h
+
+
+def _rotate(state, n):
+    return ((state << 1) | (state >> (n - 1))) & ((1 << n) - 1)
+
+
+def _orbits(n):
+    """Shift orbits of the even states, ordered by their smallest member."""
+    orbits = {}
+    for state in sector_states(n).tolist():
+        orbit = [state]
+        while (nxt := _rotate(orbit[-1], n)) != state:
+            orbit.append(nxt)
+        orbits[min(orbit)] = sorted(orbit)
+    return [orbits[rep] for rep in sorted(orbits)]
+
+
+def _isometry(n):
+    """Columns: the normalized zero-momentum orbit states, in the even sector."""
+    states = sector_states(n)
+    orbits = _orbits(n)
+    p = np.zeros((len(states), len(orbits)))
+    for col, orbit in enumerate(orbits):
+        p[np.searchsorted(states, orbit), col] = 1.0 / np.sqrt(len(orbit))
+    return p
+
+
 _SECTOR_CASES = [(n, z, mode) for n in (4, 6) for z in range(1, n // 2 + 1)
                  for mode in AnisotropyMode]
 
@@ -56,17 +125,48 @@ def test_sector_builder_matches_kron_reference(n, z, mode):
     params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
     op = build_spin_hamiltonian(params)
     even = sector_states(n)
+    p = _isometry(n)
+
+    def project(full):
+        return p.T @ full[np.ix_(even, even)] @ p
+
     ref = _kron_hamiltonian(params)
     scale = np.abs(ref).max()
-    assert op.matrix.shape == (2 ** (n - 1), 2 ** (n - 1))
-    assert np.abs(op.matrix - ref[np.ix_(even, even)]).max() <= 1e-15 * scale
+    assert op.matrix.shape == (p.shape[1], p.shape[1])
+    assert np.abs(op.matrix - project(ref)).max() <= 1e-15 * scale
     # the reference is affine in gamma and h: its slopes are the derivatives
     d_gamma = _kron_hamiltonian(replace(params, gamma=1.0, h=0.0)) \
         - _kron_hamiltonian(replace(params, gamma=0.0, h=0.0))
-    assert np.abs(op.d_gamma - d_gamma[np.ix_(even, even)]).max() <= 1e-15
+    assert np.abs(op.d_gamma - project(d_gamma)).max() <= 1e-15
     d_h = _kron_hamiltonian(replace(params, gamma=0.0, h=1.0)) \
         - _kron_hamiltonian(replace(params, gamma=0.0, h=0.0))
-    assert np.abs(np.diag(op.d_h) - d_h[np.ix_(even, even)]).max() <= 1e-15
+    assert np.abs(np.diag(op.d_h) - project(d_h)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,z", [(n, z) for n in (4, 6, 8, 10, 12)
+                                 for z in range(1, n // 2 + 1)])
+def test_zero_momentum_builder_matches_sector_reference(n, z):
+    # P maps the zero-momentum orbit states into the even sector; the new
+    # matrices are the sector ones seen through P, and the sector H maps
+    # the range of P into itself
+    p = _isometry(n)
+    for mode in AnisotropyMode:
+        params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
+        op = build_spin_hamiltonian(params)
+        matrix, d_gamma, d_h = _sector_hamiltonian(params)
+        hp = matrix @ p
+        assert np.abs(p.T @ hp - op.matrix).max() <= 1e-14
+        assert np.abs(hp - p @ op.matrix).max() <= 1e-14
+        assert np.abs(p.T @ d_gamma @ p - op.d_gamma).max() <= 1e-14
+        assert np.abs((p.T * d_h) @ p - np.diag(op.d_h)).max() <= 1e-14
+
+
+def test_zero_momentum_dimensions():
+    dims = {n: build_spin_hamiltonian(
+        ModelParams(N=n, Z=2, alpha=1.0, gamma=0.3, h=-0.7)).matrix.shape
+        for n in (8, 10, 12, 14)}
+    assert dims == {8: (20, 20), 10: (56, 56), 12: (180, 180), 14: (596, 596)}
+    assert [len(_orbits(n)) for n in (8, 10, 12)] == [20, 56, 180]
 
 
 def test_polarized_diagonal_elements():
@@ -79,22 +179,27 @@ def test_polarized_diagonal_elements():
 
 
 def test_hermitian_mode_builds_hermitian_matrix():
-    params = ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=-0.7,
-                         anisotropy_mode=AnisotropyMode.HERMITIAN)
-    m = build_spin_hamiltonian(params).matrix
-    assert np.abs(m - m.conj().T).max() == 0.0
+    # the lower triangle is mirrored, so the symmetry is exact even where
+    # orbits of different periods meet (N = 6 onward)
+    for n, z in ((4, 2), (6, 3), (10, 5), (12, 4)):
+        params = ModelParams(N=n, Z=z, alpha=1.0, gamma=0.4, h=-0.7,
+                             anisotropy_mode=AnisotropyMode.HERMITIAN)
+        m = build_spin_hamiltonian(params).matrix
+        assert np.abs(m - m.conj().T).max() == 0.0
 
 
 def test_imaginary_anisotropy_conjugates_to_negated_gamma():
-    params = ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=-0.7)
-    m = build_spin_hamiltonian(params).matrix
-    m_neg = build_spin_hamiltonian(replace(params, gamma=-0.4)).matrix
-    assert np.abs(m.conj().T - m_neg).max() == 0.0
+    for n, z in ((4, 2), (10, 5)):
+        params = ModelParams(N=n, Z=z, alpha=1.0, gamma=0.4, h=-0.7)
+        m = build_spin_hamiltonian(params).matrix
+        m_neg = build_spin_hamiltonian(replace(params, gamma=-0.4)).matrix
+        assert np.abs(m.conj().T - m_neg).max() == 0.0
 
 
 def test_parity_commutes_exactly():
     # every term flips two bits or none, so no flipped state leaves the
-    # sector and the sector block of H is the whole evolution of the vacuum
+    # sector; the sum over j makes H commute with the shift, so the
+    # zero-momentum orbit states span an invariant subspace of the sector
     n = 6
     even = sector_states(n)
     assert len(even) == 2 ** (n - 1)
@@ -107,6 +212,11 @@ def test_parity_commutes_exactly():
     p = parity_operator(n)
     # P is diagonal +-1; commutation means H_ij vanishes across sectors
     assert np.abs(m * p[None, :] - p[:, None] * m).max() == 0.0
+    shift = np.array([_rotate(s, n) for s in range(2 ** n)])
+    assert np.abs(m[np.ix_(shift, shift)] - m).max() <= 1e-15
+    iso = _isometry(n)
+    sector = m[np.ix_(even, even)]
+    assert np.abs(iso @ (iso.T @ sector @ iso) - sector @ iso).max() <= 1e-15
 
 
 def test_parity_operator_structure():
@@ -118,12 +228,15 @@ def test_parity_operator_structure():
 
 
 def test_polarized_vacuum_state():
-    # the all-down state is the last basis state of the even sector
-    psi = polarized_vacuum(4)
-    assert psi.shape == (8,)
-    assert sector_states(4)[-1] == 2 ** 4 - 1
+    # the all-down state is its own one-state orbit and the last
+    # representative, so the evolution at t = 0 returns the last basis state
+    assert _orbits(4)[-1] == [2 ** 4 - 1]
+    op = build_spin_hamiltonian(ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=-0.7))
+    psi, dpsi = propagate_dense(op, 0.0, ThetaKind.FIELD_H)
+    assert psi.shape == (4,)
     assert psi[-1] == 1.0
     assert np.linalg.norm(psi) == 1.0
+    assert np.abs(dpsi).max() == 0.0
 
 
 @pytest.mark.parametrize("theta", [ThetaKind.FIELD_H, ThetaKind.ANISOTROPY_GAMMA])
@@ -167,8 +280,10 @@ def test_dense_qfi_vanishes_without_anisotropy(n):
 
 
 def test_dense_matches_momentum_wide_grid():
-    """Every Z at N = 4..8 and the odd Z at N = 10, in both phases and both
-    anisotropy modes, for times up to 10."""
+    """Every Z at N = 4..12, in both anisotropy modes and for times up to
+    10: at N <= 8 in both phases with both theta at each time, at N = 10
+    and 12 with one (t, theta) pair per field and gamma; at N = 14 the
+    long ranges Z = 3 and 7."""
     cells = [(n, z, mode, h, t, theta)
              for n in (4, 6, 8)
              for z in range(1, n // 2 + 1)
@@ -176,10 +291,15 @@ def test_dense_matches_momentum_wide_grid():
              for h in (-0.9, -1.6)
              for t in (0.7, 10.0)
              for theta in ThetaKind]
-    cells += [(10, z, mode, -0.9, t, theta)
-              for z in (1, 3, 5)
+    cells += [(n, z, mode, -0.9, t, theta)
+              for n in (10, 12)
+              for z in range(1, n // 2 + 1)
               for mode in AnisotropyMode
               for t, theta in ((10.0, ThetaKind.FIELD_H), (3.0, ThetaKind.ANISOTROPY_GAMMA))]
+    cells += [(14, z, mode, -0.9, t, theta)
+              for z in (3, 7)
+              for mode, (t, theta) in zip(AnisotropyMode, (
+                  (10.0, ThetaKind.FIELD_H), (3.0, ThetaKind.ANISOTROPY_GAMMA)))]
     worst = 0.0
     for n, z, mode, h, t, theta in cells:
         params = ModelParams(N=n, Z=z, alpha=1.2, gamma=0.4, h=h, anisotropy_mode=mode)
