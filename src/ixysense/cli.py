@@ -3,18 +3,23 @@
 Each subcommand resolves a flat JSON config (defaults < --config file <
 repeated --set overrides), runs one named experiment, and writes a run
 manifest (manifest.json), CSV series, and, for fitting experiments, a
-fits.json record.  Identical configs produce byte-identical CSV files;
-wall time lives only in the manifest.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+fits.json record.  Each experiment declares exactly the keys its runner
+reads, each with a default and a type, and every value is parsed against
+its type before anything is written.  Identical configs produce
+byte-identical CSV files; wall time lives only in the manifest.  Exit
+codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +46,98 @@ from .errors import ConfigError, NumericalError
 from .metrology import dynamical_qfi, qfi_curve, qfi_ratio_time_avg
 from .model import AnisotropyMode, ModelParams, ThetaKind
 
-_MODEL_KEYS = {
-    "N": 1024, "Z": 1, "alpha": 1.5, "gamma": 0.3, "h": -0.7,
-    "anisotropy": "non-hermitian", "theta": "h",
+
+# Key types: each maps a JSON value to the typed value a runner reads, or
+# raises ValueError saying what it expected.
+
+def _int(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _float(value) -> float:
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+
+
+def _list(item):
+    def parse(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"expected a nonempty list, got {json.dumps(value)}")
+        return [item(v) for v in value]
+    return parse
+
+
+def _pair(value) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected [lo, hi], got {json.dumps(value)}")
+    return _float(value[0]), _float(value[1])
+
+
+def _ordered_pair(value) -> tuple[float, float]:
+    lo, hi = _pair(value)
+    if not lo < hi:
+        raise ValueError(f"needs lo < hi, got {json.dumps(value)}")
+    return lo, hi
+
+
+def _fitted_sizes(value) -> list[int]:
+    sizes = _list(_int)(value)
+    if len(set(sizes)) < 3:
+        raise ValueError(
+            f"a power-law fit needs at least 3 distinct sizes, got {sizes}")
+    return sizes
+
+
+def _choice(options):
+    """One of options: an Enum class, matched by value, or a tuple of strings."""
+    by_name = {getattr(o, "value", o): o for o in options}
+
+    def parse(value):
+        if not isinstance(value, str) or value not in by_name:
+            raise ValueError(
+                f"expected one of {list(by_name)}, got {json.dumps(value)}")
+        return by_name[value]
+    return parse
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _plain(value):
+    """The JSON form of a typed config value."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+# Model and probe keys: name -> (default, type).  An experiment declares
+# the ones its runner reads; a ModelParams field it leaves out is taken
+# from the first entry of its <field>_list key.
+_MODEL = {
+    "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _float),
+    "gamma": (0.3, _float), "h": (-0.7, _float),
+    "anisotropy": ("non-hermitian", _choice(AnisotropyMode)),
+    "theta": ("h", _choice(ThetaKind)),
 }
+
+
+def _model(*names) -> dict:
+    return {name: _MODEL[name] for name in names}
+
+
+def _params(cfg: dict) -> ModelParams:
+    fields = {name: cfg[name] if name in cfg else cfg[f"{name}_list"][0]
+              for name in ("N", "Z", "alpha", "gamma", "h")}
+    return ModelParams(**fields, anisotropy_mode=cfg["anisotropy"])
 
 
 def _parse_set(item: str):
@@ -75,80 +168,29 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_config(experiment: str, config_path: str | None,
                    overrides: list[str]) -> dict:
-    """Defaults, then file keys, then --set pairs; unknown keys rejected."""
-    cfg = dict(_MODEL_KEYS)
-    cfg.update(EXPERIMENTS[experiment][0])
-    allowed = set(cfg) | {"experiment"}
-
-    layered: dict = {}
+    """Defaults, then file keys, then --set pairs; each value parsed to its
+    key's type, and keys the experiment does not declare rejected."""
+    keys = EXPERIMENTS[experiment][0]
+    layered = {key: default for key, (default, _) in keys.items()}
     if config_path:
         layered.update(_load_config_file(config_path))
     for item in overrides or []:
         key, value = _parse_set(item)
         layered[key] = value
-
+    named = layered.pop("experiment", experiment)
+    if named != experiment:
+        raise ConfigError(f"config names experiment {named!r} but the "
+                          f"{experiment!r} subcommand was invoked")
+    cfg = {"experiment": experiment}
     for key, value in layered.items():
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(
                 f"unknown config key {key!r} for experiment {experiment!r}")
-        if key == "experiment":
-            if value != experiment:
-                raise ConfigError(
-                    f"config names experiment {value!r} but the "
-                    f"{experiment!r} subcommand was invoked")
-            continue
-        cfg[key] = value
-    cfg["experiment"] = experiment
+        try:
+            cfg[key] = keys[key][1](value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return cfg
-
-
-def _model_params(cfg: dict) -> ModelParams:
-    try:
-        aniso = AnisotropyMode(cfg["anisotropy"])
-    except ValueError as exc:
-        raise ConfigError(f"anisotropy must be one of "
-                          f"{[m.value for m in AnisotropyMode]}") from exc
-    try:
-        return ModelParams(N=int(cfg["N"]), Z=int(cfg["Z"]),
-                           alpha=float(cfg["alpha"]), gamma=float(cfg["gamma"]),
-                           h=float(cfg["h"]), anisotropy_mode=aniso)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _theta(cfg: dict) -> ThetaKind:
-    try:
-        return ThetaKind(cfg["theta"])
-    except ValueError as exc:
-        raise ConfigError(
-            f"theta must be one of {[t.value for t in ThetaKind]}") from exc
-
-
-def _list_of(cfg: dict, key: str, kind) -> list:
-    value = cfg[key]
-    if not isinstance(value, (list, tuple)) or len(value) == 0:
-        raise ConfigError(f"{key} must be a nonempty list")
-    try:
-        return [kind(v) for v in value]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _bracket(cfg: dict) -> tuple[float, float]:
-    bracket = _list_of(cfg, "ep_bracket", float)
-    if len(bracket) != 2 or not bracket[0] < bracket[1]:
-        raise ConfigError(
-            f"ep_bracket must be [lo, hi] with lo < hi, got {cfg['ep_bracket']}")
-    return bracket[0], bracket[1]
-
-
-def _fit_sizes(cfg: dict) -> list:
-    """N_list of a sweep that fits a power law in N."""
-    sizes = _list_of(cfg, "N_list", int)
-    if len(set(sizes)) < 3:
-        raise ConfigError(
-            f"N_list needs at least 3 distinct sizes for a power-law fit, got {sizes}")
-    return sizes
 
 
 def _fmt(value) -> str:
@@ -192,14 +234,7 @@ class RunWriter:
         return path
 
     def fits(self, groups) -> Path:
-        records = []
-        for group, fit in groups:
-            records.append({
-                "group": group, "slope": fit.slope, "intercept": fit.intercept,
-                "r_squared": fit.r_squared, "window": list(fit.window),
-                "n_points": fit.n_points, "stderr": fit.stderr,
-                "n_excluded": fit.n_excluded,
-            })
+        records = [{"group": group, **asdict(fit)} for group, fit in groups]
         path = self.dir / "fits.json"
         path.write_text(json.dumps({"fits": records}, indent=2, sort_keys=True) + "\n")
         self.outputs.append("fits.json")
@@ -223,25 +258,19 @@ class RunWriter:
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
-    lo, hi, n = float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["t_points"])
+    lo, hi, n = cfg["t_min"], cfg["t_max"], cfg["t_points"]
     if n < 2:
         raise ConfigError(f"t_points must be >= 2, got {n}")
-    if not np.isfinite([lo, hi]).all():
-        raise ConfigError(f"t_min and t_max must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise ConfigError(f"need t_max > t_min, got [{lo}, {hi}]")
-    spacing = cfg["t_spacing"]
-    if spacing == "log":
-        if lo <= 0:
-            raise ConfigError("log spacing needs t_min > 0")
-        return np.geomspace(lo, hi, n)
-    if spacing == "linear":
+    if cfg["t_spacing"] == "linear":
         return np.linspace(lo, hi, n)
-    raise ConfigError(f"t_spacing must be 'log' or 'linear', got {spacing!r}")
+    if lo <= 0:
+        raise ConfigError("log spacing needs t_min > 0")
+    return np.geomspace(lo, hi, n)
 
 
-def _run_dispersion(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
+def _run_dispersion(params, cfg, writer, threads) -> int:
     blocks = build_blocks(params)
     cls = classify_phase(blocks)
     writer.derived["classification"] = cls.label.value
@@ -255,65 +284,41 @@ def _run_dispersion(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-def _ep_row(params: ModelParams, bracket, tol):
-    res = find_exceptional_point(params, bracket=bracket, tol=tol)
+def _ep_row(params: ModelParams, cfg: dict):
+    res = find_exceptional_point(params, bracket=cfg["ep_bracket"], tol=cfg["ep_tol"])
     return (params.Z, params.alpha, params.gamma, params.N, res.h_e, res.iterations)
 
 
-def _run_exceptional_point(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    bracket = _bracket(cfg)
-    row = _ep_row(params, bracket, float(cfg["ep_tol"]))
+def _run_exceptional_point(params, cfg, writer, threads) -> int:
+    row = _ep_row(params, cfg)
     writer.derived["h_e"] = row[4]
     writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations", [row])
     print(f"h_e = {row[4]:.9f} ({row[5]} iterations)")
     return 0
 
 
-def _run_ep_table(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    bracket = _bracket(cfg)
-    tol = float(cfg["ep_tol"])
-    z_list = _list_of(cfg, "Z_list", int)
-    alpha_list = _list_of(cfg, "alpha_list", float)
-    cells = [(z, alpha) for z in z_list for alpha in alpha_list]
-
-    def cell(c):
-        z, alpha = c
-        return _ep_row(replace(params, Z=z, alpha=alpha), bracket, tol)
-
-    rows = run_cells(cell, cells, threads)
+def _run_ep_table(params, cfg, writer, threads) -> int:
+    cells = itertools.product(cfg["Z_list"], cfg["alpha_list"])
+    rows = run_cells(lambda c: _ep_row(replace(params, Z=c[0], alpha=c[1]), cfg),
+                     list(cells), threads)
     writer.csv("ep_table.csv", "Z,alpha,gamma,N,h_e,iterations", rows)
     return 0
 
 
-def _run_qfi_dynamics(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    theta = _theta(cfg)
+def _run_qfi_dynamics(params, cfg, writer, threads) -> int:
     grid = _time_grid(cfg)
-    z_list = ([int(z) for z in cfg["Z_list"]]
-              if cfg["Z_list"] is not None else [params.Z])
-    if not z_list:
-        raise ConfigError("Z_list must be a nonempty list")
+    models = [replace(params, Z=z) for z in cfg["Z_list"] or [params.Z]]
     writer.derived["t_grid"] = [float(grid[0]), float(grid[-1]), len(grid)]
-    for z in z_list:
-        p = replace(params, Z=z)
-        values = qfi_curve(p, grid, theta)
-        writer.csv(f"qfi_dynamics_Z{z}.csv", "t,qfi",
-                   list(zip(grid, values)))
+    for p in models:
+        values = qfi_curve(p, grid, cfg["theta"])
+        writer.csv(f"qfi_dynamics_Z{p.Z}.csv", "t,qfi", list(zip(grid, values)))
     return 0
 
 
-def _run_time_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    theta = _theta(cfg)
-    tw = _list_of(cfg, "transient_window", float)
-    lw = _list_of(cfg, "longtime_window", float)
-    if len(tw) != 2 or len(lw) != 2:
-        raise ConfigError("fit windows must be [lo, hi] pairs")
-    tg = np.geomspace(tw[0], tw[1], int(cfg["transient_points"]))
-    lg = np.geomspace(lw[0], lw[1], int(cfg["longtime_points"]))
-    res = sweep_time_scaling(params, theta, transient_grid=tg, longtime_grid=lg)
+def _run_time_scaling(params, cfg, writer, threads) -> int:
+    tg = np.geomspace(*cfg["transient_window"], cfg["transient_points"])
+    lg = np.geomspace(*cfg["longtime_window"], cfg["longtime_points"])
+    res = sweep_time_scaling(params, cfg["theta"], transient_grid=tg, longtime_grid=lg)
     writer.derived["transient_window"] = list(res.transient_fit.window)
     writer.derived["longtime_window"] = list(res.longtime_fit.window)
     writer.csv("time_scaling.csv", "t,qfi", list(zip(res.t, res.qfi)))
@@ -323,13 +328,10 @@ def _run_time_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-def _run_size_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    theta = _theta(cfg)
-    n_list = _fit_sizes(cfg)
-    res = sweep_size_scaling(params, theta, t_eval=float(cfg["t_eval"]),
-                             N_list=n_list, threads=threads)
-    writer.derived["t_eval"] = float(cfg["t_eval"])
+def _run_size_scaling(params, cfg, writer, threads) -> int:
+    res = sweep_size_scaling(params, cfg["theta"], t_eval=cfg["t_eval"],
+                             N_list=cfg["N_list"], threads=threads)
+    writer.derived["t_eval"] = cfg["t_eval"]
     writer.derived["fit_window"] = list(res.fit.window)
     writer.csv("size_scaling.csv", "N,qfi", list(zip(res.N, res.qfi)))
     writer.fits([("size", res.fit)])
@@ -337,22 +339,10 @@ def _run_size_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-def _run_stationary_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    theta = _theta(cfg)
-    try:
-        anchor = ScalingAnchor(cfg["anchor"])
-    except ValueError as exc:
-        raise ConfigError(f"anchor must be one of "
-                          f"{[a.value for a in ScalingAnchor]}") from exc
-    dh_list = _list_of(cfg, "dh_list", float)
-    n_list = _fit_sizes(cfg)
-    fd_step = cfg["fd_step"]
-    fd_step = None if fd_step is None else float(fd_step)
-    bracket = _bracket(cfg)
-    res = sweep_stationary_scaling(params, theta, dh_list=dh_list,
-                                   N_list=n_list, anchor=anchor,
-                                   fd_step=fd_step, ep_bracket=bracket,
+def _run_stationary_scaling(params, cfg, writer, threads) -> int:
+    res = sweep_stationary_scaling(params, cfg["theta"], dh_list=cfg["dh_list"],
+                                   N_list=cfg["N_list"], anchor=cfg["anchor"],
+                                   fd_step=cfg["fd_step"], ep_bracket=cfg["ep_bracket"],
                                    threads=threads)
     writer.derived["anchor_value"] = res.anchor_value
     writer.derived["fd_steps"] = sorted({row.fd_step for row in res.rows})
@@ -374,11 +364,9 @@ def _run_stationary_scaling(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-def _run_ratio(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    theta = _theta(cfg)
-    res = qfi_ratio_time_avg(params, theta, t0=float(cfg["t0"]),
-                             t1=float(cfg["t1"]), n_grid=int(cfg["n_grid"]))
+def _run_ratio(params, cfg, writer, threads) -> int:
+    res = qfi_ratio_time_avg(params, cfg["theta"], t0=cfg["t0"], t1=cfg["t1"],
+                             n_grid=cfg["n_grid"])
     if res.dropped:
         writer.warnings.append(
             f"{res.dropped} grid points dropped (benchmark QFI below floor)")
@@ -391,23 +379,11 @@ def _run_ratio(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-def _run_oracle_check(cfg: dict, writer: RunWriter, threads: int) -> int:
-    params = _model_params(cfg)
-    rel_tol = float(cfg["rel_tol"])
-    thetas = []
-    for name in _list_of(cfg, "theta_list", str):
-        try:
-            thetas.append(ThetaKind(name))
-        except ValueError as exc:
-            raise ConfigError(f"theta_list: unknown theta {name!r}") from exc
-    cells = [(n, z, alpha, gamma, h, t, theta)
-             for n in _list_of(cfg, "N_list", int)
-             for z in _list_of(cfg, "Z_list", int)
-             for alpha in _list_of(cfg, "alpha_list", float)
-             for gamma in _list_of(cfg, "gamma_list", float)
-             for h in _list_of(cfg, "h_list", float)
-             for t in _list_of(cfg, "t_list", float)
-             for theta in thetas]
+def _run_oracle_check(params, cfg, writer, threads) -> int:
+    rel_tol = cfg["rel_tol"]
+    axes = [cfg[key] for key in ("N_list", "Z_list", "alpha_list", "gamma_list",
+                                 "h_list", "t_list", "theta_list")]
+    cells = list(itertools.product(*axes))
 
     def cell(c):
         n, z, alpha, gamma, h, t, theta = c
@@ -435,42 +411,58 @@ def _run_oracle_check(cfg: dict, writer: RunWriter, threads: int) -> int:
     return 0
 
 
-# Experiment name -> (keys on top of the model block, runner).  The key
-# values are the defaults; every resolved config is the full union, no
-# hidden knobs.
+_ALL_MODEL = ("N", "Z", "alpha", "gamma", "h", "anisotropy")
+_EP_KEYS = {"ep_bracket": (list(DEFAULT_EP_BRACKET), _ordered_pair),
+            "ep_tol": (DEFAULT_EP_TOL, _float)}
+
+# Experiment name -> (keys: name -> (default, type), runner).  These are
+# exactly the keys the runner reads; every resolved config holds all of
+# them, no hidden knobs.
 EXPERIMENTS: dict[str, tuple[dict, object]] = {
-    "dispersion": ({}, _run_dispersion),
-    "exceptional-point": ({
-        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
-    }, _run_exceptional_point),
+    "dispersion": (_model(*_ALL_MODEL), _run_dispersion),
+    "exceptional-point": ({**_model(*_ALL_MODEL), **_EP_KEYS}, _run_exceptional_point),
     "ep-table": ({
-        "Z_list": [1, 2, 4, 7], "alpha_list": [0.5, 1.0, 1.5, 2.0],
-        "ep_bracket": list(DEFAULT_EP_BRACKET), "ep_tol": DEFAULT_EP_TOL,
+        **_model("N", "gamma", "h", "anisotropy"), **_EP_KEYS,
+        "Z_list": ([1, 2, 4, 7], _list(_int)),
+        "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_float)),
     }, _run_ep_table),
     "qfi-dynamics": ({
-        "Z_list": None, "t_min": 0.02, "t_max": 1000.0, "t_points": 300,
-        "t_spacing": "log",
+        **_model(*_ALL_MODEL, "theta"),
+        "Z_list": (None, _optional(_list(_int))), "t_min": (0.02, _float),
+        "t_max": (1000.0, _float), "t_points": (300, _int),
+        "t_spacing": ("log", _choice(("log", "linear"))),
     }, _run_qfi_dynamics),
     "time-scaling": ({
-        "transient_window": [float(TRANSIENT_GRID[0]), float(TRANSIENT_GRID[-1])],
-        "transient_points": len(TRANSIENT_GRID),
-        "longtime_window": [float(LONGTIME_GRID[0]), float(LONGTIME_GRID[-1])],
-        "longtime_points": len(LONGTIME_GRID),
+        **_model(*_ALL_MODEL, "theta"),
+        "transient_window": ([TRANSIENT_GRID[0], TRANSIENT_GRID[-1]], _pair),
+        "transient_points": (len(TRANSIENT_GRID), _int),
+        "longtime_window": ([LONGTIME_GRID[0], LONGTIME_GRID[-1]], _pair),
+        "longtime_points": (len(LONGTIME_GRID), _int),
     }, _run_time_scaling),
     "size-scaling": ({
-        "N_list": list(DYNAMICAL_N_LIST), "t_eval": 200.0,
+        **_model("Z", "alpha", "gamma", "h", "anisotropy", "theta"),
+        "N_list": (list(DYNAMICAL_N_LIST), _fitted_sizes), "t_eval": (200.0, _float),
     }, _run_size_scaling),
     "stationary-scaling": ({
-        "anchor": "critical-point", "dh_list": list(STATIONARY_DH_LIST),
-        "N_list": list(STATIONARY_N_LIST), "fd_step": None,
-        "ep_bracket": list(DEFAULT_EP_BRACKET),
+        **_model("Z", "alpha", "gamma", "h", "anisotropy", "theta"),
+        "ep_bracket": _EP_KEYS["ep_bracket"],
+        "anchor": ("critical-point", _choice(ScalingAnchor)),
+        "dh_list": (list(STATIONARY_DH_LIST), _list(_float)),
+        "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),
+        "fd_step": (None, _optional(_float)),
     }, _run_stationary_scaling),
-    "ratio": ({"t0": 200.0, "t1": 1000.0, "n_grid": 801}, _run_ratio),
+    "ratio": ({
+        **_model(*_ALL_MODEL, "theta"),
+        "t0": (200.0, _float), "t1": (1000.0, _float), "n_grid": (801, _int),
+    }, _run_ratio),
     "oracle-check": ({
-        "N_list": [4, 6, 8], "Z_list": [1, 2], "alpha_list": [1.5],
-        "gamma_list": [0.0, 0.3], "h_list": [-0.7, -1.5],
-        "t_list": [0.5, 1.0, 2.0], "theta_list": ["h", "gamma"],
-        "rel_tol": 1e-8,
+        **_model("anisotropy"),
+        "N_list": ([4, 6, 8], _list(_int)), "Z_list": ([1, 2], _list(_int)),
+        "alpha_list": ([1.5], _list(_float)), "gamma_list": ([0.0, 0.3], _list(_float)),
+        "h_list": ([-0.7, -1.5], _list(_float)),
+        "t_list": ([0.5, 1.0, 2.0], _list(_float)),
+        "theta_list": (["h", "gamma"], _list(_choice(ThetaKind))),
+        "rel_tol": (1e-8, _float),
     }, _run_oracle_check),
 }
 
@@ -499,18 +491,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.experiment, args.config, args.set)
+        record = {key: _plain(value) for key, value in cfg.items()}
+        params = _params(cfg)
         if args.print_config:
-            print(json.dumps(cfg, indent=2, sort_keys=True))
+            print(json.dumps(record, indent=2, sort_keys=True))
             return 0
         out_dir = args.out if args.out else str(Path("runs") / args.experiment)
-        writer = RunWriter(out_dir, args.experiment, cfg)
-        try:
-            status = EXPERIMENTS[args.experiment][1](cfg, writer, max(1, args.threads))
-        except ValueError as exc:  # a value the runner's library call rejected
-            raise ConfigError(str(exc)) from exc
+        writer = RunWriter(out_dir, args.experiment, record)
+        status = EXPERIMENTS[args.experiment][1](params, cfg, writer,
+                                                 max(1, args.threads))
         writer.manifest()
         return status
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError: a library call's rejection
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

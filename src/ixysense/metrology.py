@@ -9,7 +9,10 @@ This is the standard normalized-state expression with the normalization
 and the gauge (overall phase) eliminated algebraically, so it can be fed
 raw amplitudes.  It is invariant under phi -> c phi, dphi -> c dphi + w phi
 for complex constants c, w, and additive over tensor factors, so the
-chain total is the plain sum over momentum blocks.
+chain total is the plain sum over momentum blocks.  Each block state is
+a 2-vector, for which the bracket equals |phi_0 dphi_1 - phi_1 dphi_0|^2 / n^2
+(Lagrange's identity); that form is what the sums use, and it cannot go
+negative.
 
 Dynamical probe:  evolve the pair vacuum with each block propagator and
 differentiate analytically.  Stationary probe:  reference eigenvector
@@ -30,8 +33,6 @@ from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import _describe, block_arrays, probe_vectors
 from .dynamics import trajectory_arrays
 
-# Totals this far below zero are numerical dust and clip to zero.
-QFI_CLIP = -1e-10
 # Mode x time cells that qfi_curve evaluates at once (about 128 B each).
 CHUNK_CELLS = 1 << 16
 
@@ -75,12 +76,6 @@ def mode_qfi(phi, dphi) -> float:
     return float(4.0 * np.vdot(perp, perp).real / n)
 
 
-def _clip_total(total: float) -> float:
-    if QFI_CLIP < total < 0.0:
-        return 0.0
-    return total
-
-
 def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     """Dynamical QFI at each time in t_grid, streamed over chunks of modes.
 
@@ -110,15 +105,14 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
         n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
         if (n < 1e-300).any():
             raise UnderflowError("evolved norm underflow in qfi_curve")
-        g = d0.real ** 2 + d0.imag ** 2 + d1.real ** 2 + d1.imag ** 2
-        o = np.conj(amp0) * d0 + np.conj(amp2) * d1
-        per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+        cross = amp0 * d1 - amp2 * d0
+        per_mode = 4.0 * (cross.real ** 2 + cross.imag ** 2) / (n * n)
         if totals is not None:
             per_mode = np.concatenate([totals, per_mode])
         totals = np.add.reduce(per_mode, axis=0, keepdims=True)
     if not np.isfinite(totals).all():
         raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
-    return np.array([_clip_total(v) for v in totals[0]])
+    return totals[0]
 
 
 def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSample:
@@ -192,12 +186,11 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
         dv = (4.0 * d_half - d_full) / 3.0
 
         n = np.sum(v0.real ** 2 + v0.imag ** 2, axis=1)
-        g = np.sum(dv.real ** 2 + dv.imag ** 2, axis=1)
-        o = np.sum(np.conj(v0) * dv, axis=1)
-        per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
+        cross = v0[:, 0] * dv[:, 1] - v0[:, 1] * dv[:, 0]
+        per_mode = 4.0 * (cross.real ** 2 + cross.imag ** 2) / (n * n)
     if not np.isfinite(per_mode).all():
         raise NumericalError(f"non-finite stationary QFI at {_describe(params)}")
-    total = _clip_total(math.fsum(per_mode))
+    total = math.fsum(per_mode)
 
     straddled = int(np.count_nonzero(
         np.sign(eps_edge[step]) != np.sign(eps_edge[-step])))

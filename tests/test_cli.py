@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import ixysense
+from ixysense.analysis import ScalingAnchor
 from ixysense.cli import main, resolve_config
 from ixysense.errors import ConfigError
+from ixysense.model import ThetaKind
 
 
 def _read_csv(path):
@@ -41,6 +43,29 @@ def test_resolve_config_layering(tmp_path):
 def test_resolve_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         resolve_config("dispersion", None, ["bogus=1"])
+
+
+def test_resolve_config_parses_declared_types():
+    cfg = resolve_config("stationary-scaling", None, [
+        "Z=2.0", "gamma=1", "theta=gamma", "ep_bracket=[-2,-1]", "N_list=[16,32,64.0]"])
+    assert cfg["Z"] == 2 and type(cfg["Z"]) is int
+    assert cfg["gamma"] == 1.0 and type(cfg["gamma"]) is float
+    assert cfg["theta"] is ThetaKind.ANISOTROPY_GAMMA
+    assert cfg["anchor"] is ScalingAnchor.CRITICAL_POINT
+    assert cfg["ep_bracket"] == (-2.0, -1.0)
+    assert cfg["N_list"] == [16, 32, 64] and cfg["fd_step"] is None
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("dispersion", "theta"), ("exceptional-point", "theta"), ("ep-table", "theta"),
+    ("ep-table", "Z"), ("ep-table", "alpha"), ("size-scaling", "N"),
+    ("stationary-scaling", "N"), ("oracle-check", "N"), ("oracle-check", "Z"),
+    ("oracle-check", "alpha"), ("oracle-check", "gamma"), ("oracle-check", "h"),
+    ("oracle-check", "theta"),
+])
+def test_keys_a_runner_does_not_read_are_rejected(experiment, key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        resolve_config(experiment, None, [f"{key}=1"])
 
 
 def test_resolve_config_experiment_mismatch(tmp_path):
@@ -75,6 +100,19 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# Values of the wrong type, each parsed against its key's declared type.
+TYPE_ERRORS = [
+    ("qfi-dynamics", "Z_list=5"),
+    ("qfi-dynamics", "t_points=[3]"),
+    ("size-scaling", "t_eval=[1]"),
+    ("ratio", "n_grid={}"),
+    ("time-scaling", "transient_points=[2]"),
+    ("oracle-check", "rel_tol=[1]"),
+    ("exceptional-point", "ep_tol=null"),
+    ("qfi-dynamics", "Z_list=[1.7]"),
+]
+
+
 @pytest.mark.parametrize("experiment,override", [
     ("dispersion", "h=NaN"),
     ("dispersion", "gamma=Infinity"),
@@ -87,6 +125,8 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     ("exceptional-point", "ep_bracket=[-0.7,-1.2]"),
     ("stationary-scaling", "N_list=[1024,2048]"),
     ("size-scaling", "N_list=[64,64,128]"),
+    *TYPE_ERRORS,
+    ("dispersion", "theta=bogus"),  # dispersion reads no theta
 ])
 def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     # non-finite model values and values a runner rejects end in one
@@ -96,6 +136,15 @@ def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_type_errors_name_the_key_and_write_nothing(tmp_path, capsys):
+    for experiment, override in TYPE_ERRORS:
+        key = override.split("=")[0]
+        out = tmp_path / experiment
+        assert main([experiment, "--set", override, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
 
 
 def test_cli_import_skips_scipy_integrate():

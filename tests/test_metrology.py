@@ -13,7 +13,6 @@ from ixysense import metrology
 from ixysense.dynamics import evolve_mode_derivative, trajectory_arrays
 from ixysense.errors import NumericalError, UnderflowError
 from ixysense.metrology import (
-    QFI_CLIP,
     dynamical_qfi,
     mode_qfi,
     qfi_curve,
@@ -147,11 +146,9 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
         a[:, None], b[:, None], j_imag[:, None], eps_sq[:, None],
         hermitian, t_grid[None, :], theta_kind)
     n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
-    g = d0.real ** 2 + d0.imag ** 2 + d1.real ** 2 + d1.imag ** 2
-    o = np.conj(amp0) * d0 + np.conj(amp2) * d1
-    per_mode = 4.0 * (g / n - (o.real ** 2 + o.imag ** 2) / (n * n))
-    totals = np.add.reduce(per_mode, axis=0)
-    return np.where((QFI_CLIP < totals) & (totals < 0.0), 0.0, totals)
+    cross = amp0 * d1 - amp2 * d0
+    per_mode = 4.0 * (cross.real ** 2 + cross.imag ** 2) / (n * n)
+    return np.add.reduce(per_mode, axis=0)
 
 
 # t = 0 and Taylor-small times, then out to t = 1000, where the broken
