@@ -67,6 +67,17 @@ def _float(value) -> float:
     raise ValueError(f"expected a finite number, got {json.dumps(value)}")
 
 
+def _at_least(parse, bound, strict=False):
+    """parse, then require the value to be >= bound (> bound when strict)."""
+    def check(value):
+        parsed = parse(value)
+        if parsed < bound or (strict and parsed == bound):
+            raise ValueError(
+                f"must be {'>' if strict else '>='} {bound}, got {json.dumps(value)}")
+        return parsed
+    return check
+
+
 def _list(item):
     def parse(value) -> list:
         if not isinstance(value, list) or not value:
@@ -85,6 +96,13 @@ def _ordered_pair(value) -> tuple[float, float]:
     lo, hi = _pair(value)
     if not lo < hi:
         raise ValueError(f"needs lo < hi, got {json.dumps(value)}")
+    return lo, hi
+
+
+def _time_window(value) -> tuple[float, float]:
+    lo, hi = _pair(value)
+    if not 0 < lo < hi:
+        raise ValueError(f"needs 0 < lo < hi, got {json.dumps(value)}")
     return lo, hi
 
 
@@ -202,11 +220,14 @@ def _fmt(value) -> str:
 
 
 class RunWriter:
-    """Collects output files, warnings, and derived values for one run."""
+    """Collects output files, warnings, and derived values for one run.
+
+    The output directory is created by the first write, so a run that
+    fails before writing anything leaves no directory behind.
+    """
 
     def __init__(self, out_dir: str, experiment: str, cfg: dict):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.experiment = experiment
         self.cfg = cfg
         self.outputs: list[str] = []
@@ -221,8 +242,12 @@ class RunWriter:
             lines.append("derived " + json.dumps(self.derived, sort_keys=True))
         return lines
 
+    def _path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
+
     def csv(self, name: str, header: str, rows) -> Path:
-        path = self.dir / name
+        path = self._path(name)
         with open(path, "w") as f:
             for line in self._preamble():
                 f.write(f"# {line}\n")
@@ -235,7 +260,7 @@ class RunWriter:
 
     def fits(self, groups) -> Path:
         records = [{"group": group, **asdict(fit)} for group, fit in groups]
-        path = self.dir / "fits.json"
+        path = self._path("fits.json")
         path.write_text(json.dumps({"fits": records}, indent=2, sort_keys=True) + "\n")
         self.outputs.append("fits.json")
         print(f"wrote {path}")
@@ -251,7 +276,7 @@ class RunWriter:
             "outputs": self.outputs,
             "wall_time_s": time.perf_counter() - self._t0,
         }
-        path = self.dir / "manifest.json"
+        path = self._path("manifest.json")
         path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
         return path
@@ -259,14 +284,12 @@ class RunWriter:
 
 def _time_grid(cfg: dict) -> np.ndarray:
     lo, hi, n = cfg["t_min"], cfg["t_max"], cfg["t_points"]
-    if n < 2:
-        raise ConfigError(f"t_points must be >= 2, got {n}")
     if not hi > lo:
-        raise ConfigError(f"need t_max > t_min, got [{lo}, {hi}]")
+        raise ConfigError(f"t_min, t_max: need t_min < t_max, got t_min={lo!r}, t_max={hi!r}")
     if cfg["t_spacing"] == "linear":
         return np.linspace(lo, hi, n)
     if lo <= 0:
-        raise ConfigError("log spacing needs t_min > 0")
+        raise ConfigError(f"t_min, t_spacing: log spacing needs t_min > 0, got t_min={lo!r}")
     return np.geomspace(lo, hi, n)
 
 
@@ -365,6 +388,9 @@ def _run_stationary_scaling(params, cfg, writer, threads) -> int:
 
 
 def _run_ratio(params, cfg, writer, threads) -> int:
+    if not cfg["t1"] > cfg["t0"]:
+        raise ConfigError(
+            f"t0, t1: need t0 < t1, got t0={cfg['t0']!r}, t1={cfg['t1']!r}")
     res = qfi_ratio_time_avg(params, cfg["theta"], t0=cfg["t0"], t1=cfg["t1"],
                              n_grid=cfg["n_grid"])
     if res.dropped:
@@ -428,20 +454,22 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     }, _run_ep_table),
     "qfi-dynamics": ({
         **_model(*_ALL_MODEL, "theta"),
-        "Z_list": (None, _optional(_list(_int))), "t_min": (0.02, _float),
-        "t_max": (1000.0, _float), "t_points": (300, _int),
+        "Z_list": (None, _optional(_list(_int))),
+        "t_min": (0.02, _at_least(_float, 0.0)), "t_max": (1000.0, _float),
+        "t_points": (300, _at_least(_int, 2)),
         "t_spacing": ("log", _choice(("log", "linear"))),
     }, _run_qfi_dynamics),
     "time-scaling": ({
         **_model(*_ALL_MODEL, "theta"),
-        "transient_window": ([TRANSIENT_GRID[0], TRANSIENT_GRID[-1]], _pair),
-        "transient_points": (len(TRANSIENT_GRID), _int),
-        "longtime_window": ([LONGTIME_GRID[0], LONGTIME_GRID[-1]], _pair),
-        "longtime_points": (len(LONGTIME_GRID), _int),
+        "transient_window": ([TRANSIENT_GRID[0], TRANSIENT_GRID[-1]], _time_window),
+        "transient_points": (len(TRANSIENT_GRID), _at_least(_int, 3)),
+        "longtime_window": ([LONGTIME_GRID[0], LONGTIME_GRID[-1]], _time_window),
+        "longtime_points": (len(LONGTIME_GRID), _at_least(_int, 3)),
     }, _run_time_scaling),
     "size-scaling": ({
         **_model("Z", "alpha", "gamma", "h", "anisotropy", "theta"),
-        "N_list": (list(DYNAMICAL_N_LIST), _fitted_sizes), "t_eval": (200.0, _float),
+        "N_list": (list(DYNAMICAL_N_LIST), _fitted_sizes),
+        "t_eval": (200.0, _at_least(_float, 0.0)),
     }, _run_size_scaling),
     "stationary-scaling": ({
         **_model("Z", "alpha", "gamma", "h", "anisotropy", "theta"),
@@ -449,11 +477,12 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
         "anchor": ("critical-point", _choice(ScalingAnchor)),
         "dh_list": (list(STATIONARY_DH_LIST), _list(_float)),
         "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),
-        "fd_step": (None, _optional(_float)),
+        "fd_step": (None, _optional(_at_least(_float, 0.0, strict=True))),
     }, _run_stationary_scaling),
     "ratio": ({
         **_model(*_ALL_MODEL, "theta"),
-        "t0": (200.0, _float), "t1": (1000.0, _float), "n_grid": (801, _int),
+        "t0": (200.0, _at_least(_float, 0.0)), "t1": (1000.0, _float),
+        "n_grid": (801, _at_least(_int, 2)),
     }, _run_ratio),
     "oracle-check": ({
         **_model("anisotropy"),

@@ -149,43 +149,81 @@ def propagator(block: ModeBlock, t: float) -> np.ndarray:
     return complex(c) * _EYE2 - 1j * complex(s) * block.matrix()
 
 
+def _theta_rates(a, b, j_imag, hermitian, theta_kind):
+    """dx/dtheta and the column dM/dtheta (1, 0) = (u, v) of each block.
+
+    theta = h:      dx/dtheta = 2a,            (u, v) = (-1, 0)
+    theta = gamma:  dx/dtheta = -+ 2 b J^I,    (u, v) = (0, +-J^I)
+    (upper signs non-Hermitian, lower Hermitian).
+    """
+    if theta_kind is ThetaKind.FIELD_H:
+        return 2.0 * a, -1.0, 0.0
+    if theta_kind is ThetaKind.ANISOTROPY_GAMMA:
+        if hermitian:
+            return 2.0 * b * j_imag, 0.0, -j_imag
+        return -2.0 * b * j_imag, 0.0, j_imag
+    raise ValueError(f"unknown theta_kind: {theta_kind!r}")
+
+
 def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
-    """Amplitudes plus analytic theta-derivatives on a (modes x times) grid.
+    """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
 
     a, b, j_imag and x hold one value per mode and t one per time, with
     the mode axes before the time axes (x[:, None] against t[None, :]);
     either side may be a scalar.
 
-    Derivative of U(t)(1,0) at fixed t, with m = M_10 (b non-Hermitian,
-    -b Hermitian):
+    The evolved amplitudes phi = U(t)(1, 0) = (C + i a S, -i m S), with
+    m = M_10 (b non-Hermitian, -b Hermitian), have the theta-derivative
 
-        dphi = (dx/dtheta) (C_x + i a S_x, -i m S_x) - i S dM/dtheta (1, 0)
+        dphi = (dx/dtheta) (C_x + i a S_x, -i m S_x) - i S (u, v)
 
-    with, for theta = h:      dx/dtheta = 2a,        dM (1,0) = (-1, 0)
-    and for theta = gamma:    dx/dtheta = -+ 2 b J^I, dM (1,0) = (0, +-J^I)
-    (upper signs non-Hermitian, lower Hermitian).  All outputs share the
-    inert factor exp(-sigma).
+    with dx/dtheta and (u, v) = dM/dtheta (1, 0) from _theta_rates.  The
+    norm n = |phi|^2 and the cross term phi_0 dphi_1 - phi_1 dphi_0 =
+    cr + i ci are then real polynomials in C, S, C_x and S_x:
+
+        n  = C^2 + (a^2 + m^2) S^2
+        cr = (a v + m u) S^2
+        ci = (dx/dtheta) m W - v C S,      W = S C_x - C S_x.
+
+    They are written in place over the kernel arrays, and returned as
+    (n, cr, ci, sigma).  n, cr and ci share the inert factor
+    exp(-2 sigma), which cancels in 4 (cr^2 + ci^2) / n^2.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     j_imag = np.asarray(j_imag, dtype=float)
     m = -b if hermitian else b  # lower-left block entry M_10
+    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     c, s, sig = _kernels(x, t)
-    dc, ds = _kernel_derivs(x, t, c, s)
-    amp0 = c + 1j * (a * s)
-    amp2 = -1j * (m * s)
-    if theta_kind is ThetaKind.FIELD_H:
-        xp = 2.0 * a
-        d0 = xp * (dc + 1j * (a * ds)) + 1j * s
-        d1 = xp * (-1j * (m * ds))
-    elif theta_kind is ThetaKind.ANISOTROPY_GAMMA:
-        sgn = 1.0 if hermitian else -1.0
-        xp = sgn * 2.0 * b * j_imag
-        mp = -j_imag if hermitian else j_imag  # dM_10/dgamma
-        d0 = xp * (dc + 1j * (a * ds))
-        d1 = xp * (-1j * (m * ds)) - 1j * (s * mp)
-    else:
-        raise ValueError(f"unknown theta_kind: {theta_kind!r}")
+    ci, cr = _kernel_derivs(x, t, c, s)  # C_x and S_x, overwritten below
+    np.multiply(ci, s, out=ci)
+    np.multiply(cr, c, out=cr)
+    np.subtract(ci, cr, out=ci)  # W
+    np.multiply(ci, xp * m, out=ci)
+    if theta_kind is ThetaKind.ANISOTROPY_GAMMA:  # v = 0 for theta = h
+        np.multiply(c, s, out=cr)
+        np.multiply(cr, v, out=cr)
+        np.subtract(ci, cr, out=ci)
+    s2 = np.multiply(s, s, out=s)
+    np.multiply(s2, a * v + m * u, out=cr)
+    n = np.multiply(c, c, out=c)
+    n += np.multiply(s2, a * a + m * m, out=s2)
+    return n, cr, ci, sig
+
+
+def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
+    """Complex amplitudes of one block, their theta-derivative and sigma.
+
+    The scalar form of trajectory_arrays, built from the same kernels.
+    """
+    c, s, sig = (float(k) for k in _kernels(x, t))
+    dc, ds = (float(k) for k in _kernel_derivs(x, t, c, s))
+    m = -b if hermitian else b
+    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
+    amp0 = complex(c, a * s)
+    amp2 = complex(0.0, -(m * s))
+    d0 = complex(xp * dc, xp * (a * ds) - s * u)
+    d1 = complex(0.0, -(xp * (m * ds)) - s * v)
     return amp0, amp2, d0, d1, sig
 
 
@@ -193,24 +231,23 @@ def evolve_mode(block: ModeBlock, t: float) -> ModeState:
     """Normalized evolved state of one block from the pair vacuum."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    amp0, amp2, _, _, sig = trajectory_arrays(
+    amp0, amp2, _, _, sig = _mode_amplitudes(
         block.a, block.b, block.j_imag, block.eps_sq, block.hermitian, t,
         ThetaKind.FIELD_H)
-    amp0 = complex(amp0)
-    amp2 = complex(amp2)
     n2 = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
     if n2 < 1e-300:
         raise UnderflowError(
             f"evolved norm underflow at t={t} (eps_sq={block.eps_sq})")
     n = math.sqrt(n2)
-    return ModeState(amp0 / n, amp2 / n, prenorm=n, log_scale=float(sig))
+    return ModeState(amp0 / n, amp2 / n, prenorm=n, log_scale=sig)
 
 
 def evolve_mode_derivative(params: ModelParams, p: int, t: float,
                            theta_kind: ThetaKind) -> ModeTrajectory:
     """Unnormalized amplitudes of block p and their analytic theta-derivative.
 
-    A view onto row p - 1 of the array path (block_arrays, trajectory_arrays).
+    A view onto row p - 1 of block_arrays, evolved by the kernels of
+    trajectory_arrays.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -219,7 +256,6 @@ def evolve_mode_derivative(params: ModelParams, p: int, t: float,
         raise ValueError(f"p must be in 1..{n_blocks}, got {p}")
     _, _, j_imag, a, b, x = (col[p - 1] for col in block_arrays(params))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    amp0, amp2, d0, d1, sig = trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind)
-    state = ModeState(complex(amp0), complex(amp2), log_scale=float(sig))
-    return ModeTrajectory(state=state, dstate=(complex(d0), complex(d1)),
+    amp0, amp2, d0, d1, sig = _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind)
+    return ModeTrajectory(state=ModeState(amp0, amp2, log_scale=sig), dstate=(d0, d1),
                           theta_kind=theta_kind)

@@ -33,8 +33,10 @@ from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import _describe, block_arrays, probe_vectors
 from .dynamics import trajectory_arrays
 
-# Mode x time cells that qfi_curve evaluates at once (about 128 B each).
-CHUNK_CELLS = 1 << 16
+# Mode x time cells that qfi_curve evaluates at once.  Each chunk array is
+# then at most 128 KiB, small enough that malloc reuses the same heap pages
+# from chunk to chunk instead of returning them to the OS after each one.
+CHUNK_CELLS = 1 << 14
 
 
 @dataclass
@@ -81,12 +83,15 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
 
     Each chunk holds about CHUNK_CELLS mode x time cells, so the working
     memory is O(CHUNK_CELLS) beyond the O(N) block arrays, whatever N and
-    the grid size.  The running totals are one row; each later chunk is
-    stacked under it and reduced along the mode axis.  numpy reduces a
-    C-ordered array over its leading axis row by row, so with two or more
-    times the totals are a sequential sum in mode order whatever the chunk
-    size.  (With a single time a chunk is one column, which numpy sums
-    pairwise; one chunk then holds up to CHUNK_CELLS modes.)
+    the grid size.  The per-mode values 4 (cr^2 + ci^2) / n^2 are formed
+    in place over the chunk's trajectory_arrays output.  The running
+    totals are one row, added into the first row of the next chunk before
+    that chunk is reduced along the mode axis.  numpy reduces a C-ordered
+    array over its leading axis row by row, so with two or more times the
+    totals are a sequential sum in mode order whatever the chunk size.
+    (With a single time a chunk is one column, which numpy sums pairwise;
+    one chunk then holds up to CHUNK_CELLS = 16384 modes.  The default
+    experiments evaluate at most 2048 modes (N = 4096), one chunk each.)
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.isfinite(t_grid).all():
@@ -99,20 +104,22 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     totals = None
     for lo in range(0, eps_sq.size, rows):
         chunk = slice(lo, lo + rows)
-        amp0, amp2, d0, d1, _ = trajectory_arrays(
+        n, cr, ci, _ = trajectory_arrays(
             a[chunk, None], b[chunk, None], j_imag[chunk, None], eps_sq[chunk, None],
             hermitian, t_grid[None, :], theta_kind)
-        n = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
         if (n < 1e-300).any():
             raise UnderflowError("evolved norm underflow in qfi_curve")
-        cross = amp0 * d1 - amp2 * d0
-        per_mode = 4.0 * (cross.real ** 2 + cross.imag ** 2) / (n * n)
+        # per-mode QFI 4 (cr^2 + ci^2) / n^2, over the chunk's own arrays
+        per_mode = np.multiply(cr, cr, out=cr)
+        per_mode += np.multiply(ci, ci, out=ci)
+        per_mode *= 4.0
+        per_mode /= np.multiply(n, n, out=n)
         if totals is not None:
-            per_mode = np.concatenate([totals, per_mode])
-        totals = np.add.reduce(per_mode, axis=0, keepdims=True)
+            per_mode[0] += totals  # the sum goes on in mode order
+        totals = np.add.reduce(per_mode, axis=0)
     if not np.isfinite(totals).all():
         raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
-    return totals[0]
+    return totals
 
 
 def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSample:

@@ -83,6 +83,7 @@ def test_malformed_config_reports_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_print_config(capsys):
@@ -98,6 +99,7 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert main(["dispersion", "--set", "N=7",
                  "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # Values of the wrong type, each parsed against its key's declared type.
@@ -112,13 +114,32 @@ TYPE_ERRORS = [
     ("qfi-dynamics", "Z_list=[1.7]"),
 ]
 
+# Values outside a single key's bounds, which its type rejects.
+BOUND_ERRORS = [
+    ("size-scaling", "t_eval=-1"),
+    ("ratio", "t0=-1"),
+    ("ratio", "n_grid=1"),
+    ("stationary-scaling", "fd_step=-1"),
+    ("stationary-scaling", "fd_step=0"),
+    ("qfi-dynamics", "t_min=-1"),
+    ("qfi-dynamics", "t_points=1"),
+    ("time-scaling", "transient_window=[-1,2]"),
+    ("time-scaling", "longtime_window=[1000,200]"),
+    ("time-scaling", "transient_points=2"),
+]
+
+# Values that conflict with another key, and the keys the message names.
+CROSS_KEY_ERRORS = [
+    ("ratio", "t0=5 t1=2", ("t0", "t1")),
+    ("qfi-dynamics", "t_min=5 t_max=2", ("t_min", "t_max")),
+    ("qfi-dynamics", "t_min=0", ("t_min", "t_spacing")),
+]
+
 
 @pytest.mark.parametrize("experiment,override", [
     ("dispersion", "h=NaN"),
     ("dispersion", "gamma=Infinity"),
     ("oracle-check", "N_list=[16]"),
-    ("size-scaling", "t_eval=-1"),
-    ("ratio", "t0=-1"),
     ("size-scaling", "t_eval=NaN N_list=[64,128,256]"),
     ("qfi-dynamics", "t_max=Infinity N=64"),
     ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
@@ -126,20 +147,31 @@ TYPE_ERRORS = [
     ("stationary-scaling", "N_list=[1024,2048]"),
     ("size-scaling", "N_list=[64,64,128]"),
     *TYPE_ERRORS,
+    *BOUND_ERRORS,
+    *[(experiment, override) for experiment, override, _ in CROSS_KEY_ERRORS],
     ("dispersion", "theta=bogus"),  # dispersion reads no theta
 ])
 def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     # non-finite model values and values a runner rejects end in one
-    # config-error line, not a traceback or a NaN result; override holds
-    # one or more space-separated --set values
+    # config-error line, not a traceback or a NaN result, and leave no
+    # output directory; override holds one or more space-separated --set
+    # values
     sets = [arg for value in override.split() for arg in ("--set", value)]
     assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment,override,keys", CROSS_KEY_ERRORS)
+def test_cross_key_errors_name_both_keys(tmp_path, capsys, experiment, override, keys):
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {', '.join(keys)}: ")
 
 
 def test_type_errors_name_the_key_and_write_nothing(tmp_path, capsys):
-    for experiment, override in TYPE_ERRORS:
+    for experiment, override in TYPE_ERRORS + BOUND_ERRORS:
         key = override.split("=")[0]
         out = tmp_path / experiment
         assert main([experiment, "--set", override, "--out", str(out)]) == 2
@@ -162,6 +194,7 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("experiment,override,named", [
@@ -181,7 +214,7 @@ def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert named in err
-    assert not list((tmp_path / "o").glob("*.csv"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_huge_finite_field_runs_without_warning(tmp_path):

@@ -278,20 +278,26 @@ def test_analytic_derivative_matches_finite_difference():
 
 
 def test_trajectory_arrays_matches_scalar_path():
-    params = ModelParams(N=16, Z=3, alpha=1.3, gamma=0.4, h=-0.8)
-    blocks = build_blocks(params)
-    a = np.array([b.a for b in blocks])
-    b = np.array([b_.b for b_ in blocks])
-    ji = np.array([b_.j_imag for b_ in blocks])
-    x = np.array([b_.eps_sq for b_ in blocks])
-    amp0, amp2, d0, d1, _ = trajectory_arrays(a, b, ji, x, False, 1.3,
-                                              ThetaKind.FIELD_H)
-    for i, blk in enumerate(blocks):
-        traj = evolve_mode_derivative(params, blk.p, 1.3, ThetaKind.FIELD_H)
-        assert traj.state.amp0 == pytest.approx(complex(amp0[i]), rel=1e-14)
-        assert traj.state.amp2 == pytest.approx(complex(amp2[i]), rel=1e-14)
-        assert traj.dstate[0] == pytest.approx(complex(d0[i]), rel=1e-13, abs=1e-15)
-        assert traj.dstate[1] == pytest.approx(complex(d1[i]), rel=1e-13, abs=1e-15)
+    # n and the cross term cr + i ci against the complex scalar amplitudes,
+    # on unbroken and broken blocks, for both theta and both modes
+    for mode in AnisotropyMode:
+        params = ModelParams(N=16, Z=3, alpha=1.3, gamma=0.4, h=-0.8, anisotropy_mode=mode)
+        blocks = build_blocks(params)
+        a = np.array([b.a for b in blocks])
+        b = np.array([b_.b for b_ in blocks])
+        ji = np.array([b_.j_imag for b_ in blocks])
+        x = np.array([b_.eps_sq for b_ in blocks])
+        hermitian = mode is AnisotropyMode.HERMITIAN
+        assert (x < 0).any() != hermitian
+        for theta in ThetaKind:
+            n, cr, ci, _ = trajectory_arrays(a, b, ji, x, hermitian, 1.3, theta)
+            for i, blk in enumerate(blocks):
+                traj = evolve_mode_derivative(params, blk.p, 1.3, theta)
+                (amp0, amp2), (d0, d1) = traj.state.vector(), traj.dstate
+                cross = amp0 * d1 - amp2 * d0
+                assert n[i] == pytest.approx(abs(amp0) ** 2 + abs(amp2) ** 2, rel=1e-14)
+                assert cr[i] == pytest.approx(cross.real, rel=1e-13, abs=1e-15)
+                assert ci[i] == pytest.approx(cross.imag, rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("hermitian", [False, True])
