@@ -11,8 +11,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import BracketError, FitError
-from .model import (AnisotropyMode, ModelParams, ThetaKind,
-                    coupling_profile, critical_field_zero)
+from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
+                    coupling_profile, critical_field_zero, momentum_coupling)
 from .blocks import TOL_PHASE
 from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
 
@@ -91,14 +91,13 @@ class SizeScalingResult:
 
 @dataclass
 class StationaryRow:
-    """QFI against N at the field anchor + dh; fd_step is the stencil step used."""
+    """QFI against N at the field anchor + dh."""
 
     dh: float
     N: np.ndarray
     qfi: np.ndarray
     fit: PowerFit
     straddled_modes: int
-    fd_step: float
 
 
 @dataclass
@@ -124,36 +123,27 @@ def _dispersion_minimizer(profile, gamma: float, hermitian: bool):
     """Callable h -> global minimum of eps_sq over angles in (0, pi).
 
     The coupling transform J(phi) is field-independent, so it is
-    evaluated once on a uniform scan grid in a single FFT (every
-    harmonic r <= Z is an exact bin).  Per field value, the minimizing
-    scan cell is located and a bounded scalar minimization of the
-    dispersion polishes the minimum inside that cell.
+    evaluated once on the EP_SCAN_ANGLES-point odd-angle grid.  Per field
+    value, the minimizing scan cell is located and a bounded scalar
+    minimization of the dispersion polishes the minimum inside that cell.
     """
-    z = len(profile.weights)
-    big = 4 * EP_SCAN_ANGLES
-    while big <= 2 * z:
-        big *= 2
-    coeff = np.zeros(big, dtype=complex)
-    coeff[1:z + 1] = profile.weights
-    harmonics = np.fft.ifft(coeff) * big
-    j_scan = harmonics[1:2 * EP_SCAN_ANGLES:2]
+    angles = _odd_angles(EP_SCAN_ANGLES)
+    j_scan = momentum_coupling(profile, angles)
     jr_scan = np.ascontiguousarray(j_scan.real)
     bb_scan = gamma * np.ascontiguousarray(j_scan.imag)
     sign = 1.0 if hermitian else -1.0
     step = math.pi / EP_SCAN_ANGLES
-    r = np.arange(1, z + 1, dtype=float)
-    w = np.asarray(profile.weights, dtype=float)
 
     def minimum(h: float) -> float:
         a = h + jr_scan
         eps_scan = a * a + sign * (bb_scan * bb_scan)
         k = int(np.argmin(eps_scan))
-        phi_k = (2 * k + 1) * math.pi / (2 * EP_SCAN_ANGLES)
+        phi_k = float(angles[k])
 
         def eps_sq_at(phi: float) -> float:
-            rphi = r * phi
-            aa = h + float(np.dot(w, np.cos(rphi)))
-            bb = gamma * float(np.dot(w, np.sin(rphi)))
+            j = momentum_coupling(profile, phi)
+            aa = h + j.real
+            bb = gamma * j.imag
             return aa * aa + sign * (bb * bb)
 
         res = minimize_scalar(eps_sq_at, method="bounded",
@@ -288,7 +278,6 @@ def resolve_anchor(params: ModelParams, anchor: ScalingAnchor,
 def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
                              dh_list=None, N_list=None,
                              anchor: ScalingAnchor = ScalingAnchor.CRITICAL_POINT,
-                             fd_step: float | None = None,
                              ep_bracket: tuple[float, float] = DEFAULT_EP_BRACKET,
                              threads: int = 1) -> StationaryScalingResult:
     """Stationary QFI size scaling at fields anchor + dh.
@@ -304,17 +293,14 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
 
     def cell(job):
         dh, n = job
-        return stationary_qfi(replace(params, N=int(n), h=anchor_value + dh),
-                              theta_kind, fd_step)
+        return stationary_qfi(replace(params, N=int(n), h=anchor_value + dh), theta_kind)
 
     flat = run_cells(cell, [(dh, n) for dh in offsets for n in sizes], threads)
     rows = []
     for i, dh in enumerate(offsets):
         samples = flat[i * sizes.size:(i + 1) * sizes.size]
         qfi = np.array([s.value for s in samples])
-        # the stencil step depends on the field and gamma only, so not on N
         rows.append(StationaryRow(
             dh=dh, N=sizes, qfi=qfi, fit=fit_power_law(sizes, qfi, window),
-            straddled_modes=sum(s.meta["straddled_modes"] for s in samples),
-            fd_step=samples[0].meta["fd_step"]))
+            straddled_modes=sum(s.meta["straddled_modes"] for s in samples)))
     return StationaryScalingResult(anchor_value=anchor_value, rows=tuple(rows))

@@ -41,7 +41,7 @@ from .analysis import (
     sweep_time_scaling,
 )
 from .blocks import TOL_PHASE, build_blocks, classify_phase
-from .dense import dense_evolve_qfi
+from .dense import MAX_DENSE_SITES, dense_evolve_qfi
 from .errors import ConfigError, NumericalError
 from .metrology import dynamical_qfi, qfi_curve, qfi_ratio_time_avg
 from .model import AnisotropyMode, ModelParams, ThetaKind
@@ -67,15 +67,22 @@ def _float(value) -> float:
     raise ValueError(f"expected a finite number, got {json.dumps(value)}")
 
 
-def _at_least(parse, bound, strict=False):
-    """parse, then require the value to be >= bound (> bound when strict)."""
+def _at_least(parse, bound):
+    """parse, then require the value to be >= bound."""
     def check(value):
         parsed = parse(value)
-        if parsed < bound or (strict and parsed == bound):
-            raise ValueError(
-                f"must be {'>' if strict else '>='} {bound}, got {json.dumps(value)}")
+        if parsed < bound:
+            raise ValueError(f"must be >= {bound}, got {json.dumps(value)}")
         return parsed
     return check
+
+
+def _dense_size(value) -> int:
+    n = _int(value)
+    if n % 2 or not 4 <= n <= MAX_DENSE_SITES:
+        raise ValueError(f"expected an even N with 4 <= N <= {MAX_DENSE_SITES}, "
+                         f"got {json.dumps(value)}")
+    return n
 
 
 def _list(item):
@@ -139,7 +146,8 @@ def _plain(value):
 
 # Model and probe keys: name -> (default, type).  An experiment declares
 # the ones its runner reads; a ModelParams field it leaves out is taken
-# from the first entry of its <field>_list key.
+# from the first entry of its <field>_list key, or, for an h that the
+# runner sets itself or never reads, is 0.
 _MODEL = {
     "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _float),
     "gamma": (0.3, _float), "h": (-0.7, _float),
@@ -153,7 +161,7 @@ def _model(*names) -> dict:
 
 
 def _params(cfg: dict) -> ModelParams:
-    fields = {name: cfg[name] if name in cfg else cfg[f"{name}_list"][0]
+    fields = {name: cfg[name] if name in cfg else cfg.get(f"{name}_list", [0.0])[0]
               for name in ("N", "Z", "alpha", "gamma", "h")}
     return ModelParams(**fields, anisotropy_mode=cfg["anisotropy"])
 
@@ -365,10 +373,8 @@ def _run_size_scaling(params, cfg, writer, threads) -> int:
 def _run_stationary_scaling(params, cfg, writer, threads) -> int:
     res = sweep_stationary_scaling(params, cfg["theta"], dh_list=cfg["dh_list"],
                                    N_list=cfg["N_list"], anchor=cfg["anchor"],
-                                   fd_step=cfg["fd_step"], ep_bracket=cfg["ep_bracket"],
-                                   threads=threads)
+                                   ep_bracket=cfg["ep_bracket"], threads=threads)
     writer.derived["anchor_value"] = res.anchor_value
-    writer.derived["fd_steps"] = sorted({row.fd_step for row in res.rows})
     rows_csv = []
     groups = []
     for row in res.rows:
@@ -446,9 +452,10 @@ _EP_KEYS = {"ep_bracket": (list(DEFAULT_EP_BRACKET), _ordered_pair),
 # them, no hidden knobs.
 EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "dispersion": (_model(*_ALL_MODEL), _run_dispersion),
-    "exceptional-point": ({**_model(*_ALL_MODEL), **_EP_KEYS}, _run_exceptional_point),
+    "exceptional-point": ({**_model("N", "Z", "alpha", "gamma", "anisotropy"), **_EP_KEYS},
+                          _run_exceptional_point),
     "ep-table": ({
-        **_model("N", "gamma", "h", "anisotropy"), **_EP_KEYS,
+        **_model("N", "gamma", "anisotropy"), **_EP_KEYS,
         "Z_list": ([1, 2, 4, 7], _list(_int)),
         "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_float)),
     }, _run_ep_table),
@@ -472,12 +479,11 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
         "t_eval": (200.0, _at_least(_float, 0.0)),
     }, _run_size_scaling),
     "stationary-scaling": ({
-        **_model("Z", "alpha", "gamma", "h", "anisotropy", "theta"),
+        **_model("Z", "alpha", "gamma", "anisotropy", "theta"),
         "ep_bracket": _EP_KEYS["ep_bracket"],
         "anchor": ("critical-point", _choice(ScalingAnchor)),
         "dh_list": (list(STATIONARY_DH_LIST), _list(_float)),
         "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),
-        "fd_step": (None, _optional(_at_least(_float, 0.0, strict=True))),
     }, _run_stationary_scaling),
     "ratio": ({
         **_model(*_ALL_MODEL, "theta"),
@@ -486,7 +492,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     }, _run_ratio),
     "oracle-check": ({
         **_model("anisotropy"),
-        "N_list": ([4, 6, 8], _list(_int)), "Z_list": ([1, 2], _list(_int)),
+        "N_list": ([4, 6, 8], _list(_dense_size)), "Z_list": ([1, 2], _list(_int)),
         "alpha_list": ([1.5], _list(_float)), "gamma_list": ([0.0, 0.3], _list(_float)),
         "h_list": ([-0.7, -1.5], _list(_float)),
         "t_list": ([0.5, 1.0, 2.0], _list(_float)),

@@ -79,19 +79,21 @@ def mode_qfi(phi, dphi) -> float:
 
 
 def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
-    """Dynamical QFI at each time in t_grid, streamed over chunks of modes.
+    """Dynamical QFI at each time in t_grid, streamed over mode x time chunks.
 
-    Each chunk holds about CHUNK_CELLS mode x time cells, so the working
-    memory is O(CHUNK_CELLS) beyond the O(N) block arrays, whatever N and
-    the grid size.  The per-mode values 4 (cr^2 + ci^2) / n^2 are formed
-    in place over the chunk's trajectory_arrays output.  The running
-    totals are one row, added into the first row of the next chunk before
-    that chunk is reduced along the mode axis.  numpy reduces a C-ordered
-    array over its leading axis row by row, so with two or more times the
-    totals are a sequential sum in mode order whatever the chunk size.
-    (With a single time a chunk is one column, which numpy sums pairwise;
-    one chunk then holds up to CHUNK_CELLS = 16384 modes.  The default
-    experiments evaluate at most 2048 modes (N = 4096), one chunk each.)
+    Each chunk holds about CHUNK_CELLS mode x time cells: a run of modes
+    by the whole grid, or, for a grid of more than CHUNK_CELLS times, one
+    mode by a block of CHUNK_CELLS times.  The working memory is then one
+    chunk beyond the O(N) block arrays and the O(T) totals, whatever N and
+    T.  The per-mode values 4 (cr^2 + ci^2) / n^2 are formed in place over
+    the chunk's trajectory_arrays output.  A block's running totals are
+    added into the first row of the next chunk before that chunk is
+    reduced along the mode axis.  numpy reduces a C-ordered array over its
+    leading axis row by row, so with two or more times the totals are a
+    sequential sum in mode order whatever the chunk size.  (With a single
+    time a chunk is one column, which numpy sums pairwise; one chunk then
+    holds up to CHUNK_CELLS = 16384 modes.  The default experiments
+    evaluate at most 2048 modes (N = 4096), one chunk each.)
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.isfinite(t_grid).all():
@@ -101,22 +103,24 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     _, _, j_imag, a, b, eps_sq = block_arrays(params)
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
-    totals = None
-    for lo in range(0, eps_sq.size, rows):
-        chunk = slice(lo, lo + rows)
-        n, cr, ci, _ = trajectory_arrays(
-            a[chunk, None], b[chunk, None], j_imag[chunk, None], eps_sq[chunk, None],
-            hermitian, t_grid[None, :], theta_kind)
-        if (n < 1e-300).any():
-            raise UnderflowError("evolved norm underflow in qfi_curve")
-        # per-mode QFI 4 (cr^2 + ci^2) / n^2, over the chunk's own arrays
-        per_mode = np.multiply(cr, cr, out=cr)
-        per_mode += np.multiply(ci, ci, out=ci)
-        per_mode *= 4.0
-        per_mode /= np.multiply(n, n, out=n)
-        if totals is not None:
-            per_mode[0] += totals  # the sum goes on in mode order
-        totals = np.add.reduce(per_mode, axis=0)
+    totals = np.empty(t_grid.size)
+    for t0 in range(0, t_grid.size, CHUNK_CELLS):
+        block = slice(t0, t0 + CHUNK_CELLS)
+        for lo in range(0, eps_sq.size, rows):
+            chunk = slice(lo, lo + rows)
+            n, cr, ci, _ = trajectory_arrays(
+                a[chunk, None], b[chunk, None], j_imag[chunk, None],
+                eps_sq[chunk, None], hermitian, t_grid[None, block], theta_kind)
+            if (n < 1e-300).any():
+                raise UnderflowError("evolved norm underflow in qfi_curve")
+            # per-mode QFI 4 (cr^2 + ci^2) / n^2, over the chunk's own arrays
+            per_mode = np.multiply(cr, cr, out=cr)
+            per_mode += np.multiply(ci, ci, out=ci)
+            per_mode *= 4.0
+            per_mode /= np.multiply(n, n, out=n)
+            if lo:
+                per_mode[0] += totals[block]  # the sum goes on in mode order
+            totals[block] = np.add.reduce(per_mode, axis=0)
     if not np.isfinite(totals).all():
         raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
     return totals
@@ -159,21 +163,18 @@ def _regauge(v: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     return v * phase[:, None]
 
 
-def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
-                   fd_step: float | None = None) -> QfiSample:
+def stationary_qfi(params: ModelParams, theta_kind: ThetaKind) -> QfiSample:
     """Fisher information of the stationary reference probe.
 
     Per-mode eigenvector derivatives use gauge-fixed central differences
-    with one Richardson refinement (steps fd_step and fd_step/2); all
-    stencil states are re-gauged against the center state's largest
+    with one Richardson refinement (steps s and s/2, s = 1e-6 max(1, |theta|));
+    all stencil states are re-gauged against the center state's largest
     component before differencing.  Modes whose eps_sq changes sign
     inside the stencil straddle an exceptional point; the count is
     reported in meta["straddled_modes"] and the value is still returned.
     """
     theta0 = _theta_value(params, theta_kind)
-    step = fd_step if fd_step is not None else 1e-6 * max(1.0, abs(theta0))
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"fd_step must be finite and > 0, got {step}")
+    step = 1e-6 * max(1.0, abs(theta0))
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: checked below
         v0, eps0, defect0 = _probe_set(params)
@@ -202,7 +203,6 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind,
     straddled = int(np.count_nonzero(
         np.sign(eps_edge[step]) != np.sign(eps_edge[-step])))
     meta = {
-        "fd_step": step,
         "straddled_modes": straddled,
         "defective_modes": int(np.count_nonzero(defect0)),
     }

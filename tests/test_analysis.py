@@ -9,6 +9,7 @@ import pytest
 from ixysense.analysis import (
     DEFAULT_EP_BRACKET,
     DEFAULT_EP_TOL,
+    EP_SCAN_ANGLES,
     LONGTIME_GRID,
     STATIONARY_DH_LIST,
     STATIONARY_N_LIST,
@@ -24,7 +25,8 @@ from ixysense.analysis import (
 )
 from ixysense.errors import BracketError, FitError
 from ixysense.metrology import dynamical_qfi, stationary_qfi
-from ixysense.model import ModelParams, ThetaKind
+from ixysense.model import (ModelParams, ThetaKind, _odd_angles, coupling_profile,
+                            momentum_coupling)
 
 
 def test_fit_power_law_exact():
@@ -74,6 +76,17 @@ def test_find_exceptional_point_closed_form():
     assert res.bracket[0] <= res.h_e <= res.bracket[1]
     assert res.iterations > 0
     assert res.bracket[1] - res.bracket[0] <= DEFAULT_EP_TOL
+
+
+def test_ep_scan_bins_sit_at_their_labelled_angles():
+    # the scan takes J on the odd-angle grid and the polish reads bin k at
+    # angles[k]; at Z = 2 EP_SCAN_ANGLES a scan FFT grown past 4
+    # EP_SCAN_ANGLES points put these bins 0.39 and 0.67 away from J there
+    profile = coupling_profile(2.0, 2 * EP_SCAN_ANGLES)
+    angles = _odd_angles(EP_SCAN_ANGLES)
+    scan = momentum_coupling(profile, angles)
+    for k in (21845, 65535):
+        assert abs(scan[k] - momentum_coupling(profile, float(angles[k]))) < 1e-10
 
 
 def test_find_exceptional_point_bad_bracket():
@@ -149,7 +162,6 @@ def test_sweep_stationary_scaling_structure():
         assert row.N.tolist() == [256, 512, 1024]
         assert math.isfinite(row.fit.slope)
         assert row.straddled_modes >= 0
-        assert row.fd_step == 1e-6
         for value, n in zip(row.qfi, (256, 512, 1024)):
             p = replace(params, N=n, h=-1.0 + row.dh)
             assert value == stationary_qfi(p, ThetaKind.ANISOTROPY_GAMMA).value

@@ -53,7 +53,7 @@ def test_resolve_config_parses_declared_types():
     assert cfg["theta"] is ThetaKind.ANISOTROPY_GAMMA
     assert cfg["anchor"] is ScalingAnchor.CRITICAL_POINT
     assert cfg["ep_bracket"] == (-2.0, -1.0)
-    assert cfg["N_list"] == [16, 32, 64] and cfg["fd_step"] is None
+    assert cfg["N_list"] == [16, 32, 64]
 
 
 @pytest.mark.parametrize("experiment,key", [
@@ -119,13 +119,25 @@ BOUND_ERRORS = [
     ("size-scaling", "t_eval=-1"),
     ("ratio", "t0=-1"),
     ("ratio", "n_grid=1"),
-    ("stationary-scaling", "fd_step=-1"),
-    ("stationary-scaling", "fd_step=0"),
+    ("oracle-check", "N_list=[16]"),
+    ("oracle-check", "N_list=[4,7]"),
+    ("oracle-check", "N_list=[2]"),
     ("qfi-dynamics", "t_min=-1"),
     ("qfi-dynamics", "t_points=1"),
     ("time-scaling", "transient_window=[-1,2]"),
     ("time-scaling", "longtime_window=[1000,200]"),
     ("time-scaling", "transient_points=2"),
+]
+
+# Keys an experiment does not declare: its runner sets or ignores the
+# field h, and the stationary stencil step is fixed.
+DROPPED_KEYS = [
+    ("exceptional-point", "h=-0.5"),
+    ("ep-table", "h=-0.5"),
+    ("stationary-scaling", "h=-0.5"),
+    ("stationary-scaling", "fd_step=-1"),
+    ("stationary-scaling", "fd_step=0"),
+    ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
 ]
 
 # Values that conflict with another key, and the keys the message names.
@@ -139,15 +151,14 @@ CROSS_KEY_ERRORS = [
 @pytest.mark.parametrize("experiment,override", [
     ("dispersion", "h=NaN"),
     ("dispersion", "gamma=Infinity"),
-    ("oracle-check", "N_list=[16]"),
     ("size-scaling", "t_eval=NaN N_list=[64,128,256]"),
     ("qfi-dynamics", "t_max=Infinity N=64"),
-    ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
     ("exceptional-point", "ep_bracket=[-0.7,-1.2]"),
     ("stationary-scaling", "N_list=[1024,2048]"),
     ("size-scaling", "N_list=[64,64,128]"),
     *TYPE_ERRORS,
     *BOUND_ERRORS,
+    *DROPPED_KEYS,
     *[(experiment, override) for experiment, override, _ in CROSS_KEY_ERRORS],
     ("dispersion", "theta=bogus"),  # dispersion reads no theta
 ])
@@ -177,6 +188,15 @@ def test_type_errors_name_the_key_and_write_nothing(tmp_path, capsys):
         assert main([experiment, "--set", override, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,override", DROPPED_KEYS)
+def test_dropped_keys_are_unknown(tmp_path, capsys, experiment, override):
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
+    key = override.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"config error: unknown config key '{key}' for experiment '{experiment}'\n")
 
 
 def test_cli_import_skips_scipy_integrate():
@@ -311,8 +331,7 @@ def test_stationary_scaling_output(tmp_path):
     fits = json.loads((out / "fits.json").read_text())["fits"]
     assert groups == {f["group"] for f in fits}
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["derived"]["anchor_value"] == -1.0
-    assert manifest["derived"]["fd_steps"] == [1e-06]
+    assert manifest["derived"] == {"anchor_value": -1.0}
 
 
 def test_ratio_summary_row(tmp_path):

@@ -58,7 +58,6 @@ KEYS = {
     "t_eval": _floats(0.0, 500.0),
     "anchor": st.sampled_from(["critical-point", "exceptional-point"]),
     "dh_list": _lists(_floats(-0.5, 0.1), 2),
-    "fd_step": st.none() | _floats(1e-8, 1e-3),
     "t0": _floats(0.0, 60.0),
     "t1": _floats(40.0, 100.0),
     "n_grid": st.integers(1, 30),

@@ -211,11 +211,12 @@ def test_qfi_curve_matches_complex_reference(theta, mode):
 @pytest.mark.parametrize("n,times,budget,chunks", [
     (2000, _STREAM_TIMES, None, 19),         # 1000 modes, 54 a chunk
     (2000, [200.0], None, 1),                # one time: one chunk
-    (64, _STREAM_TIMES[::3], 64, 32),        # 100 times > budget: one mode a chunk
-], ids=["chunks", "one-time", "one-mode-chunks"])
+    (64, _STREAM_TIMES[::3], 64, 64),        # 100 times > budget: one mode by 64 + 36
+    (16, _STREAM_TIMES[:129], 64, 24),       # 129 times: blocks of 64, 64 and 1
+], ids=["chunks", "one-time", "one-mode-chunks", "time-blocks"])
 def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, chunks,
                                                theta, mode):
-    # streaming over mode chunks gives the full-grid totals bit for bit
+    # streaming over mode x time chunks gives the full-grid totals bit for bit
     if budget is not None:
         monkeypatch.setattr(metrology, "CHUNK_CELLS", budget)
     calls = []
@@ -254,6 +255,21 @@ def test_qfi_curve_memory_bounded():
     assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) // 2) < 128
 
 
+def test_qfi_curve_memory_bounded_in_time():
+    # a grid longer than CHUNK_CELLS is walked in blocks of times, so the
+    # working set is the O(T) totals plus one chunk; the mode-only split
+    # needed 97 B per time (18.5 MiB at N=8 with 2e5 times)
+    grid = np.linspace(0.0, 100.0, 200_000)
+    params = ModelParams(N=8, Z=2, alpha=1.5, gamma=0.3, h=-0.85)
+    tracemalloc.start()
+    try:
+        qfi_curve(params, grid, ThetaKind.FIELD_H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.size < 40
+
+
 STATIONARY_CELLS = [
     # (Z, alpha, gamma, h): both phases, both parameter targets
     (2, 1.0, 0.5, -1.5),    # unbroken, below the dome
@@ -277,19 +293,15 @@ def test_stationary_qfi_matches_closed_form(z, alpha, gamma, h, theta):
 
 
 def test_stationary_qfi_straddle_flagged():
-    # dome edge at Z=1 is |h| = sqrt(1 + gamma^2); a gamma step of 2e-2
-    # moves the edge across h = -1.116, so the stencil must straddle
-    params = ModelParams(N=64, Z=1, alpha=1.0, gamma=0.5, h=-1.116)
-    sample = stationary_qfi(params, ThetaKind.ANISOTROPY_GAMMA, fd_step=2e-2)
-    assert sample.meta["straddled_modes"] > 0
+    # eps_sq = (a - b)(a + b) of mode 3 vanishes at h0 = -Re J + gamma Im J;
+    # h sits 3e-7 above it, inside the default step 1e-6 max(1, |h|), so
+    # the stencil straddles that mode's own zero
+    base = ModelParams(N=64, Z=2, alpha=1.0, gamma=0.5, h=0.0)
+    _, j_real, j_imag, _, _, _ = block_arrays(base)
+    h0 = -j_real[2] + base.gamma * j_imag[2]
+    sample = stationary_qfi(replace(base, h=h0 + 3e-7), ThetaKind.FIELD_H)
+    assert sample.meta["straddled_modes"] == 1
     assert math.isfinite(sample.value)
-
-
-def test_stationary_qfi_step_validation():
-    params = ModelParams(N=16, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
-    for step in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="fd_step"):
-            stationary_qfi(params, ThetaKind.FIELD_H, fd_step=step)
 
 
 def test_ratio_gamma_zero_is_identically_one():

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ixysense.model import (
     ModelParams,
+    _odd_angles,
     coupling_profile,
     critical_field_pi,
     critical_field_zero,
@@ -63,14 +65,17 @@ def test_momentum_coupling_frozen_value():
     assert_allclose([j.real, j.imag], [-1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
 
 
+def _direct_sum(prof, phi):
+    r = np.arange(1, prof.weights.size + 1, dtype=float)
+    return (prof.weights[None, :] * np.exp(1j * phi[:, None] * r[None, :])).sum(axis=1)
+
+
 @pytest.mark.parametrize("alpha,Z", [(0.0, 3), (0.5, 17), (1.5, 200), (3.0, 2000)])
 def test_momentum_coupling_matches_direct_sum(alpha, Z):
     prof = coupling_profile(alpha, Z)
     rng = np.random.default_rng(7)
     phi = rng.uniform(0.0, math.pi, size=40)
-    r = np.arange(1, Z + 1, dtype=float)
-    direct = (prof.weights[None, :] * np.exp(1j * phi[:, None] * r[None, :])).sum(axis=1)
-    assert_allclose(momentum_coupling(prof, phi), direct, rtol=0, atol=1e-12)
+    assert_allclose(momentum_coupling(prof, phi), _direct_sum(prof, phi), rtol=0, atol=1e-12)
 
 
 def test_momentum_coupling_scalar_matches_array():
@@ -80,6 +85,52 @@ def test_momentum_coupling_scalar_matches_array():
     arr = momentum_coupling(prof, np.array([phi]))
     assert isinstance(scalar, complex)
     assert scalar == arr[0]
+
+
+@pytest.mark.parametrize("m,Z", [(8, 17), (8, 100), (5, 999), (1, 3)])
+def test_momentum_coupling_grid_folds_long_range(m, Z):
+    # Z > 2m on the grid; past Z = 4m the weights fold mod 4m
+    prof = coupling_profile(0.7, Z)
+    phi = _odd_angles(m)
+    assert_allclose(momentum_coupling(prof, phi), _direct_sum(prof, phi), rtol=0, atol=1e-12)
+
+
+def test_momentum_coupling_grid_and_direct_paths_agree():
+    # the same angles, once as the grid and once shifted off it by one
+    # element, give the same J to rounding
+    prof = coupling_profile(1.2, 40)
+    phi = _odd_angles(64)
+    grid = momentum_coupling(prof, phi)
+    direct = momentum_coupling(prof, np.append(phi, 0.5))[:-1]
+    assert_allclose(grid, direct, rtol=0, atol=1e-14)
+    assert momentum_coupling(prof, phi.reshape(8, 8)).shape == (8, 8)
+
+
+# Absolute gate of J on the mode grid against a 30-digit sum.  On the 48
+# sampled modes of these grids the FFT erred by at most 2.3e-16, and the
+# compensated ascending-r loop it replaced by up to 1.3e-15.
+GRID_J_ATOL = 1e-15
+
+
+@pytest.mark.parametrize("N,Z,alpha", [(16, 8, 0.0), (1024, 512, 1.5), (8192, 100, 0.5),
+                                       (8192, 4096, 1.0)])
+def test_momentum_coupling_grid_matches_high_precision(N, Z, alpha):
+    # exact angles: r phi_p = 2 pi k / (2N) with k = r (2p - 1) mod 2N,
+    # so each term is a 2N-th root of unity, tabulated once at 30 digits
+    params = ModelParams(N=N, Z=Z, alpha=alpha, gamma=0.3, h=-0.7)
+    prof = coupling_profile(alpha, Z)
+    got = momentum_coupling(prof, mode_angles(params))
+    modes = np.unique(np.linspace(0, N // 2 - 1, 48).astype(int))
+    r = np.arange(1, Z + 1)
+    with mpmath.workdps(30):
+        roots = {}
+        weights = [mpmath.mpf(float(w)) for w in prof.weights]
+        for p in modes:
+            ks = (r * (2 * p + 1)) % (2 * N)
+            for k in set(ks.tolist()) - roots.keys():
+                roots[k] = mpmath.expjpi(mpmath.mpf(k) / N)
+            exact = mpmath.fdot(weights, [roots[k] for k in ks.tolist()])
+            assert abs(got[p] - complex(exact)) <= GRID_J_ATOL
 
 
 def test_mode_angles_full_range():
