@@ -14,7 +14,7 @@ time t, field estimation):
      anisotropy magnitude: the imaginary-anisotropy probe wins in both
      phases, by an order of magnitude inside the dome.
 
-Run: python3 demos/dynamical_advantage.py   (about half a minute)
+Run: python3 demos/dynamical_advantage.py   (a few seconds)
 """
 
 from dataclasses import replace

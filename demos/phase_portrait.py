@@ -2,8 +2,9 @@
 
 Sweeps the transverse field through the broken dome for a few coupling
 ranges, prints where the spectrum turns complex, and locates the dome's
-lower edge (the exceptional point) by bisection.  At Z = 1 the edge has
-the closed form h_e = -sqrt(1 + gamma^2), used here as a sanity check.
+lower edge (the exceptional point) as h_e = -max_phi (J^R + |gamma J^I|),
+the field below which no mode can break.  At Z = 1 the edge has the
+closed form h_e = -sqrt(1 + gamma^2), used here as a sanity check.
 
 Run: python3 demos/phase_portrait.py   (about a second)
 """
@@ -33,8 +34,8 @@ def main() -> None:
         print(f"({z}, {alpha:<4})    " + "  ".join(marks))
 
     print()
-    print("lower dome edge h_e (bisection on the spectrum classification)")
-    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'iterations':>11}")
+    print("lower dome edge h_e = -max_phi (J^R + |gamma J^I|)")
+    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'polish its':>11}")
     for z, alpha in RANGES:
         params = ModelParams(N=N, Z=z, alpha=alpha, gamma=GAMMA, h=-1.0)
         res = find_exceptional_point(params)
@@ -45,7 +46,7 @@ def main() -> None:
         ModelParams(N=N, Z=1, alpha=1.5, gamma=GAMMA, h=-1.0))
     print()
     print(f"Z = 1 closed form  {closed:.9f}")
-    print(f"Z = 1 bisected     {res.h_e:.9f}   |diff| = {abs(res.h_e - closed):.1e}")
+    print(f"Z = 1 located      {res.h_e:.9f}   |diff| = {abs(res.h_e - closed):.1e}")
 
 
 if __name__ == "__main__":

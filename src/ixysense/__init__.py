@@ -1,6 +1,6 @@
 """Quantum Fisher information metrology for the long-range iXY spin chain."""
 
-from .errors import BracketError, ConfigError, FitError, NumericalError, UnderflowError
+from .errors import ConfigError, FitError, NumericalError, UnderflowError
 from .model import (
     AnisotropyMode,
     CouplingProfile,
@@ -34,7 +34,6 @@ from .metrology import (
 )
 from .analysis import (
     EP_SCAN_ANGLES,
-    DEFAULT_EP_BRACKET,
     DYNAMICAL_N_LIST,
     EPResult,
     LONGTIME_GRID,

@@ -10,10 +10,9 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BracketError, FitError
+from .errors import FitError, NumericalError
 from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
                     coupling_profile, critical_field_zero, momentum_coupling)
-from .blocks import TOL_PHASE
 from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
 
 # Time grids used throughout the scaling studies: the transient window
@@ -34,14 +33,10 @@ STATIONARY_N_LIST = (1024, 2048, 4096, 8192)
 # quasirandomly with N).  dh = 0 sits exactly on the anchor.
 STATIONARY_DH_LIST = (0.0, -1e-4, -1e-3, -1e-2, -1e-1)
 
-# Bisection bracket enclosing every tabulated exceptional point at gamma = 0.5.
-DEFAULT_EP_BRACKET = (-1.2, -0.7)
-DEFAULT_EP_TOL = 1e-9
-
-# Number of scan angles in (0, pi) used to bracket the dispersion's
-# global minimum before continuous refinement; equals the positive-half
+# Number of scan angles in (0, pi) used to locate the global maximum of
+# J^R + |gamma J^I| before continuous refinement; equals the positive-half
 # mode count of a 2^17-site chain.  The scan only has to land in the
-# right basin; a bounded scalar minimization finishes the job, so the
+# right basin; a bounded scalar maximization finishes the job, so the
 # boundary comes out free of the O((2 pi / N)^2) grid shift that the
 # discrete classification of any single finite chain carries.
 EP_SCAN_ANGLES = 1 << 16
@@ -54,10 +49,9 @@ class ScalingAnchor(Enum):
 
 @dataclass(frozen=True)
 class EPResult:
-    """Bisected phase boundary of the mode spectrum."""
+    """Lower edge of the broken dome, and the iterations of its polish."""
 
     h_e: float
-    bracket: tuple[float, float]
     iterations: int
 
 
@@ -119,82 +113,38 @@ def run_cells(fn, cells, threads: int = 1) -> list:
         return list(pool.map(fn, cells))
 
 
-def _dispersion_minimizer(profile, gamma: float, hermitian: bool):
-    """Callable h -> global minimum of eps_sq over angles in (0, pi).
+def find_exceptional_point(params: ModelParams) -> EPResult:
+    """Lower edge of the broken dome: h_e = -max_phi g(phi), g = J^R + |gamma J^I|.
 
-    The coupling transform J(phi) is field-independent, so it is
-    evaluated once on the EP_SCAN_ANGLES-point odd-angle grid.  Per field
-    value, the minimizing scan cell is located and a bounded scalar
-    minimization of the dispersion polishes the minimum inside that cell.
+    A mode is broken exactly when |h + J^R| < |gamma J^I|, so every mode
+    is unbroken for h <= -max g and the maximizing mode breaks just
+    above.  The maximum is taken over continuous angles: a scan of the
+    EP_SCAN_ANGLES-point odd-angle grid, then a bounded scalar
+    maximization inside the best cell, so h_e is the dispersion's own
+    edge, not the grid-shifted one of any finite chain.
     """
+    gamma = abs(params.gamma)
+    if params.anisotropy_mode is AnisotropyMode.HERMITIAN or gamma == 0.0:
+        raise NumericalError(
+            f"no exceptional point: every mode is unbroken at every h for "
+            f"anisotropy={params.anisotropy_mode.value}, gamma={params.gamma!r}")
+    profile = coupling_profile(params.alpha, params.Z)
     angles = _odd_angles(EP_SCAN_ANGLES)
     j_scan = momentum_coupling(profile, angles)
-    jr_scan = np.ascontiguousarray(j_scan.real)
-    bb_scan = gamma * np.ascontiguousarray(j_scan.imag)
-    sign = 1.0 if hermitian else -1.0
+    g_scan = j_scan.real + gamma * np.abs(j_scan.imag)
+    k = int(np.argmax(g_scan))
+    phi_k = float(angles[k])
     step = math.pi / EP_SCAN_ANGLES
 
-    def minimum(h: float) -> float:
-        a = h + jr_scan
-        eps_scan = a * a + sign * (bb_scan * bb_scan)
-        k = int(np.argmin(eps_scan))
-        phi_k = float(angles[k])
+    def minus_g(phi: float) -> float:
+        j = momentum_coupling(profile, phi)
+        return -(j.real + gamma * abs(j.imag))
 
-        def eps_sq_at(phi: float) -> float:
-            j = momentum_coupling(profile, phi)
-            aa = h + j.real
-            bb = gamma * j.imag
-            return aa * aa + sign * (bb * bb)
-
-        res = minimize_scalar(eps_sq_at, method="bounded",
-                              bounds=(max(phi_k - step, 1e-300),
-                                      min(phi_k + step, math.pi)),
-                              options={"xatol": 1e-13, "maxiter": 300})
-        return min(float(eps_scan[k]), float(res.fun))
-
-    return minimum
-
-
-def find_exceptional_point(params: ModelParams,
-                           bracket: tuple[float, float] = DEFAULT_EP_BRACKET,
-                           tol: float = DEFAULT_EP_TOL) -> EPResult:
-    """Bisect the field h to the boundary between spectrum classes.
-
-    The phase predicate is boolean (min eps_sq >= -tol_phase), not a
-    continuous root, so plain bisection on the classification is used;
-    the minimum is taken over continuous angles (see _dispersion_minimizer)
-    so the returned boundary is the dispersion's own, not the finite
-    chain's grid-shifted one.  The bracket ends must classify differently.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise BracketError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    profile = coupling_profile(params.alpha, params.Z)
-    hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    minimum = _dispersion_minimizer(profile, params.gamma, hermitian)
-
-    def unbroken(h: float) -> bool:
-        return minimum(h) >= -TOL_PHASE
-
-    u_lo = unbroken(lo)
-    u_hi = unbroken(hi)
-    if u_lo == u_hi:
-        word = "unbroken" if u_lo else "broken"
-        raise BracketError(
-            f"both bracket ends classify as {word}; no boundary inside ({lo}, {hi})")
-
-    iterations = 0
-    while hi - lo > tol and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if unbroken(mid) == u_lo:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    return EPResult(h_e=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
+    res = minimize_scalar(minus_g, method="bounded",
+                          bounds=(max(phi_k - step, 1e-300), min(phi_k + step, math.pi)),
+                          options={"xatol": 1e-13, "maxiter": 300})
+    # res.fun is -g at the polished angle; keep the scan cell if it is higher
+    return EPResult(h_e=min(-float(g_scan[k]), float(res.fun)), iterations=int(res.nit))
 
 
 def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:
@@ -262,23 +212,21 @@ def sweep_size_scaling(params: ModelParams, theta_kind: ThetaKind,
         sizes, qfi, (float(sizes.min()), float(sizes.max()))))
 
 
-def resolve_anchor(params: ModelParams, anchor: ScalingAnchor,
-                   ep_bracket: tuple[float, float] = DEFAULT_EP_BRACKET) -> float:
+def resolve_anchor(params: ModelParams, anchor: ScalingAnchor) -> float:
     """Field value of the requested anchor.
 
-    The exceptional-point anchor is the dispersion's own boundary
-    (continuous-angle minimum), so it does not inherit the O((2pi/N)^2)
+    The exceptional-point anchor is the dispersion's own boundary (a
+    continuous-angle maximum), so it does not inherit the O((2pi/N)^2)
     grid shift of any individual swept size.
     """
     if anchor is ScalingAnchor.CRITICAL_POINT:
         return critical_field_zero()
-    return find_exceptional_point(params, bracket=ep_bracket).h_e
+    return find_exceptional_point(params).h_e
 
 
 def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
                              dh_list=None, N_list=None,
                              anchor: ScalingAnchor = ScalingAnchor.CRITICAL_POINT,
-                             ep_bracket: tuple[float, float] = DEFAULT_EP_BRACKET,
                              threads: int = 1) -> StationaryScalingResult:
     """Stationary QFI size scaling at fields anchor + dh.
 
@@ -289,7 +237,7 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
     offsets = tuple(dh_list if dh_list is not None else STATIONARY_DH_LIST)
     sizes = np.array(N_list if N_list is not None else STATIONARY_N_LIST)
     window = (float(sizes.min()), float(sizes.max()))
-    anchor_value = resolve_anchor(params, anchor, ep_bracket)
+    anchor_value = resolve_anchor(params, anchor)
 
     def cell(job):
         dh, n = job

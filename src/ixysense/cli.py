@@ -26,8 +26,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    DEFAULT_EP_BRACKET,
-    DEFAULT_EP_TOL,
     DYNAMICAL_N_LIST,
     LONGTIME_GRID,
     STATIONARY_DH_LIST,
@@ -99,13 +97,6 @@ def _pair(value) -> tuple[float, float]:
     return _float(value[0]), _float(value[1])
 
 
-def _ordered_pair(value) -> tuple[float, float]:
-    lo, hi = _pair(value)
-    if not lo < hi:
-        raise ValueError(f"needs lo < hi, got {json.dumps(value)}")
-    return lo, hi
-
-
 def _time_window(value) -> tuple[float, float]:
     lo, hi = _pair(value)
     if not 0 < lo < hi:
@@ -145,9 +136,9 @@ def _plain(value):
 
 
 # Model and probe keys: name -> (default, type).  An experiment declares
-# the ones its runner reads; a ModelParams field it leaves out is taken
-# from the first entry of its <field>_list key, or, for an h that the
-# runner sets itself or never reads, is 0.
+# the ones its runner reads; a ModelParams field comes from its
+# <field>_list key where that is set, else from its own key, or, for an h
+# that the runner sets itself or never reads, is 0.
 _MODEL = {
     "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _float),
     "gamma": (0.3, _float), "h": (-0.7, _float),
@@ -160,10 +151,23 @@ def _model(*names) -> dict:
     return {name: _MODEL[name] for name in names}
 
 
+def _source(cfg: dict, name: str) -> tuple[str, list]:
+    """The key that supplies the model field name, and the values it sweeps."""
+    if cfg.get(f"{name}_list") is not None:
+        return f"{name}_list", cfg[f"{name}_list"]
+    return name, [cfg.get(name, 0.0)]
+
+
 def _params(cfg: dict) -> ModelParams:
-    fields = {name: cfg[name] if name in cfg else cfg.get(f"{name}_list", [0.0])[0]
-              for name in ("N", "Z", "alpha", "gamma", "h")}
-    return ModelParams(**fields, anisotropy_mode=cfg["anisotropy"])
+    """The model of the run's first cell, once every swept Z fits every swept N."""
+    sources = {name: _source(cfg, name) for name in ("N", "Z", "alpha", "gamma", "h")}
+    (z_key, zs), (n_key, ns) = sources["Z"], sources["N"]
+    if min(zs) < 1 or max(zs) > min(ns) // 2:
+        z = min(zs) if min(zs) < 1 else max(zs)
+        raise ConfigError(f"{z_key}, {n_key}: need 1 <= Z <= N/2 for every Z and N, "
+                          f"got Z={z} at N={min(ns)}")
+    return ModelParams(**{name: values[0] for name, (_, values) in sources.items()},
+                       anisotropy_mode=cfg["anisotropy"])
 
 
 def _parse_set(item: str):
@@ -315,22 +319,22 @@ def _run_dispersion(params, cfg, writer, threads) -> int:
     return 0
 
 
-def _ep_row(params: ModelParams, cfg: dict):
-    res = find_exceptional_point(params, bracket=cfg["ep_bracket"], tol=cfg["ep_tol"])
+def _ep_row(params: ModelParams):
+    res = find_exceptional_point(params)
     return (params.Z, params.alpha, params.gamma, params.N, res.h_e, res.iterations)
 
 
 def _run_exceptional_point(params, cfg, writer, threads) -> int:
-    row = _ep_row(params, cfg)
+    row = _ep_row(params)
     writer.derived["h_e"] = row[4]
     writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations", [row])
-    print(f"h_e = {row[4]:.9f} ({row[5]} iterations)")
+    print(f"h_e = {row[4]:.9f} ({row[5]} polish iterations)")
     return 0
 
 
 def _run_ep_table(params, cfg, writer, threads) -> int:
     cells = itertools.product(cfg["Z_list"], cfg["alpha_list"])
-    rows = run_cells(lambda c: _ep_row(replace(params, Z=c[0], alpha=c[1]), cfg),
+    rows = run_cells(lambda c: _ep_row(replace(params, Z=c[0], alpha=c[1])),
                      list(cells), threads)
     writer.csv("ep_table.csv", "Z,alpha,gamma,N,h_e,iterations", rows)
     return 0
@@ -373,7 +377,7 @@ def _run_size_scaling(params, cfg, writer, threads) -> int:
 def _run_stationary_scaling(params, cfg, writer, threads) -> int:
     res = sweep_stationary_scaling(params, cfg["theta"], dh_list=cfg["dh_list"],
                                    N_list=cfg["N_list"], anchor=cfg["anchor"],
-                                   ep_bracket=cfg["ep_bracket"], threads=threads)
+                                   threads=threads)
     writer.derived["anchor_value"] = res.anchor_value
     rows_csv = []
     groups = []
@@ -444,18 +448,16 @@ def _run_oracle_check(params, cfg, writer, threads) -> int:
 
 
 _ALL_MODEL = ("N", "Z", "alpha", "gamma", "h", "anisotropy")
-_EP_KEYS = {"ep_bracket": (list(DEFAULT_EP_BRACKET), _ordered_pair),
-            "ep_tol": (DEFAULT_EP_TOL, _float)}
 
 # Experiment name -> (keys: name -> (default, type), runner).  These are
 # exactly the keys the runner reads; every resolved config holds all of
 # them, no hidden knobs.
 EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "dispersion": (_model(*_ALL_MODEL), _run_dispersion),
-    "exceptional-point": ({**_model("N", "Z", "alpha", "gamma", "anisotropy"), **_EP_KEYS},
+    "exceptional-point": (_model("N", "Z", "alpha", "gamma", "anisotropy"),
                           _run_exceptional_point),
     "ep-table": ({
-        **_model("N", "gamma", "anisotropy"), **_EP_KEYS,
+        **_model("N", "gamma", "anisotropy"),
         "Z_list": ([1, 2, 4, 7], _list(_int)),
         "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_float)),
     }, _run_ep_table),
@@ -480,7 +482,6 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     }, _run_size_scaling),
     "stationary-scaling": ({
         **_model("Z", "alpha", "gamma", "anisotropy", "theta"),
-        "ep_bracket": _EP_KEYS["ep_bracket"],
         "anchor": ("critical-point", _choice(ScalingAnchor)),
         "dh_list": (list(STATIONARY_DH_LIST), _list(_float)),
         "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),

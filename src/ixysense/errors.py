@@ -9,10 +9,6 @@ class NumericalError(Exception):
     """A computation could not produce a trustworthy result."""
 
 
-class BracketError(NumericalError):
-    """Root bracket does not enclose a phase boundary."""
-
-
 class FitError(NumericalError):
     """Not enough usable points to fit."""
 

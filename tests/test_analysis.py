@@ -3,12 +3,11 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from ixysense.analysis import (
-    DEFAULT_EP_BRACKET,
-    DEFAULT_EP_TOL,
     EP_SCAN_ANGLES,
     LONGTIME_GRID,
     STATIONARY_DH_LIST,
@@ -23,10 +22,10 @@ from ixysense.analysis import (
     sweep_stationary_scaling,
     sweep_time_scaling,
 )
-from ixysense.errors import BracketError, FitError
+from ixysense.errors import FitError, NumericalError
 from ixysense.metrology import dynamical_qfi, stationary_qfi
-from ixysense.model import (ModelParams, ThetaKind, _odd_angles, coupling_profile,
-                            momentum_coupling)
+from ixysense.model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
+                            coupling_profile, momentum_coupling)
 
 
 def test_fit_power_law_exact():
@@ -69,13 +68,68 @@ def test_fit_power_law_too_few_points():
 
 
 def test_find_exceptional_point_closed_form():
-    # Z=1: dispersion minimum crosses zero at h = -sqrt(1 + gamma^2)
+    # Z=1: max_phi cos(phi) + gamma sin(phi) = sqrt(1 + gamma^2)
     params = ModelParams(N=1024, Z=1, alpha=1.0, gamma=0.5, h=-1.0)
     res = find_exceptional_point(params)
-    assert abs(res.h_e - (-math.sqrt(1.25))) < 2e-9
-    assert res.bracket[0] <= res.h_e <= res.bracket[1]
+    assert abs(res.h_e - (-math.sqrt(1.25))) <= 1e-14
     assert res.iterations > 0
-    assert res.bracket[1] - res.bracket[0] <= DEFAULT_EP_TOL
+
+
+# Absolute gate of find_exceptional_point against a 30-digit -max_phi g;
+# the measured worst over the grid below is 6.7e-16.
+EP_REFERENCE_ATOL = 1e-14
+
+
+def _reference_edge(alpha: float, Z: int, gamma: float, phi0: float, step: float):
+    """-max_phi (J^R + gamma |J^I|) at 30 digits, and its angle.
+
+    The weights are rebuilt from alpha at 30 digits, J and dJ/dphi are sums
+    over powers of exp(i phi), and the maximum is the root of g' that a
+    secant search finds from the scan cell around phi0.
+    """
+    with mpmath.workdps(30):
+        w = [mpmath.mpf(r) ** -mpmath.mpf(alpha) for r in range(1, Z + 1)]
+        kac = mpmath.fsum(w)
+        w = [x / kac for x in w]
+        rw = [r * x for r, x in enumerate(w, 1)]
+
+        def transform(weights, phi):  # sum_r weights[r - 1] exp(i r phi)
+            z, zr, total = mpmath.expj(phi), mpmath.mpc(1), mpmath.mpc(0)
+            for x in weights:
+                zr *= z
+                total += x * zr
+            return total
+
+        sign = 1 if transform(w, mpmath.mpf(phi0)).imag > 0 else -1
+
+        def g(phi):
+            j = transform(w, phi)
+            return j.real + gamma * sign * j.imag
+
+        def dg(phi):  # dJ/dphi = i transform(rw, phi)
+            t = transform(rw, phi)
+            return -t.imag + gamma * sign * t.real
+
+        phi = mpmath.findroot(dg, (mpmath.mpf(phi0 - step / 2), mpmath.mpf(phi0 + step / 2)))
+        return -g(phi), float(phi)
+
+
+def test_find_exceptional_point_matches_high_precision():
+    angles = _odd_angles(EP_SCAN_ANGLES)
+    step = math.pi / EP_SCAN_ANGLES
+    worst = 0.0
+    for Z in (1, 2, 7, 64, 512):
+        for alpha in (0.5, 2.0):
+            j = momentum_coupling(coupling_profile(alpha, Z), angles)
+            for gamma in (0.1, 0.5, 0.9):
+                phi0 = float(angles[np.argmax(j.real + gamma * np.abs(j.imag))])
+                exact, phi = _reference_edge(alpha, Z, gamma, phi0, step)
+                assert abs(phi - phi0) <= step  # the same maximum as the scan
+                params = ModelParams(N=2 * Z + 2, Z=Z, alpha=alpha, gamma=gamma, h=-1.0)
+                err = abs(find_exceptional_point(params).h_e - float(exact))
+                worst = max(worst, err)
+    print(f"worst |h_e - 30-digit reference| = {worst:.2e}")
+    assert worst <= EP_REFERENCE_ATOL
 
 
 def test_ep_scan_bins_sit_at_their_labelled_angles():
@@ -89,21 +143,21 @@ def test_ep_scan_bins_sit_at_their_labelled_angles():
         assert abs(scan[k] - momentum_coupling(profile, float(angles[k]))) < 1e-10
 
 
-def test_find_exceptional_point_bad_bracket():
+def test_find_exceptional_point_needs_a_broken_mode():
+    # the Hermitian chain and gamma = 0 have a real spectrum at every h
     params = ModelParams(N=1024, Z=1, alpha=1.0, gamma=0.5, h=-1.0)
-    with pytest.raises(BracketError):
-        find_exceptional_point(params, bracket=(-3.0, -2.0))
-    with pytest.raises(BracketError):
-        find_exceptional_point(params, bracket=(-0.5, -0.9))
-    with pytest.raises(ValueError):
-        find_exceptional_point(params, tol=0.0)
+    hermitian = replace(params, anisotropy_mode=AnisotropyMode.HERMITIAN)
+    with pytest.raises(NumericalError, match="anisotropy=hermitian, gamma=0.5"):
+        find_exceptional_point(hermitian)
+    with pytest.raises(NumericalError, match="anisotropy=non-hermitian, gamma=0.0"):
+        find_exceptional_point(replace(params, gamma=0.0))
 
 
 def test_resolve_anchor():
     params = ModelParams(N=1024, Z=1, alpha=1.0, gamma=0.5, h=-1.0)
     assert resolve_anchor(params, ScalingAnchor.CRITICAL_POINT) == -1.0
     he = resolve_anchor(params, ScalingAnchor.EXCEPTIONAL_POINT)
-    assert he == find_exceptional_point(params, bracket=DEFAULT_EP_BRACKET).h_e
+    assert he == find_exceptional_point(params).h_e
 
 
 def test_default_grids_shape():

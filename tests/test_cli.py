@@ -47,12 +47,12 @@ def test_resolve_config_rejects_unknown_key():
 
 def test_resolve_config_parses_declared_types():
     cfg = resolve_config("stationary-scaling", None, [
-        "Z=2.0", "gamma=1", "theta=gamma", "ep_bracket=[-2,-1]", "N_list=[16,32,64.0]"])
+        "Z=2.0", "gamma=1", "theta=gamma", "anchor=exceptional-point",
+        "N_list=[16,32,64.0]"])
     assert cfg["Z"] == 2 and type(cfg["Z"]) is int
     assert cfg["gamma"] == 1.0 and type(cfg["gamma"]) is float
     assert cfg["theta"] is ThetaKind.ANISOTROPY_GAMMA
-    assert cfg["anchor"] is ScalingAnchor.CRITICAL_POINT
-    assert cfg["ep_bracket"] == (-2.0, -1.0)
+    assert cfg["anchor"] is ScalingAnchor.EXCEPTIONAL_POINT
     assert cfg["N_list"] == [16, 32, 64]
 
 
@@ -110,7 +110,6 @@ TYPE_ERRORS = [
     ("ratio", "n_grid={}"),
     ("time-scaling", "transient_points=[2]"),
     ("oracle-check", "rel_tol=[1]"),
-    ("exceptional-point", "ep_tol=null"),
     ("qfi-dynamics", "Z_list=[1.7]"),
 ]
 
@@ -130,11 +129,17 @@ BOUND_ERRORS = [
 ]
 
 # Keys an experiment does not declare: its runner sets or ignores the
-# field h, and the stationary stencil step is fixed.
+# field h, the stationary stencil step is fixed, and the exceptional point
+# has a closed form, so no bracket or tolerance steers it.
 DROPPED_KEYS = [
     ("exceptional-point", "h=-0.5"),
     ("ep-table", "h=-0.5"),
     ("stationary-scaling", "h=-0.5"),
+    ("exceptional-point", "ep_bracket=[-0.7,-1.2]"),
+    ("exceptional-point", "ep_tol=null"),
+    ("ep-table", "ep_bracket=[-3,-0.5]"),
+    ("ep-table", "ep_tol=1e-9"),
+    ("stationary-scaling", "ep_bracket=[-3,-0.5]"),
     ("stationary-scaling", "fd_step=-1"),
     ("stationary-scaling", "fd_step=0"),
     ("stationary-scaling", "fd_step=NaN N_list=[64,128,256]"),
@@ -145,6 +150,11 @@ CROSS_KEY_ERRORS = [
     ("ratio", "t0=5 t1=2", ("t0", "t1")),
     ("qfi-dynamics", "t_min=5 t_max=2", ("t_min", "t_max")),
     ("qfi-dynamics", "t_min=0", ("t_min", "t_spacing")),
+    ("ep-table", "N=8 Z_list=[4,5]", ("Z_list", "N")),
+    ("qfi-dynamics", "Z_list=[600]", ("Z_list", "N")),
+    ("oracle-check", "Z_list=[3]", ("Z_list", "N_list")),
+    ("stationary-scaling", "Z=600", ("Z", "N_list")),
+    ("size-scaling", "N_list=[6,8,10] Z=4", ("Z", "N_list")),
 ]
 
 
@@ -153,7 +163,6 @@ CROSS_KEY_ERRORS = [
     ("dispersion", "gamma=Infinity"),
     ("size-scaling", "t_eval=NaN N_list=[64,128,256]"),
     ("qfi-dynamics", "t_max=Infinity N=64"),
-    ("exceptional-point", "ep_bracket=[-0.7,-1.2]"),
     ("stationary-scaling", "N_list=[1024,2048]"),
     ("size-scaling", "N_list=[64,64,128]"),
     *TYPE_ERRORS,
@@ -209,12 +218,45 @@ def test_cli_import_skips_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    code = main(["exceptional-point", "--set", "ep_bracket=[-3.0,-2.0]",
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+@pytest.mark.parametrize("experiment,override,named", [
+    ("exceptional-point", "anisotropy=hermitian", "anisotropy=hermitian, gamma=0.3"),
+    ("exceptional-point", "gamma=0", "anisotropy=non-hermitian, gamma=0.0"),
+    ("ep-table", "gamma=0", "gamma=0.0"),
+    ("stationary-scaling", "anchor=exceptional-point anisotropy=hermitian "
+     "N_list=[16,32,64]", "anisotropy=hermitian"),
+])
+def test_numerical_failure_exits_3(tmp_path, capsys, experiment, override, named):
+    # a model with no broken mode has no exceptional point
+    sets = [arg for value in override.split() for arg in ("--set", value)]
+    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert named in err
     assert not (tmp_path / "o").exists()
+
+
+def test_exceptional_point_anchor_below_old_bracket(tmp_path):
+    # at Z = 1 and gamma = 0.9 the edge -sqrt(1.81) lies below -1.2
+    out = tmp_path / "o"
+    assert main(["stationary-scaling", "--set", "anchor=exceptional-point",
+                 "--set", "gamma=0.9", "--set", "N_list=[64,128,256]",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert abs(manifest["derived"]["anchor_value"] + math.sqrt(1.81)) <= 1e-14
+    _, _, rows = _read_csv(out / "stationary_scaling.csv")
+    assert len(rows) == 15 and all(math.isfinite(float(r[2])) for r in rows)
+    fits = json.loads((out / "fits.json").read_text())["fits"]
+    assert all(math.isfinite(f["slope"]) for f in fits)
+
+
+def test_huge_gamma_exceptional_point_runs_without_warning(tmp_path):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["exceptional-point", "--set", "gamma=1e200",
+                     "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out / "exceptional_point.csv")
+    assert float(rows[0][4]) == pytest.approx(-1e200, rel=1e-14)
 
 
 @pytest.mark.parametrize("experiment,override,named", [

@@ -45,8 +45,6 @@ KEYS = {
     "h": _floats(-3.0, 3.0),
     "anisotropy": st.sampled_from(["non-hermitian", "hermitian"]),
     "theta": st.sampled_from(["h", "gamma"]),
-    "ep_bracket": st.sampled_from([[-3.0, -0.5], [-1.2, -0.7], [-3.0, -2.0], [-0.7, -1.2]]),
-    "ep_tol": st.sampled_from([1e-9, 1e-4, 0.0]),
     "t_min": _floats(0.0, 5.0),
     "t_max": _floats(0.0, 2000.0),
     "t_points": st.integers(1, 30),
@@ -80,7 +78,7 @@ PER_EXPERIMENT = {
 # Keys drawn in every config, because their defaults bound the run's cost.
 ALWAYS = {"N", "N_list", "Z_list", "alpha_list", "gamma_list", "h_list", "t_list",
           "t_points", "transient_points", "longtime_points", "dh_list", "t0", "t1",
-          "n_grid", "ep_bracket"}
+          "n_grid"}
 FITTED = {"size-scaling", "stationary-scaling"}
 
 # Invalid or extreme values of valid type: any of exit 0, 2 or 3.
