@@ -15,14 +15,12 @@ from .model import (
 )
 from .blocks import (
     ModeBlock,
-    ModeState,
     PhaseLabel,
-    SpectrumClassification,
     TOL_PHASE,
     build_blocks,
     classify_phase,
 )
-from .dynamics import ModeTrajectory, evolve_mode, evolve_mode_derivative, propagator
+from .dynamics import evolve_mode, evolve_mode_derivative, propagator
 from .metrology import (
     QfiSample,
     RatioResult,
@@ -33,19 +31,13 @@ from .metrology import (
     stationary_qfi,
 )
 from .analysis import (
-    EP_SCAN_ANGLES,
-    DYNAMICAL_N_LIST,
     EPResult,
-    LONGTIME_GRID,
     PowerFit,
     ScalingAnchor,
     SizeScalingResult,
-    STATIONARY_DH_LIST,
-    STATIONARY_N_LIST,
     StationaryRow,
     StationaryScalingResult,
     TimeScalingResult,
-    TRANSIENT_GRID,
     find_exceptional_point,
     fit_power_law,
     resolve_anchor,

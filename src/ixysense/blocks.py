@@ -15,7 +15,7 @@ of complex-conjugate eigenvalues and exponential amplitude growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -87,8 +87,8 @@ def _describe(params: ModelParams) -> str:
 def block_arrays(params: ModelParams):
     """Vectorized block data: (phi, j_real, j_imag, a, b, eps_sq).
 
-    This is the array-of-columns twin of build_blocks used by every
-    mode-summed quantity; build_blocks wraps it in dataclass records.
+    Every run path reads these columns; build_blocks wraps them in
+    dataclass records, a view for the acceptance suite.
     """
     phi = mode_angles(params)
     profile = coupling_profile(params.alpha, params.Z)
@@ -119,15 +119,23 @@ def build_blocks(params: ModelParams) -> list[ModeBlock]:
     ]
 
 
-def classify_phase(blocks: list[ModeBlock]) -> SpectrumClassification:
-    """Broken iff any block has eps_sq < -TOL_PHASE."""
-    if not blocks:
+def classify_modes(eps_sq) -> tuple[np.ndarray, SpectrumClassification]:
+    """Which of modes p = 1, 2, ... are broken (eps_sq below -TOL_PHASE),
+    and the spectrum's class: broken iff its smallest eps_sq is."""
+    eps_sq = np.asarray(eps_sq, dtype=float)
+    if not eps_sq.size:
         raise ValueError("no blocks to classify")
-    eps = np.array([blk.eps_sq for blk in blocks])
-    i = int(np.argmin(eps))
-    label = PhaseLabel.BROKEN if eps[i] < -TOL_PHASE else PhaseLabel.UNBROKEN
-    return SpectrumClassification(label=label, min_eps_sq=float(eps[i]),
-                                  argmin_mode=blocks[i].p)
+    broken = eps_sq < -TOL_PHASE
+    i = int(np.argmin(eps_sq))
+    label = PhaseLabel.BROKEN if broken[i] else PhaseLabel.UNBROKEN
+    return broken, SpectrumClassification(label=label, min_eps_sq=float(eps_sq[i]),
+                                          argmin_mode=i + 1)
+
+
+def classify_phase(blocks: list[ModeBlock]) -> SpectrumClassification:
+    """classify_modes over the blocks' eps_sq, naming the argmin by its p."""
+    _, cls = classify_modes([blk.eps_sq for blk in blocks])
+    return replace(cls, argmin_mode=blocks[cls.argmin_mode - 1].p)
 
 
 def probe_vectors(a, b, hermitian: bool):

@@ -38,7 +38,7 @@ from .analysis import (
     sweep_stationary_scaling,
     sweep_time_scaling,
 )
-from .blocks import TOL_PHASE, build_blocks, classify_phase
+from .blocks import block_arrays, classify_modes
 from .dense import MAX_DENSE_SITES, dense_evolve_qfi
 from .errors import ConfigError, NumericalError
 from .metrology import dynamical_qfi, qfi_curve, qfi_ratio_time_avg
@@ -140,7 +140,7 @@ def _plain(value):
 # <field>_list key where that is set, else from its own key, or, for an h
 # that the runner sets itself or never reads, is 0.
 _MODEL = {
-    "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _float),
+    "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _at_least(_float, 0.0)),
     "gamma": (0.3, _float), "h": (-0.7, _float),
     "anisotropy": ("non-hermitian", _choice(AnisotropyMode)),
     "theta": ("h", _choice(ThetaKind)),
@@ -223,14 +223,6 @@ def resolve_config(experiment: str, config_path: str | None,
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 class RunWriter:
     """Collects output files, warnings, and derived values for one run.
 
@@ -258,14 +250,18 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         return self.dir / name
 
-    def csv(self, name: str, header: str, rows) -> Path:
+    def csv(self, name: str, header: str, columns) -> Path:
+        """One row per index of the equal-length columns (arrays or lists).
+
+        Each value is written with str, which for a Python float is its
+        shortest round-trip repr.
+        """
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         path = self._path(name)
         with open(path, "w") as f:
-            for line in self._preamble():
-                f.write(f"# {line}\n")
+            f.writelines(f"# {line}\n" for line in self._preamble())
             f.write(header + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
         self.outputs.append(name)
         print(f"wrote {path}")
         return path
@@ -306,14 +302,14 @@ def _time_grid(cfg: dict) -> np.ndarray:
 
 
 def _run_dispersion(params, cfg, writer, threads) -> int:
-    blocks = build_blocks(params)
-    cls = classify_phase(blocks)
+    phi, j_real, j_imag, a, b, eps_sq = block_arrays(params)
+    broken, cls = classify_modes(eps_sq)
     writer.derived["classification"] = cls.label.value
     writer.derived["min_eps_sq"] = cls.min_eps_sq
     writer.derived["argmin_mode"] = cls.argmin_mode
-    rows = [(b.p, b.phi, b.j_real, b.j_imag, b.a, b.b, b.eps_sq,
-             int(b.eps_sq < -TOL_PHASE)) for b in blocks]
-    writer.csv("dispersion.csv", "p,phi,j_real,j_imag,a,b,eps_sq,broken", rows)
+    writer.csv("dispersion.csv", "p,phi,j_real,j_imag,a,b,eps_sq,broken",
+               [np.arange(1, phi.size + 1), phi, j_real, j_imag, a, b, eps_sq,
+                broken.astype(np.int8)])
     print(f"classification: {cls.label.value} "
           f"(min eps_sq {cls.min_eps_sq:.6g} at mode {cls.argmin_mode})")
     return 0
@@ -327,7 +323,8 @@ def _ep_row(params: ModelParams):
 def _run_exceptional_point(params, cfg, writer, threads) -> int:
     row = _ep_row(params)
     writer.derived["h_e"] = row[4]
-    writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations", [row])
+    writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations",
+               [[value] for value in row])
     print(f"h_e = {row[4]:.9f} ({row[5]} polish iterations)")
     return 0
 
@@ -336,7 +333,7 @@ def _run_ep_table(params, cfg, writer, threads) -> int:
     cells = itertools.product(cfg["Z_list"], cfg["alpha_list"])
     rows = run_cells(lambda c: _ep_row(replace(params, Z=c[0], alpha=c[1])),
                      list(cells), threads)
-    writer.csv("ep_table.csv", "Z,alpha,gamma,N,h_e,iterations", rows)
+    writer.csv("ep_table.csv", "Z,alpha,gamma,N,h_e,iterations", zip(*rows))
     return 0
 
 
@@ -346,7 +343,7 @@ def _run_qfi_dynamics(params, cfg, writer, threads) -> int:
     writer.derived["t_grid"] = [float(grid[0]), float(grid[-1]), len(grid)]
     for p in models:
         values = qfi_curve(p, grid, cfg["theta"])
-        writer.csv(f"qfi_dynamics_Z{p.Z}.csv", "t,qfi", list(zip(grid, values)))
+        writer.csv(f"qfi_dynamics_Z{p.Z}.csv", "t,qfi", [grid, values])
     return 0
 
 
@@ -356,7 +353,7 @@ def _run_time_scaling(params, cfg, writer, threads) -> int:
     res = sweep_time_scaling(params, cfg["theta"], transient_grid=tg, longtime_grid=lg)
     writer.derived["transient_window"] = list(res.transient_fit.window)
     writer.derived["longtime_window"] = list(res.longtime_fit.window)
-    writer.csv("time_scaling.csv", "t,qfi", list(zip(res.t, res.qfi)))
+    writer.csv("time_scaling.csv", "t,qfi", [res.t, res.qfi])
     writer.fits([("transient", res.transient_fit), ("longtime", res.longtime_fit)])
     print(f"transient slope {res.transient_fit.slope:.4f}, "
           f"longtime slope {res.longtime_fit.slope:.4f}")
@@ -368,7 +365,7 @@ def _run_size_scaling(params, cfg, writer, threads) -> int:
                              N_list=cfg["N_list"], threads=threads)
     writer.derived["t_eval"] = cfg["t_eval"]
     writer.derived["fit_window"] = list(res.fit.window)
-    writer.csv("size_scaling.csv", "N,qfi", list(zip(res.N, res.qfi)))
+    writer.csv("size_scaling.csv", "N,qfi", [res.N, res.qfi])
     writer.fits([("size", res.fit)])
     print(f"size-scaling slope {res.fit.slope:.4f}")
     return 0
@@ -379,18 +376,18 @@ def _run_stationary_scaling(params, cfg, writer, threads) -> int:
                                    N_list=cfg["N_list"], anchor=cfg["anchor"],
                                    threads=threads)
     writer.derived["anchor_value"] = res.anchor_value
-    rows_csv = []
-    groups = []
+    groups = [(repr(float(row.dh)), row.fit) for row in res.rows]
     for row in res.rows:
-        group = repr(float(row.dh))
-        groups.append((group, row.fit))
-        rows_csv.extend((row.dh, n, v, group) for n, v in zip(row.N, row.qfi))
         if row.straddled_modes:
             writer.warnings.append(
                 f"dh={row.dh!r}: {row.straddled_modes} straddled modes "
                 f"across the N list (finite-difference stencil crossed an "
                 f"exceptional point)")
-    writer.csv("stationary_scaling.csv", "dh,N,qfi,mu_fit_group", rows_csv)
+    sizes = res.rows[0].N  # every dh row sweeps the same sizes
+    writer.csv("stationary_scaling.csv", "dh,N,qfi,mu_fit_group", [
+        np.repeat([row.dh for row in res.rows], sizes.size),
+        np.tile(sizes, len(res.rows)), np.concatenate([row.qfi for row in res.rows]),
+        np.repeat([group for group, _ in groups], sizes.size)])
     writer.fits(groups)
     for group, fit in groups:
         print(f"dh={group}: mu = {fit.slope:.4f} (stderr {fit.stderr:.4f})")
@@ -407,9 +404,9 @@ def _run_ratio(params, cfg, writer, threads) -> int:
         writer.warnings.append(
             f"{res.dropped} grid points dropped (benchmark QFI below floor)")
     writer.derived["mean_ratio"] = res.mean_ratio
-    rows = list(zip(res.t, res.qfi_nh, res.qfi_h, res.ratio))
-    rows.append(("mean", "", "", res.mean_ratio))
-    writer.csv("ratio.csv", "t,qfi_nh,qfi_h,ratio", rows)
+    writer.csv("ratio.csv", "t,qfi_nh,qfi_h,ratio", [
+        [*res.t.tolist(), "mean"], [*res.qfi_nh.tolist(), ""],
+        [*res.qfi_h.tolist(), ""], [*res.ratio.tolist(), res.mean_ratio]])
     print(f"time-averaged ratio = {res.mean_ratio:.4f} "
           f"({res.n_samples} points, {res.dropped} dropped)")
     return 0
@@ -429,16 +426,16 @@ def _run_oracle_check(params, cfg, writer, threads) -> int:
         rel = abs(f_mode - f_dense) / max(abs(f_dense), 1.0)
         return (n, z, alpha, gamma, h, t, theta.value, f_mode, f_dense, rel)
 
-    rows = run_cells(cell, cells, threads)
+    columns = list(zip(*run_cells(cell, cells, threads)))
     writer.csv("oracle_check.csv",
-               "N,Z,alpha,gamma,h,t,theta,qfi_mode,qfi_dense,rel_diff", rows)
-    worst = max(r[-1] for r in rows)
+               "N,Z,alpha,gamma,h,t,theta,qfi_mode,qfi_dense,rel_diff", columns)
+    worst = max(columns[-1])
     ok = worst <= rel_tol
     writer.derived["worst_rel_diff"] = worst
     writer.derived["rel_tol"] = rel_tol
     writer.derived["result"] = "PASS" if ok else "FAIL"
     print(f"ORACLE CHECK: {'PASS' if ok else 'FAIL'} "
-          f"({len(rows)} cells, worst rel diff {worst:.3e}, tol {rel_tol:.1e})")
+          f"({len(cells)} cells, worst rel diff {worst:.3e}, tol {rel_tol:.1e})")
     if not ok:
         writer.warnings.append(
             f"momentum/dense QFI disagree: worst rel diff {worst:.3e} "
@@ -459,7 +456,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "ep-table": ({
         **_model("N", "gamma", "anisotropy"),
         "Z_list": ([1, 2, 4, 7], _list(_int)),
-        "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_float)),
+        "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_at_least(_float, 0.0))),
     }, _run_ep_table),
     "qfi-dynamics": ({
         **_model(*_ALL_MODEL, "theta"),
@@ -494,11 +491,12 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "oracle-check": ({
         **_model("anisotropy"),
         "N_list": ([4, 6, 8], _list(_dense_size)), "Z_list": ([1, 2], _list(_int)),
-        "alpha_list": ([1.5], _list(_float)), "gamma_list": ([0.0, 0.3], _list(_float)),
+        "alpha_list": ([1.5], _list(_at_least(_float, 0.0))),
+        "gamma_list": ([0.0, 0.3], _list(_float)),
         "h_list": ([-0.7, -1.5], _list(_float)),
-        "t_list": ([0.5, 1.0, 2.0], _list(_float)),
+        "t_list": ([0.5, 1.0, 2.0], _list(_at_least(_float, 0.0))),
         "theta_list": (["h", "gamma"], _list(_choice(ThetaKind))),
-        "rel_tol": (1e-8, _float),
+        "rel_tol": (1e-8, _at_least(_float, 0.0)),
     }, _run_oracle_check),
 }
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnderflowError
 from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import ModeBlock, ModeState, block_arrays
 
@@ -234,11 +233,7 @@ def evolve_mode(block: ModeBlock, t: float) -> ModeState:
     amp0, amp2, _, _, sig = _mode_amplitudes(
         block.a, block.b, block.j_imag, block.eps_sq, block.hermitian, t,
         ThetaKind.FIELD_H)
-    n2 = amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2
-    if n2 < 1e-300:
-        raise UnderflowError(
-            f"evolved norm underflow at t={t} (eps_sq={block.eps_sq})")
-    n = math.sqrt(n2)
+    n = math.sqrt(amp0.real ** 2 + amp0.imag ** 2 + amp2.real ** 2 + amp2.imag ** 2)
     return ModeState(amp0 / n, amp2 / n, prenorm=n, log_scale=sig)
 
 

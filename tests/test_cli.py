@@ -8,13 +8,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ixysense
 from ixysense.analysis import ScalingAnchor
-from ixysense.cli import main, resolve_config
+from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
+from ixysense.cli import RunWriter, main, resolve_config
 from ixysense.errors import ConfigError
-from ixysense.model import ThetaKind
+from ixysense.model import ModelParams, ThetaKind
 
 
 def _read_csv(path):
@@ -126,6 +128,11 @@ BOUND_ERRORS = [
     ("time-scaling", "transient_window=[-1,2]"),
     ("time-scaling", "longtime_window=[1000,200]"),
     ("time-scaling", "transient_points=2"),
+    ("dispersion", "alpha=-1.0"),
+    ("ep-table", "alpha_list=[-1.0]"),
+    ("oracle-check", "alpha_list=[1.5,-1.0]"),
+    ("oracle-check", "rel_tol=-1"),
+    ("oracle-check", "t_list=[-1]"),
 ]
 
 # Keys an experiment does not declare: its runner sets or ignores the
@@ -288,18 +295,39 @@ def test_huge_finite_field_runs_without_warning(tmp_path):
 
 
 def test_dispersion_outputs(tmp_path):
-    out = tmp_path / "o"
-    assert main(["dispersion", "--out", str(out), "--set", "N=16",
-                 "--set", "Z=2", "--set", "gamma=0.5", "--set", "h=-1.0"]) == 0
-    comments, header, rows = _read_csv(out / "dispersion.csv")
-    assert header == "p,phi,j_real,j_imag,a,b,eps_sq,broken"
-    assert len(rows) == 8
-    assert any('"gamma": 0.5' in c for c in comments)  # resolved config named
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["experiment"] == "dispersion"
-    assert manifest["derived"]["classification"] == "broken"
-    assert "dispersion.csv" in manifest["outputs"]
-    assert manifest["wall_time_s"] >= 0
+    for h, label in [(-1.0, "broken"), (-3.0, "unbroken")]:
+        out = tmp_path / label
+        assert main(["dispersion", "--out", str(out), "--set", "N=16",
+                     "--set", "Z=2", "--set", "gamma=0.5", "--set", f"h={h}"]) == 0
+        comments, header, rows = _read_csv(out / "dispersion.csv")
+        assert header == "p,phi,j_real,j_imag,a,b,eps_sq,broken"
+        assert len(rows) == 8
+        assert any('"gamma": 0.5' in c for c in comments)  # resolved config named
+        # every row reads back exactly to the block_arrays columns
+        params = ModelParams(N=16, Z=2, alpha=1.5, gamma=0.5, h=h)
+        columns = block_arrays(params)
+        eps_sq = columns[-1]
+        for i, row in enumerate(rows):
+            assert row[0] == str(i + 1)
+            assert [float(text) for text in row[1:7]] == [col[i] for col in columns]
+            assert row[7] == str(int(eps_sq[i] < -TOL_PHASE))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"] == "dispersion"
+        cls = classify_phase(build_blocks(params))
+        assert cls.label.value == label
+        assert manifest["derived"] == {"classification": label,
+                                       "min_eps_sq": cls.min_eps_sq,
+                                       "argmin_mode": cls.argmin_mode}
+        assert "dispersion.csv" in manifest["outputs"]
+        assert manifest["wall_time_s"] >= 0
+
+
+def test_csv_writes_floats_as_repr(tmp_path):
+    values = [5e-324, 1e16, -0.0, 0.1, 1.7976931348623157e308]
+    RunWriter(str(tmp_path), "dispersion", {}).csv("w.csv", "v", [np.array(values)])
+    _, header, rows = _read_csv(tmp_path / "w.csv")
+    assert header == "v"
+    assert rows == [[repr(v)] for v in values]
 
 
 def test_exceptional_point_output(tmp_path):
