@@ -75,11 +75,17 @@ def _at_least(parse, bound):
     return check
 
 
-def _dense_size(value) -> int:
+def _size(value) -> int:
     n = _int(value)
-    if n % 2 or not 4 <= n <= MAX_DENSE_SITES:
-        raise ValueError(f"expected an even N with 4 <= N <= {MAX_DENSE_SITES}, "
-                         f"got {json.dumps(value)}")
+    if n % 2 or n < 4:
+        raise ValueError(f"expected an even N >= 4, got {json.dumps(value)}")
+    return n
+
+
+def _dense_size(value) -> int:
+    n = _size(value)
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"expected N <= {MAX_DENSE_SITES}, got {json.dumps(value)}")
     return n
 
 
@@ -105,7 +111,7 @@ def _time_window(value) -> tuple[float, float]:
 
 
 def _fitted_sizes(value) -> list[int]:
-    sizes = _list(_int)(value)
+    sizes = _list(_size)(value)
     if len(set(sizes)) < 3:
         raise ValueError(
             f"a power-law fit needs at least 3 distinct sizes, got {sizes}")
@@ -505,25 +511,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ixysense",
         description="QFI metrology experiments for the long-range iXY chain")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="flat JSON config file")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default runs/<experiment>)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override one config key (repeatable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep cells (speed only)")
-        p.add_argument("--print-config", action="store_true",
-                       help="print the fully resolved config and exit")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
+    parser.add_argument("--config", default=None, metavar="PATH",
+                        help="flat JSON config file")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="output directory (default runs/<experiment>)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one config key (repeatable)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for sweep cells (speed only)")
+    parser.add_argument("--print-config", action="store_true",
+                        help="print the fully resolved config and exit")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         cfg = resolve_config(args.experiment, args.config, args.set)
         record = {key: _plain(value) for key, value in cfg.items()}
         params = _params(cfg)
@@ -532,8 +538,7 @@ def main(argv=None) -> int:
             return 0
         out_dir = args.out if args.out else str(Path("runs") / args.experiment)
         writer = RunWriter(out_dir, args.experiment, record)
-        status = EXPERIMENTS[args.experiment][1](params, cfg, writer,
-                                                 max(1, args.threads))
+        status = EXPERIMENTS[args.experiment][1](params, cfg, writer, args.threads)
         writer.manifest()
         return status
     except (ConfigError, ValueError) as exc:  # ValueError: a library call's rejection
@@ -542,6 +547,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # RunWriter could not create or write the output
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

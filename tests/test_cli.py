@@ -14,7 +14,7 @@ import pytest
 import ixysense
 from ixysense.analysis import ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
-from ixysense.cli import RunWriter, main, resolve_config
+from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
 from ixysense.errors import ConfigError
 from ixysense.model import ModelParams, ThetaKind
 
@@ -29,6 +29,13 @@ def _read_csv(path):
         else:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def _args(override):
+    """Each space-separated value of override as a --set value, or, where
+    it starts with --, as a flag of its own (--threads=0)."""
+    return [arg for value in override.split()
+            for arg in ([value] if value.startswith("--") else ["--set", value])]
 
 
 def test_resolve_config_layering(tmp_path):
@@ -133,6 +140,14 @@ BOUND_ERRORS = [
     ("oracle-check", "alpha_list=[1.5,-1.0]"),
     ("oracle-check", "rel_tol=-1"),
     ("oracle-check", "t_list=[-1]"),
+    ("size-scaling", "N_list=[64,128,257]"),
+    ("stationary-scaling", "N_list=[64,128,2]"),
+]
+
+# Flag values outside their bounds, rejected like a key's.
+FLAG_ERRORS = [
+    ("dispersion", "--threads=0"),
+    ("size-scaling", "--threads=-3"),
 ]
 
 # Keys an experiment does not declare: its runner sets or ignores the
@@ -174,6 +189,7 @@ CROSS_KEY_ERRORS = [
     ("size-scaling", "N_list=[64,64,128]"),
     *TYPE_ERRORS,
     *BOUND_ERRORS,
+    *FLAG_ERRORS,
     *DROPPED_KEYS,
     *[(experiment, override) for experiment, override, _ in CROSS_KEY_ERRORS],
     ("dispersion", "theta=bogus"),  # dispersion reads no theta
@@ -182,9 +198,8 @@ def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     # non-finite model values and values a runner rejects end in one
     # config-error line, not a traceback or a NaN result, and leave no
     # output directory; override holds one or more space-separated --set
-    # values
-    sets = [arg for value in override.split() for arg in ("--set", value)]
-    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
+    # values or flags (see _args)
+    assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
@@ -192,27 +207,73 @@ def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
 
 @pytest.mark.parametrize("experiment,override,keys", CROSS_KEY_ERRORS)
 def test_cross_key_errors_name_both_keys(tmp_path, capsys, experiment, override, keys):
-    sets = [arg for value in override.split() for arg in ("--set", value)]
-    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
+    assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {', '.join(keys)}: ")
 
 
 def test_type_errors_name_the_key_and_write_nothing(tmp_path, capsys):
-    for experiment, override in TYPE_ERRORS + BOUND_ERRORS:
+    for experiment, override in TYPE_ERRORS + BOUND_ERRORS + FLAG_ERRORS:
         key = override.split("=")[0]
         out = tmp_path / experiment
-        assert main([experiment, "--set", override, "--out", str(out)]) == 2
+        assert main([experiment, *_args(override), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment,override", DROPPED_KEYS)
 def test_dropped_keys_are_unknown(tmp_path, capsys, experiment, override):
-    sets = [arg for value in override.split() for arg in ("--set", value)]
-    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 2
+    assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 2
     key = override.split("=")[0]
     assert capsys.readouterr().err == (
         f"config error: unknown config key '{key}' for experiment '{experiment}'\n")
+
+
+@pytest.mark.parametrize("out", ["f.txt", "f.txt/sub"])
+def test_unusable_out_exits_2(tmp_path, capsys, out):
+    # an --out that is an existing file, or lies under one, ends in one
+    # config-error line and leaves the file as it was
+    (tmp_path / "f.txt").write_text("keep\n")
+    assert main(["dispersion", "--set", "N=16", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (tmp_path / "f.txt").read_text() == "keep\n"
+
+
+def test_missing_experiment_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "experiment" in capsys.readouterr().err
+
+
+def test_unknown_experiment_lists_the_valid_names(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--set", "N=16"])
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "'bogus'" in message
+    assert all(f"'{name}'" in message for name in EXPERIMENTS)
+
+
+def test_help_names_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in EXPERIMENTS)
+
+
+def test_options_parse_the_same_before_and_after_the_experiment():
+    options = ["--set", "N=16", "--config", "c.json", "--set", "Z=2",
+               "--threads", "2", "--print-config", "--out", "d"]
+    parser = build_parser()
+    after = parser.parse_args(["ratio", *options])
+    assert vars(after) == {"experiment": "ratio", "config": "c.json", "out": "d",
+                           "set": ["N=16", "Z=2"], "threads": 2,
+                           "print_config": True}
+    assert parser.parse_args([*options, "ratio"]) == after
+    assert parser.parse_args([*options[:4], "ratio", *options[4:]]) == after
 
 
 def test_cli_import_skips_scipy_integrate():
@@ -234,8 +295,7 @@ def test_cli_import_skips_scipy_integrate():
 ])
 def test_numerical_failure_exits_3(tmp_path, capsys, experiment, override, named):
     # a model with no broken mode has no exceptional point
-    sets = [arg for value in override.split() for arg in ("--set", value)]
-    assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 3
+    assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert named in err
@@ -276,10 +336,9 @@ def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named
     # a field or anisotropy whose square overflows ends in one
     # numerical-failure line naming it, not NaN rows, an inf eps_sq or a
     # numpy warning
-    sets = [arg for value in override.split() for arg in ("--set", value)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([experiment, *sets, "--out", str(tmp_path / "o")]) == 3
+        assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert named in err
