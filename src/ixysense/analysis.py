@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import FitError, NumericalError
 from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
@@ -111,6 +110,12 @@ def run_cells(fn, cells, threads: int = 1) -> list:
         return [fn(c) for c in cells]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, cells))
+
+
+def minimize_scalar(fun, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on the first call, not with the package."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    return scipy_minimize_scalar(fun, **kwargs)
 
 
 def find_exceptional_point(params: ModelParams) -> EPResult:

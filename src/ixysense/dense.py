@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
@@ -154,8 +153,11 @@ def propagate_dense(op: SectorHamiltonian, t: float,
     One call of scipy.linalg.expm_frechet gives U = exp(A) and its
     Frechet derivative L(A, E) for A = -i H t and E = -i t dH/dtheta.
     The vacuum is its own one-state orbit and the last representative,
-    so U psi0 and its derivative L psi0 are the last columns.
+    so U psi0 and its derivative L psi0 are the last columns.  scipy is
+    imported here, its only use, so the momentum path never loads it.
     """
+    import scipy.linalg
+
     a = -1j * t * op.matrix
     e = -1j * t * op.derivative(theta_kind)
     u, du = scipy.linalg.expm_frechet(a, e)

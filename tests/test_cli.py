@@ -276,14 +276,62 @@ def test_options_parse_the_same_before_and_after_the_experiment():
     assert parser.parse_args([*options[:4], "ratio", *options[4:]]) == after
 
 
-def test_cli_import_skips_scipy_integrate():
-    code = "import sys, ixysense.cli; print('scipy.integrate' in sys.modules)"
+def _fresh_python(code):
+    """stdout of code run in a new interpreter that imports this ixysense."""
     src = str(Path(ixysense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+# Defines scipy_loaded(): the sorted scipy modules in sys.modules.
+_SCIPY_LOADED = ("import sys\n"
+                 "def scipy_loaded():\n"
+                 "    return sorted(m for m in sys.modules\n"
+                 "                  if m == 'scipy' or m.startswith('scipy.'))\n")
+
+
+def test_cli_import_skips_scipy_integrate():
+    # no scipy module at all: only the dense oracle and the exceptional-point
+    # polish load it, on their first call
+    code = _SCIPY_LOADED + ("import ixysense; print(scipy_loaded())\n"
+                            "import ixysense.cli; print(scipy_loaded())\n")
+    assert _fresh_python(code).splitlines() == ["[]", "[]"]
+
+
+def _cold_runs(out, *runs):
+    """In one new interpreter, main() on each argv in turn; per run its exit
+    code and the scipy modules loaded after it."""
+    argvs = [[*run.split(), "--out", str(out / str(i))] for i, run in enumerate(runs)]
+    code = _SCIPY_LOADED + (
+        "import contextlib, json, ixysense.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(sys.stderr):\n"
+        "        code = ixysense.cli.main(argv)\n"
+        "    print(json.dumps([code, scipy_loaded()]))\n")
+    return [json.loads(line) for line in _fresh_python(code).splitlines()]
+
+
+SCIPY_FREE_RUNS = (
+    "dispersion --set N=16",
+    "qfi-dynamics --set N=16 --set t_points=5",
+    "time-scaling --set N=16 --set transient_points=5 --set longtime_points=5",
+    "size-scaling --set N_list=[16,32,64] --set t_eval=5.0",
+    "stationary-scaling --set N_list=[16,32,64]",
+    "ratio --set N=16 --set n_grid=11",
+)
+
+
+def test_only_the_oracle_and_the_exceptional_point_load_scipy(tmp_path):
+    *free, oracle = _cold_runs(
+        tmp_path / "a", *SCIPY_FREE_RUNS,
+        "oracle-check --set N_list=[4] --set t_list=[0.5]")
+    assert free == [[0, []]] * len(SCIPY_FREE_RUNS)
+    assert oracle[0] == 0
+    assert "scipy.linalg" in oracle[1] and "scipy.optimize" not in oracle[1]
+    [(code, _)] = _cold_runs(tmp_path / "b", "exceptional-point")
+    assert code == 0
 
 
 @pytest.mark.parametrize("experiment,override,named", [
@@ -504,3 +552,13 @@ def test_threads_do_not_change_results(tmp_path):
     a = (tmp_path / "a" / "size_scaling.csv").read_bytes()
     b = (tmp_path / "b" / "size_scaling.csv").read_bytes()
     assert a == b
+
+
+def test_threads_do_not_change_results_when_scipy_loads_on_a_worker(tmp_path):
+    # --threads 2 first, so scipy is first imported on run_cells pool threads
+    runs = ["oracle-check --set N_list=[4,6] --threads 2", "ep-table --threads 2",
+            "oracle-check --set N_list=[4,6] --threads 1", "ep-table --threads 1"]
+    assert [code for code, _ in _cold_runs(tmp_path, *runs)] == [0] * 4
+    for two, one, name in ((0, 2, "oracle_check.csv"), (1, 3, "ep_table.csv")):
+        assert ((tmp_path / str(two) / name).read_bytes()
+                == (tmp_path / str(one) / name).read_bytes())
