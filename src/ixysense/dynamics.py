@@ -7,7 +7,13 @@ Every block satisfies M^2 = eps_sq * I, so the propagator collapses to
 
 C and S are entire functions of x: trigonometric for x > 0, hyperbolic
 for x < 0 (cos(i y) = cosh y), smooth across x = 0 where a Taylor branch
-takes over.  Parameter derivatives follow from the chain rule,
+takes over.  The trigonometric branch takes both from one half-angle
+tangent u = tan(sqrt(x) t / 2),
+
+    C = (1 - u)(1 + u) / (1 + u^2),   S = 2 u / ((1 + u^2) sqrt(x)),
+
+within 1 eps absolute in C and 2 eps relative in S of the rounded phase.
+Parameter derivatives follow from the chain rule,
 
     dU/dtheta = (dx/dtheta) [C_x I - i S_x M] - i S dM/dtheta,
     C_x = -t S / 2,   S_x = (t C - S) / (2 x),
@@ -86,37 +92,55 @@ def _window(x, t, bound):
 def _kernels(x, t, rescale=True):
     """C, S and the rescale exponent sigma on the (modes x times) grid of x, t.
 
-    The trigonometric or hyperbolic branch is chosen once per mode and
-    written for whole rows; the cells past RESCALE_EXPONENT and the
-    Taylor cells near x t^2 = 0 are then patched, so every cell keeps
-    its own elementwise formula.
+    Every row is first evaluated on the trigonometric branch from one
+    half-angle tangent u = tan(sqrt(x) t / 2),
+
+        C = (1 - u)(1 + u) / (1 + u^2),   S = (u / (1 + u^2)) (2 / sqrt(x)),
+
+    one vectorized tan in place of a cos and a sin per cell.  Against
+    40-digit cos and sin of the phase sqrt(x) t as rounded, C is within
+    1 eps absolute and S within 2 eps relative (libm cos and sin: 0.5
+    and 1).  u^2 cannot overflow, as |tan| of any double is below about
+    1e19, and (1 - u)(1 + u) is not formed as 1 - u^2, which cancels near
+    C = 0.  Rows with x < 0 are then overwritten on the hyperbolic branch,
+    and the cells past RESCALE_EXPONENT and the Taylor cells near
+    x t^2 = 0 are patched, so every cell keeps its own elementwise formula.
     """
     x, t, shape = _mode_grid(x, t)
-    limit = RESCALE_EXPONENT if rescale else np.inf
     rt = np.sqrt(np.abs(x))
-    st = rt * t
-    c = np.empty(st.shape)
-    s = np.empty(st.shape)
-    sig = np.zeros(st.shape)
+    u = rt * t
+    u *= 0.5
+    np.tan(u, out=u)
+    c = np.subtract(1.0, u)
+    s = np.add(1.0, u)
+    c *= s
+    np.multiply(u, u, out=s)
+    s += 1.0
+    c /= s
+    np.divide(u, s, out=s)
+    # x = 0 rows lie wholly in the Taylor window, which overwrites them
+    s *= np.divide(2.0, rt, out=np.zeros(rt.shape), where=x != 0.0)
+    sig = np.zeros(u.shape)
 
-    pos = x > 0.0
-    np.cos(st, out=c, where=pos)
-    np.sin(st, out=s, where=pos)
-    np.divide(s, rt, out=s, where=pos)
-
-    neg = x < 0.0
-    late = neg & (st > limit)
-    tame = neg & ~late
-    np.cosh(st, out=c, where=tame)
-    np.sinh(st, out=s, where=tame)
-    np.divide(s, rt, out=s, where=tame)
-    if late.any():
-        # growing cells: exp(-|eps| t) is factored out
-        st_l = st[late]
-        damp = np.exp(-2.0 * st_l)
-        c[late] = 0.5 * (1.0 + damp)
-        s[late] = (1.0 - damp) / (2.0 * np.broadcast_to(rt, st.shape)[late])
-        sig[late] = st_l
+    neg = np.flatnonzero(x[:, 0] < 0.0)
+    if neg.size:
+        limit = RESCALE_EXPONENT if rescale else np.inf
+        rt_n = rt[neg]
+        st_n = rt_n * t
+        tame = st_n <= limit
+        c_n = np.cosh(st_n, out=np.empty(st_n.shape), where=tame)
+        s_n = np.sinh(st_n, out=np.empty(st_n.shape), where=tame)
+        np.divide(s_n, rt_n, out=s_n, where=tame)
+        late = ~tame
+        if late.any():
+            # growing cells: exp(-|eps| t) is factored out
+            st_l = st_n[late]
+            damp = np.exp(-2.0 * st_l)
+            c_n[late] = 0.5 * (1.0 + damp)
+            s_n[late] = (1.0 - damp) / (2.0 * np.broadcast_to(rt_n, st_n.shape)[late])
+            sig[neg] = np.where(late, st_n, 0.0)
+        c[neg] = c_n
+        s[neg] = s_n
 
     i, j, z, tz = _window(x, t, SERIES_Z)
     c[i, j] = 1.0 - 0.5 * z * (1.0 - z / 12.0 * (1.0 - z / 30.0))
@@ -130,10 +154,11 @@ def _kernel_derivs(x, t, c, s):
     c = np.reshape(c, (x.size, t.size))
     s = np.reshape(s, (x.size, t.size))
     dc = -0.5 * t * s
-    # divide before halving: 2 x overflows once |x| passes half the float range
-    nonzero = x != 0.0
-    ds = np.divide(t * c - s, x, out=np.empty(c.shape), where=nonzero)
-    np.multiply(ds, 0.5, out=ds, where=nonzero)
+    # divide before halving: 2 x overflows once |x| passes half the float
+    # range; x = 0 rows lie wholly in the Taylor window
+    ds = t * c - s
+    ds /= np.where(x != 0.0, x, 1.0)
+    ds *= 0.5
     i, j, z, tz = _window(x, t, DSERIES_Z)
     ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
         1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))

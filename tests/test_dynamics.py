@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,10 +44,12 @@ def _reference_kernels(x, t, rescale=True):
         c[ser] = 1.0 - 0.5 * zs * (1.0 - zs / 12.0 * (1.0 - zs / 30.0))
         s[ser] = ts * (1.0 - zs / 6.0 * (1.0 - zs / 20.0 * (1.0 - zs / 42.0)))
     if pos.any():
+        # cos and sin from the half-angle tangent, in _kernels' operations
         rt = np.sqrt(xf[pos])
-        st = rt * tf[pos]
-        c[pos] = np.cos(st)
-        s[pos] = np.sin(st) / rt
+        u = np.tan(rt * tf[pos] * 0.5)
+        d = 1.0 + u * u
+        c[pos] = (1.0 - u) * (1.0 + u) / d
+        s[pos] = u / d * (2.0 / rt)
     if neg.any():
         rt = np.sqrt(-xf[neg])
         st = rt * tf[neg]
@@ -174,6 +177,27 @@ def test_kernels_match_complex_reference():
             s_ref = t if xi == 0.0 else (cmath.sin(root * t) / root).real
             assert ci == pytest.approx(c_ref, rel=1e-12, abs=1e-12)
             assert si == pytest.approx(s_ref, rel=1e-12, abs=1e-12)
+
+
+def test_trigonometric_kernels_match_mpmath():
+    # C and S against 40-digit cos and sin of the phase sqrt(x) t as
+    # rounded, outside the Taylor window.  The half-angle tangent form
+    # measures 1.0 eps absolute in C and 1.93 eps relative in S here;
+    # libm's cos and sin measure 0.5 and 1.0.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    x = np.geomspace(1e-6, 20.0, 40)
+    t = np.concatenate([[1.0, 1000.0], rng.uniform(1.0, 1000.0, 198)])
+    c, s, sig = _kernels(x[:, None], t[None, :])
+    assert (sig == 0).all()
+    rt = np.sqrt(x)
+    st = rt[:, None] * t[None, :]
+    with mpmath.workdps(40):
+        c_ref = np.array([[float(mpmath.cos(v)) for v in row] for row in st.tolist()])
+        s_ref = np.array([[float(mpmath.sin(v) / r) for v in row]
+                          for row, r in zip(st.tolist(), rt.tolist())])
+    assert np.abs(c - c_ref).max() <= 2.0 * eps
+    assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= 3.0 * eps
 
 
 # Modes of both signs, Taylor-small |x|, x = 0 and strongly broken x,
