@@ -345,7 +345,11 @@ def _run_ep_table(params, cfg, writer, threads) -> int:
 
 def _run_qfi_dynamics(params, cfg, writer, threads) -> int:
     grid = _time_grid(cfg)
-    models = [replace(params, Z=z) for z in cfg["Z_list"] or [params.Z]]
+    zs = cfg["Z_list"] or [params.Z]
+    if len(set(zs)) < len(zs):  # checked before the first write
+        raise ConfigError(f"Z_list: each Z writes its own file, got Z="
+                          f"{max(zs, key=zs.count)} more than once in {zs}")
+    models = [replace(params, Z=z) for z in zs]
     writer.derived["t_grid"] = [float(grid[0]), float(grid[-1]), len(grid)]
     for p in models:
         values = qfi_curve(p, grid, cfg["theta"])

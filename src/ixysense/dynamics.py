@@ -18,7 +18,10 @@ Parameter derivatives follow from the chain rule,
     dU/dtheta = (dx/dtheta) [C_x I - i S_x M] - i S dM/dtheta,
     C_x = -t S / 2,   S_x = (t C - S) / (2 x),
 
-with series fallbacks for the kernels near x = 0.
+with series fallbacks near x = 0.  The array path forms neither: det U = 1
+gives C^2 + x S^2 = exp(-2 sigma) (sigma as below), so W = S C_x - C S_x =
+(C S - t exp(-2 sigma)) / (2 x), or -(t^3/3)(1 - z/5 + 2z^2/105 - z^3/945)
+with z = x t^2 near x = 0, and trajectory_arrays needs no _kernel_derivs.
 
 Broken blocks (x < 0) grow like exp(|eps| t).  Once |eps| t exceeds
 RESCALE_EXPONENT both the amplitudes and their derivatives are scaled by
@@ -38,7 +41,7 @@ from .blocks import ModeBlock, ModeState, block_arrays
 
 # Taylor window for C and S: |x| t^2 below this.
 SERIES_Z = 1e-8
-# Wider window for S_x: the closed form (tC - S)/(2x) cancels near x = 0.
+# Series window for W and S_x, whose closed forms cancel near x = 0.
 DSERIES_Z = 1e-6
 # Hyperbolic growth beyond exp(150) is factored out of the amplitudes.
 RESCALE_EXPONENT = 150.0
@@ -108,8 +111,7 @@ def _kernels(x, t, rescale=True):
     """
     x, t, shape = _mode_grid(x, t)
     rt = np.sqrt(np.abs(x))
-    u = rt * t
-    u *= 0.5
+    u = (0.5 * rt) * t
     np.tan(u, out=u)
     c = np.subtract(1.0, u)
     s = np.add(1.0, u)
@@ -207,38 +209,40 @@ def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
 
         n  = C^2 + (a^2 + m^2) S^2
         cr = (a v + m u) S^2
-        ci = (dx/dtheta) m W - v C S,      W = S C_x - C S_x.
+        ci = (dx/dtheta) m W - v C S,      W = S C_x - C S_x,
 
-    They are written in place over the kernel arrays, and returned as
-    (n, cr, ci, sigma).  n, cr and ci share the inert factor
-    exp(-2 sigma), which cancels in 4 (cr^2 + ci^2) / n^2.
+    with W = (C S - t exp(-2 sigma)) / (2 x), or its series inside DSERIES_Z,
+    so no _kernel_derivs call forms C_x and S_x.  They are written in place
+    over the kernel arrays and returned as (n, cr, ci, sigma).  n, cr and ci
+    share the inert factor exp(-2 sigma), which cancels in 4 (cr^2 + ci^2) / n^2.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    j_imag = np.asarray(j_imag, dtype=float)
+    x, t, shape = _mode_grid(x, t)
+    a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
     m = -b if hermitian else b  # lower-left block entry M_10
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     c, s, sig = _kernels(x, t)
-    ci, cr = _kernel_derivs(x, t, c, s)  # C_x and S_x, overwritten below
-    np.multiply(ci, s, out=ci)
-    np.multiply(cr, c, out=cr)
-    np.subtract(ci, cr, out=ci)  # W
-    np.multiply(ci, xp * m, out=ci)
-    if theta_kind is ThetaKind.ANISOTROPY_GAMMA:  # v = 0 for theta = h
-        np.multiply(c, s, out=cr)
-        np.multiply(cr, v, out=cr)
-        np.subtract(ci, cr, out=ci)
+    cs = np.multiply(c, s)
+    # 2 x W = C S - t e^{-2 sigma}, where sigma > 0 only on rows with x < 0,
+    # in place when theta = h, which needs no C S after it (v = 0)
+    tail = t * np.exp(-2.0 * sig) if (x < 0.0).any() and sig.any() else t
+    ci = np.subtract(cs, tail, out=cs if theta_kind is ThetaKind.FIELD_H else None)
+    ci /= np.where(x != 0.0, x, 1.0)  # before halving, as 2 x can overflow
+    i, j, z, tz = _window(x, t, DSERIES_Z)  # x = 0 rows lie wholly inside
+    ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (1.0 - z / 18.0)))
+    ci *= 0.5 * xp * m
+    if theta_kind is ThetaKind.ANISOTROPY_GAMMA:
+        ci -= np.multiply(cs, v, out=cs)
     s2 = np.multiply(s, s, out=s)
-    np.multiply(s2, a * v + m * u, out=cr)
+    cr = np.multiply(s2, a * v + m * u)
     n = np.multiply(c, c, out=c)
     n += np.multiply(s2, a * a + m * m, out=s2)
-    return n, cr, ci, sig
+    return tuple(k.reshape(shape) for k in (n, cr, ci, sig))
 
 
 def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
     """Complex amplitudes of one block, their theta-derivative and sigma.
 
-    The scalar form of trajectory_arrays, built from the same kernels.
+    trajectory_arrays' scalar form, but with C_x, S_x: a check of its fused W.
     """
     c, s, sig = (float(k) for k in _kernels(x, t))
     dc, ds = (float(k) for k in _kernel_derivs(x, t, c, s))

@@ -85,15 +85,16 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     by the whole grid, or, for a grid of more than CHUNK_CELLS times, one
     mode by a block of CHUNK_CELLS times.  The working memory is then one
     chunk beyond the O(N) block arrays and the O(T) totals, whatever N and
-    T.  The per-mode values 4 (cr^2 + ci^2) / n^2 are formed in place over
-    the chunk's trajectory_arrays output.  A block's running totals are
-    added into the first row of the next chunk before that chunk is
-    reduced along the mode axis.  numpy reduces a C-ordered array over its
-    leading axis row by row, so with two or more times the totals are a
-    sequential sum in mode order whatever the chunk size.  (With a single
-    time a chunk is one column, which numpy sums pairwise; one chunk then
-    holds up to CHUNK_CELLS = 16384 modes.  The default experiments
-    evaluate at most 2048 modes (N = 4096), one chunk each.)
+    T.  The per-mode values (cr^2 + ci^2) / n^2, a quarter of the QFI, are
+    formed in place over the chunk's trajectory_arrays output.  A block's
+    running totals are added into the first row of the next chunk before
+    that chunk is reduced along the mode axis, and scaled by 4 at the end.
+    numpy reduces a C-ordered array over its leading axis row by row, so
+    with two or more times the totals are a sequential sum in mode order
+    whatever the chunk size.  (With a single time a chunk is one column,
+    which numpy sums pairwise; one chunk then holds up to CHUNK_CELLS =
+    16384 modes.  The default experiments evaluate at most 2048 modes
+    (N = 4096), one chunk each.)
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.isfinite(t_grid).all():
@@ -104,23 +105,24 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
     totals = np.empty(t_grid.size)
-    for t0 in range(0, t_grid.size, CHUNK_CELLS):
-        block = slice(t0, t0 + CHUNK_CELLS)
-        for lo in range(0, eps_sq.size, rows):
-            chunk = slice(lo, lo + rows)
-            n, cr, ci, _ = trajectory_arrays(
-                a[chunk, None], b[chunk, None], j_imag[chunk, None],
-                eps_sq[chunk, None], hermitian, t_grid[None, block], theta_kind)
-            # n = C^2 + (a^2 + m^2) S^2 >= 1 in an unrescaled cell and >= 1/4
-            # in a rescaled one, so the division below never meets n ~ 0
-            # per-mode QFI 4 (cr^2 + ci^2) / n^2, over the chunk's own arrays
-            per_mode = np.multiply(cr, cr, out=cr)
-            per_mode += np.multiply(ci, ci, out=ci)
-            per_mode *= 4.0
-            per_mode /= np.multiply(n, n, out=n)
-            if lo:
-                per_mode[0] += totals[block]  # the sum goes on in mode order
-            totals[block] = np.add.reduce(per_mode, axis=0)
+    with np.errstate(over="ignore"):  # checked below; an inf z is outside the window
+        for t0 in range(0, t_grid.size, CHUNK_CELLS):
+            block = slice(t0, t0 + CHUNK_CELLS)
+            for lo in range(0, eps_sq.size, rows):
+                chunk = slice(lo, lo + rows)
+                n, cr, ci, _ = trajectory_arrays(
+                    a[chunk, None], b[chunk, None], j_imag[chunk, None],
+                    eps_sq[chunk, None], hermitian, t_grid[None, block], theta_kind)
+                # n = C^2 + (a^2 + m^2) S^2 >= 1 in an unrescaled cell and >= 1/4
+                # in a rescaled one, so the division below never meets n ~ 0
+                # per-mode QFI over 4, (cr^2 + ci^2) / n^2, on the chunk's own arrays
+                per_mode = np.multiply(cr, cr, out=cr)
+                per_mode += np.multiply(ci, ci, out=ci)
+                per_mode /= np.multiply(n, n, out=n)
+                if lo:
+                    per_mode[0] += totals[block]  # the sum goes on in mode order
+                totals[block] = np.add.reduce(per_mode, axis=0)
+    totals *= 4.0
     if not np.isfinite(totals).all():
         raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
     return totals

@@ -144,6 +144,13 @@ BOUND_ERRORS = [
     ("stationary-scaling", "N_list=[64,128,2]"),
 ]
 
+# Repeated values where each one names its own output file, rejected by
+# the runner before its first write.
+REPEAT_ERRORS = [
+    ("qfi-dynamics", "Z_list=[2,2]"),
+    ("qfi-dynamics", "Z_list=[1,3,1,1] N=64"),
+]
+
 # Flag values outside their bounds, rejected like a key's.
 FLAG_ERRORS = [
     ("dispersion", "--threads=0"),
@@ -189,6 +196,7 @@ CROSS_KEY_ERRORS = [
     ("size-scaling", "N_list=[64,64,128]"),
     *TYPE_ERRORS,
     *BOUND_ERRORS,
+    *REPEAT_ERRORS,
     *FLAG_ERRORS,
     *DROPPED_KEYS,
     *[(experiment, override) for experiment, override, _ in CROSS_KEY_ERRORS],
@@ -212,7 +220,7 @@ def test_cross_key_errors_name_both_keys(tmp_path, capsys, experiment, override,
 
 
 def test_type_errors_name_the_key_and_write_nothing(tmp_path, capsys):
-    for experiment, override in TYPE_ERRORS + BOUND_ERRORS + FLAG_ERRORS:
+    for experiment, override in TYPE_ERRORS + BOUND_ERRORS + REPEAT_ERRORS + FLAG_ERRORS:
         key = override.split("=")[0]
         out = tmp_path / experiment
         assert main([experiment, *_args(override), "--out", str(out)]) == 2
@@ -226,6 +234,12 @@ def test_dropped_keys_are_unknown(tmp_path, capsys, experiment, override):
     key = override.split("=")[0]
     assert capsys.readouterr().err == (
         f"config error: unknown config key '{key}' for experiment '{experiment}'\n")
+
+
+def test_repeated_Z_is_named(tmp_path, capsys):
+    # a second Z=1 would overwrite qfi_dynamics_Z1.csv and list it twice
+    assert main(["qfi-dynamics", "--set", "Z_list=[1,3,1]", "--out", str(tmp_path / "o")]) == 2
+    assert "Z=1 more than once" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("out", ["f.txt", "f.txt/sub"])
@@ -379,11 +393,13 @@ def test_huge_gamma_exceptional_point_runs_without_warning(tmp_path):
     ("time-scaling", "h=1e200 N=64", "h=1e+200"),
     ("dispersion", "h=1e300 N=64", "h=1e+300"),
     ("stationary-scaling", "gamma=1e154 N_list=[16,32,64]", "gamma=1e+154"),
+    ("qfi-dynamics", "t_max=1e300 t_points=3 N=64", "N=64"),
+    ("ratio", "t1=1e300 n_grid=3 N=64", "N=64"),
 ])
 def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named):
-    # a field or anisotropy whose square overflows ends in one
-    # numerical-failure line naming it, not NaN rows, an inf eps_sq or a
-    # numpy warning
+    # a field or anisotropy whose square overflows, or a time at which the
+    # QFI does, ends in one numerical-failure line naming the model, not NaN
+    # rows, an inf eps_sq or a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 3

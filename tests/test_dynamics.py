@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ixysense.blocks import ModeBlock, build_blocks
+from ixysense.blocks import ModeBlock, block_arrays, build_blocks
 from ixysense.dynamics import (
     DSERIES_Z,
     RESCALE_EXPONENT,
@@ -322,6 +322,60 @@ def test_trajectory_arrays_matches_scalar_path():
                 assert n[i] == pytest.approx(abs(amp0) ** 2 + abs(amp2) ** 2, rel=1e-14)
                 assert cr[i] == pytest.approx(cross.real, rel=1e-13, abs=1e-15)
                 assert ci[i] == pytest.approx(cross.imag, rel=1e-13, abs=1e-15)
+
+
+def _mp_cell_qfi(a, b, ji, x, hermitian, t, theta):
+    """4 |phi_0 dphi_1 - phi_1 dphi_0|^2 / n^2 of one cell at the working
+    precision, from the complex amplitudes of x, a, b and j_imag as rounded."""
+    a, b, ji, x, t = (mpmath.mpf(v) for v in (a, b, ji, x, t))
+    m = -b if hermitian else b
+    if theta is ThetaKind.FIELD_H:
+        xp, u, v = 2 * a, -1, 0
+    else:
+        xp, u, v = (2 * b * ji, 0, -ji) if hermitian else (-2 * b * ji, 0, ji)
+    r = mpmath.sqrt(mpmath.mpc(x))
+    c, s = mpmath.cos(r * t), mpmath.sin(r * t) / r
+    c_x, s_x = -t * s / 2, (t * c - s) / (2 * x)
+    phi0, phi1 = c + 1j * a * s, -1j * m * s
+    d0 = xp * (c_x + 1j * a * s_x) - 1j * s * u
+    d1 = -1j * xp * m * s_x - 1j * s * v
+    n = abs(phi0) ** 2 + abs(phi1) ** 2
+    return float(4 * abs(phi0 * d1 - phi1 * d0) ** 2 / n ** 2)
+
+
+# Relative gate of the per-cell QFI below against 50 digits, 10x the worst
+# error of W built as S C_x - C S_x from _kernel_derivs: 5.5e-13, at
+# sqrt(x) t = 374, where the rounded phase sets it in either form.  There
+# the fused W measures the same; in hyperbolic cells it measures 1.1e-15
+# against 1.1e-13, and in rescaled ones 3.8e-16 against 2.1e-13.
+CELL_QFI_RTOL = 5.5e-12
+
+
+@pytest.mark.parametrize("mode", list(AnisotropyMode))
+@pytest.mark.parametrize("theta", list(ThetaKind))
+def test_cell_qfi_matches_mpmath(theta, mode):
+    # trigonometric, hyperbolic and rescaled cells (|eps| t up to 460), and
+    # cells 1 % either side of the DSERIES_Z edge in four modes
+    params = ModelParams(N=32, Z=3, alpha=1.5, gamma=0.4, h=-0.8, anisotropy_mode=mode)
+    _, _, ji, a, b, x = block_arrays(params)
+    hermitian = mode is AnisotropyMode.HERMITIAN
+    edge = np.sqrt(DSERIES_Z / np.abs(x[:4]))
+    t = np.concatenate([np.geomspace(0.01, 2000.0, 32), 0.99 * edge, 1.01 * edge])
+    n, cr, ci, sig = trajectory_arrays(a[:, None], b[:, None], ji[:, None], x[:, None],
+                                       hermitian, t[None, :], theta)
+    got = 4.0 * (cr * cr + ci * ci) / (n * n)
+    z = np.abs(x[:, None] * t * t)
+    inside, outside = z < DSERIES_Z, z >= DSERIES_Z
+    assert (inside & (z > 0.97 * DSERIES_Z)).sum() >= 4
+    assert (outside & (z < 1.03 * DSERIES_Z)).sum() >= 4
+    assert (outside & (x[:, None] > 0)).any()
+    assert (outside & (x[:, None] < 0) & (sig == 0)).any() != hermitian
+    assert (sig > 0).any() != hermitian
+    with mpmath.workdps(50):
+        want = np.array([[_mp_cell_qfi(*p, hermitian, ti, theta) for ti in t.tolist()]
+                         for p in zip(a.tolist(), b.tolist(), ji.tolist(), x.tolist())])
+    rel = np.abs(got - want) / want
+    assert rel.max() <= CELL_QFI_RTOL
 
 
 @pytest.mark.parametrize("hermitian", [False, True])

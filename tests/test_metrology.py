@@ -188,9 +188,13 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
 _STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
 
 # Relative gate of the closed form against the complex-amplitude reference,
-# about 10x the worst drift measured: 6.9e-16 on the grids below and
-# 1.2e-15 on N = 16384-65536 with 300 times.  Both forms take the same
-# kernel values and differ only in rounding.
+# about 10x the worst drift measured on the grids below: 9.3e-16.  Both
+# forms take the same C, S and sigma, but the closed form takes W from
+# C S - t exp(-2 sigma) and the reference from C_x and S_x, so cells just
+# outside DSERIES_Z, where both cancel, can differ by ~1e-10.  At
+# N = 16384-65536 with 300 times the drift reached 1.6e-14 near the
+# exceptional point (Z = 5, h = -0.6, theta = gamma), from one such cell;
+# a 50-digit sum put the closed form 4.5e-15 and the reference 1.1e-14 off.
 CLOSED_FORM_RTOL = 1e-14
 
 
