@@ -144,7 +144,8 @@ def _plain(value):
 # Model and probe keys: name -> (default, type).  An experiment declares
 # the ones its runner reads; a ModelParams field comes from its
 # <field>_list key where that is set, else from its own key, or, for an h
-# that the runner sets itself or never reads, is 0.
+# that the runner sets itself or never reads, is 0.  The exceptional-point
+# experiments read no anisotropy: a Hermitian chain has no such point.
 _MODEL = {
     "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _at_least(_float, 0.0)),
     "gamma": (0.3, _float), "h": (-0.7, _float),
@@ -173,7 +174,7 @@ def _params(cfg: dict) -> ModelParams:
         raise ConfigError(f"{z_key}, {n_key}: need 1 <= Z <= N/2 for every Z and N, "
                           f"got Z={z} at N={min(ns)}")
     return ModelParams(**{name: values[0] for name, (_, values) in sources.items()},
-                       anisotropy_mode=cfg["anisotropy"])
+                       anisotropy_mode=cfg.get("anisotropy", AnisotropyMode.NON_HERMITIAN))
 
 
 def _parse_set(item: str):
@@ -308,13 +309,14 @@ def _time_grid(cfg: dict) -> np.ndarray:
 
 
 def _run_dispersion(params, cfg, writer, threads) -> int:
-    phi, j_real, j_imag, a, b, eps_sq = block_arrays(params)
+    phi, j_real, j_imag, _, _, eps_sq = block_arrays(params)
     broken, cls = classify_modes(eps_sq)
     writer.derived["classification"] = cls.label.value
     writer.derived["min_eps_sq"] = cls.min_eps_sq
     writer.derived["argmin_mode"] = cls.argmin_mode
-    writer.csv("dispersion.csv", "p,phi,j_real,j_imag,a,b,eps_sq,broken",
-               [np.arange(1, phi.size + 1), phi, j_real, j_imag, a, b, eps_sq,
+    # a = h + j_real and b = gamma * j_imag read back exactly from the columns
+    writer.csv("dispersion.csv", "p,phi,j_real,j_imag,eps_sq,broken",
+               [np.arange(1, phi.size + 1), phi, j_real, j_imag, eps_sq,
                 broken.astype(np.int8)])
     print(f"classification: {cls.label.value} "
           f"(min eps_sq {cls.min_eps_sq:.6g} at mode {cls.argmin_mode})")
@@ -461,10 +463,9 @@ _ALL_MODEL = ("N", "Z", "alpha", "gamma", "h", "anisotropy")
 # them, no hidden knobs.
 EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "dispersion": (_model(*_ALL_MODEL), _run_dispersion),
-    "exceptional-point": (_model("N", "Z", "alpha", "gamma", "anisotropy"),
-                          _run_exceptional_point),
+    "exceptional-point": (_model("N", "Z", "alpha", "gamma"), _run_exceptional_point),
     "ep-table": ({
-        **_model("N", "gamma", "anisotropy"),
+        **_model("N", "gamma"),
         "Z_list": ([1, 2, 4, 7], _list(_int)),
         "alpha_list": ([0.5, 1.0, 1.5, 2.0], _list(_at_least(_float, 0.0))),
     }, _run_ep_table),

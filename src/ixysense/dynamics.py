@@ -60,7 +60,6 @@ class ModeTrajectory:
 
     state: ModeState
     dstate: tuple[complex, complex]
-    theta_kind: ThetaKind
 
 
 def _mode_grid(x, t):
@@ -86,8 +85,11 @@ def _window(x, t, bound):
     modes inside the window at the smallest |t| are checked per cell.
     """
     t_min = np.abs(t).min(initial=np.inf)
-    rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < bound)
-    z = x[rows] * t * t
+    with np.errstate(over="ignore"):  # an infinite z only lies outside the window
+        rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < bound)
+        if not rows.size:  # the usual chunk: no mode near x = 0
+            return rows, rows, np.empty(0), np.empty(0)
+        z = x[rows] * t * t
     i, j = np.nonzero(np.abs(z) < bound)
     return rows[i], j, z[i, j], t[0, j]
 
@@ -281,5 +283,4 @@ def evolve_mode_derivative(params: ModelParams, p: int, t: float,
     _, _, j_imag, a, b, x = (col[p - 1] for col in block_arrays(params))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     amp0, amp2, d0, d1, sig = _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind)
-    return ModeTrajectory(state=ModeState(amp0, amp2, log_scale=sig), dstate=(d0, d1),
-                          theta_kind=theta_kind)
+    return ModeTrajectory(state=ModeState(amp0, amp2, log_scale=sig), dstate=(d0, d1))

@@ -105,7 +105,7 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
     totals = np.empty(t_grid.size)
-    with np.errstate(over="ignore"):  # checked below; an inf z is outside the window
+    with np.errstate(over="ignore"):  # overflow: the totals are checked below
         for t0 in range(0, t_grid.size, CHUNK_CELLS):
             block = slice(t0, t0 + CHUNK_CELLS)
             for lo in range(0, eps_sq.size, rows):
@@ -131,18 +131,6 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
 def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSample:
     """Fisher information of the evolved chain at time t."""
     return QfiSample(value=float(qfi_curve(params, [t], theta_kind)[0]))
-
-
-def _theta_value(params: ModelParams, theta_kind: ThetaKind) -> float:
-    if theta_kind is ThetaKind.FIELD_H:
-        return params.h
-    return params.gamma
-
-
-def _with_theta(params: ModelParams, theta_kind: ThetaKind, value: float) -> ModelParams:
-    if theta_kind is ThetaKind.FIELD_H:
-        return replace(params, h=value)
-    return replace(params, gamma=value)
 
 
 def _probe_set(params: ModelParams):
@@ -175,7 +163,7 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind) -> QfiSample:
     inside the stencil straddle an exceptional point; the count is
     reported in meta["straddled_modes"] and the value is still returned.
     """
-    theta0 = _theta_value(params, theta_kind)
+    theta0 = getattr(params, theta_kind.value)  # ThetaKind values name the fields
     step = 1e-6 * max(1.0, abs(theta0))
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: checked below
@@ -186,8 +174,7 @@ def stationary_qfi(params: ModelParams, theta_kind: ThetaKind) -> QfiSample:
         stencil = {}
         eps_edge = {}
         for offs in (-step, -0.5 * step, 0.5 * step, step):
-            p_off = _with_theta(params, theta_kind, theta0 + offs)
-            v, eps, _ = _probe_set(p_off)
+            v, eps, _ = _probe_set(replace(params, **{theta_kind.value: theta0 + offs}))
             stencil[offs] = _regauge(v, pivot)
             eps_edge[offs] = eps
 

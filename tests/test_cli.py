@@ -158,9 +158,12 @@ FLAG_ERRORS = [
 ]
 
 # Keys an experiment does not declare: its runner sets or ignores the
-# field h, the stationary stencil step is fixed, and the exceptional point
-# has a closed form, so no bracket or tolerance steers it.
+# field h, the stationary stencil step is fixed, the exceptional point
+# has a closed form, so no bracket or tolerance steers it, and only the
+# non-Hermitian chain has one, so its experiments take no anisotropy.
 DROPPED_KEYS = [
+    ("exceptional-point", "anisotropy=hermitian"),
+    ("ep-table", "anisotropy=hermitian"),
     ("exceptional-point", "h=-0.5"),
     ("ep-table", "h=-0.5"),
     ("stationary-scaling", "h=-0.5"),
@@ -314,6 +317,14 @@ def test_cli_import_skips_scipy_integrate():
     assert _fresh_python(code).splitlines() == ["[]", "[]"]
 
 
+def test_package_root_exports_only_qfi_curve():
+    # every other name is imported from its module
+    public = {name for name, value in vars(ixysense).items()
+              if not name.startswith("_") and not isinstance(value, type(ixysense))}
+    assert public == {"qfi_curve"}
+    assert ixysense.__version__ == "0.1.0"
+
+
 def _cold_runs(out, *runs):
     """In one new interpreter, main() on each argv in turn; per run its exit
     code and the scipy modules loaded after it."""
@@ -349,7 +360,6 @@ def test_only_the_oracle_and_the_exceptional_point_load_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("experiment,override,named", [
-    ("exceptional-point", "anisotropy=hermitian", "anisotropy=hermitian, gamma=0.3"),
     ("exceptional-point", "gamma=0", "anisotropy=non-hermitian, gamma=0.0"),
     ("ep-table", "gamma=0", "gamma=0.0"),
     ("stationary-scaling", "anchor=exceptional-point anisotropy=hermitian "
@@ -423,17 +433,21 @@ def test_dispersion_outputs(tmp_path):
         assert main(["dispersion", "--out", str(out), "--set", "N=16",
                      "--set", "Z=2", "--set", "gamma=0.5", "--set", f"h={h}"]) == 0
         comments, header, rows = _read_csv(out / "dispersion.csv")
-        assert header == "p,phi,j_real,j_imag,a,b,eps_sq,broken"
+        assert header == "p,phi,j_real,j_imag,eps_sq,broken"
         assert len(rows) == 8
-        assert any('"gamma": 0.5' in c for c in comments)  # resolved config named
-        # every row reads back exactly to the block_arrays columns
+        cfg = json.loads(comments[1].removeprefix("# config "))  # the resolved config
+        assert cfg["gamma"] == 0.5 and cfg["h"] == h
+        # every row reads back exactly to the block_arrays columns, a and b
+        # by one operation each on the row and the config
         params = ModelParams(N=16, Z=2, alpha=1.5, gamma=0.5, h=h)
         columns = block_arrays(params)
         eps_sq = columns[-1]
         for i, row in enumerate(rows):
             assert row[0] == str(i + 1)
-            assert [float(text) for text in row[1:7]] == [col[i] for col in columns]
-            assert row[7] == str(int(eps_sq[i] < -TOL_PHASE))
+            phi, j_real, j_imag, eps = (float(text) for text in row[1:5])
+            a, b = cfg["h"] + j_real, cfg["gamma"] * j_imag
+            assert [phi, j_real, j_imag, a, b, eps] == [col[i] for col in columns]
+            assert row[5] == str(int(eps_sq[i] < -TOL_PHASE))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "dispersion"
         cls = classify_phase(build_blocks(params))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -159,6 +160,25 @@ def test_propagator_negative_time_raises():
         propagator(_block(1.0, 0.0), -0.1)
     with pytest.raises(ValueError):
         evolve_mode(_block(1.0, 0.0), -0.1)
+
+
+def test_scalar_views_at_huge_time_run_without_warning():
+    # z = x t^2 overflows at t = 1e300, which only places the cell outside
+    # the series window.  A broken block's propagator is left out: with
+    # rescale=False its true entries cosh and sinh overflow.
+    params = ModelParams(N=16, Z=2, alpha=1.5, gamma=0.5, h=-1.0)
+    blocks = build_blocks(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unbroken = next(blk for blk in blocks if blk.eps_sq > 0)
+        assert np.isfinite(propagator(unbroken, 1e300)).all()
+        for blk in blocks:
+            assert np.isfinite(evolve_mode(blk, 1e300).vector()).all()
+        for p in range(1, params.N // 2 + 1):
+            for theta in ThetaKind:
+                traj = evolve_mode_derivative(params, p, 1e300, theta)
+                assert np.isfinite([*traj.state.vector(), *traj.dstate]).all()
+    assert {blk.eps_sq > 0 for blk in blocks} == {True, False}  # both kinds covered
 
 
 def test_kernels_match_complex_reference():
