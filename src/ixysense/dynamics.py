@@ -6,9 +6,9 @@ Every block satisfies M^2 = eps_sq * I, so the propagator collapses to
     C(x, t) = cos(sqrt(x) t),   S(x, t) = sin(sqrt(x) t) / sqrt(x).
 
 C and S are entire functions of x: trigonometric for x > 0, hyperbolic
-for x < 0 (cos(i y) = cosh y), smooth across x = 0 where a Taylor branch
-takes over.  The trigonometric branch takes both from one half-angle
-tangent u = tan(sqrt(x) t / 2),
+for x < 0 (cos(i y) = cosh y), with C = 1 and S = t at x = 0; the closed
+forms need no series near x = 0.  The trigonometric branch takes both
+from one half-angle tangent u = tan(sqrt(x) t / 2),
 
     C = (1 - u)(1 + u) / (1 + u^2),   S = 2 u / ((1 + u^2) sqrt(x)),
 
@@ -18,15 +18,19 @@ Parameter derivatives follow from the chain rule,
     dU/dtheta = (dx/dtheta) [C_x I - i S_x M] - i S dM/dtheta,
     C_x = -t S / 2,   S_x = (t C - S) / (2 x),
 
-with series fallbacks near x = 0.  The array path forms neither: det U = 1
-gives C^2 + x S^2 = exp(-2 sigma) (sigma as below), so W = S C_x - C S_x =
-(C S - t exp(-2 sigma)) / (2 x), or -(t^3/3)(1 - z/5 + 2z^2/105 - z^3/945)
-with z = x t^2 near x = 0, and trajectory_arrays needs no _kernel_derivs.
+with a series for S_x inside DSERIES_Z.  The array path forms neither:
+det U = 1 gives C^2 + x S^2 = exp(-2 sigma) (sigma as below), so
+W = S C_x - C S_x = (C S - t exp(-2 sigma)) / (2 x), or
+-(t^3/3)(1 - z/5 + 2z^2/105 - z^3/945) with z = x t^2 near x = 0, and
+trajectory_arrays needs no _kernel_derivs.
 
 Broken blocks (x < 0) grow like exp(|eps| t).  Once |eps| t exceeds
 RESCALE_EXPONENT both the amplitudes and their derivatives are scaled by
 exp(-|eps| t); the common factor cancels in any Fisher information and
 is reported through log_scale.
+
+The array functions take modes and times each as a scalar or a 1-D
+array and return (modes x times) grids of shape x.shape + t.shape.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ import numpy as np
 from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import ModeBlock, ModeState, block_arrays
 
-# Taylor window for C and S: |x| t^2 below this.
-SERIES_Z = 1e-8
 # Series window for W and S_x, whose closed forms cancel near x = 0.
 DSERIES_Z = 1e-6
 # Hyperbolic growth beyond exp(150) is factored out of the amplitudes.
@@ -63,38 +65,35 @@ class ModeTrajectory:
 
 
 def _mode_grid(x, t):
-    """x as a column of modes, t as a row of times, and their broadcast shape.
+    """x as a column of modes, t as a row of times, and the result shape.
 
-    x may vary only along axes before those along which t varies, as with
-    x[:, None] against t[None, :]; either one may be a scalar.
+    x and t are each a scalar or a 1-D array; the result has shape
+    x.shape + t.shape.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(x.shape, t.shape)
-    x_axes = [i for i, n in enumerate(x.shape[::-1]) if n != 1]
-    t_axes = [i for i, n in enumerate(t.shape[::-1]) if n != 1]
-    if x_axes and t_axes and min(x_axes) <= max(t_axes):
-        raise ValueError(f"x {x.shape} must vary along axes before those of t {t.shape}")
-    return x.reshape(-1, 1), t.reshape(1, -1), shape
+    if x.ndim > 1 or t.ndim > 1:
+        raise ValueError(f"modes {x.shape} and times {t.shape} must each be a scalar or 1-D")
+    return x.reshape(-1, 1), t.reshape(1, -1), x.shape + t.shape
 
 
-def _window(x, t, bound):
-    """Cells (rows, cols) with |z| < bound, z = x t^2, with their z and t.
+def _window(x, t):
+    """Cells (rows, cols) with |z| < DSERIES_Z, z = x t^2, with their z and t.
 
     |x t t| does not decrease with |t| in floating point either, so only
     modes inside the window at the smallest |t| are checked per cell.
     """
     t_min = np.abs(t).min(initial=np.inf)
     with np.errstate(over="ignore"):  # an infinite z only lies outside the window
-        rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < bound)
+        rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < DSERIES_Z)
         if not rows.size:  # the usual chunk: no mode near x = 0
             return rows, rows, np.empty(0), np.empty(0)
         z = x[rows] * t * t
-    i, j = np.nonzero(np.abs(z) < bound)
+    i, j = np.nonzero(np.abs(z) < DSERIES_Z)
     return rows[i], j, z[i, j], t[0, j]
 
 
-def _kernels(x, t, rescale=True):
+def _kernels(x, t):
     """C, S and the rescale exponent sigma on the (modes x times) grid of x, t.
 
     Every row is first evaluated on the trigonometric branch from one
@@ -105,11 +104,11 @@ def _kernels(x, t, rescale=True):
     one vectorized tan in place of a cos and a sin per cell.  Against
     40-digit cos and sin of the phase sqrt(x) t as rounded, C is within
     1 eps absolute and S within 2 eps relative (libm cos and sin: 0.5
-    and 1).  u^2 cannot overflow, as |tan| of any double is below about
-    1e19, and (1 - u)(1 + u) is not formed as 1 - u^2, which cancels near
-    C = 0.  Rows with x < 0 are then overwritten on the hyperbolic branch,
-    and the cells past RESCALE_EXPONENT and the Taylor cells near
-    x t^2 = 0 are patched, so every cell keeps its own elementwise formula.
+    and 1), down to x t^2 -> 0.  u^2 cannot overflow, as |tan| of any
+    double is below about 1e19, and (1 - u)(1 + u) is not formed as
+    1 - u^2, which cancels near C = 0.  Rows with x < 0 are then
+    overwritten on the hyperbolic branch, with the cells past
+    RESCALE_EXPONENT scaled by exp(-sigma), and x = 0 rows take S = t.
     """
     x, t, shape = _mode_grid(x, t)
     rt = np.sqrt(np.abs(x))
@@ -122,16 +121,15 @@ def _kernels(x, t, rescale=True):
     s += 1.0
     c /= s
     np.divide(u, s, out=s)
-    # x = 0 rows lie wholly in the Taylor window, which overwrites them
     s *= np.divide(2.0, rt, out=np.zeros(rt.shape), where=x != 0.0)
+    s[x[:, 0] == 0.0] = t  # u = 0 there, so C = 1 already
     sig = np.zeros(u.shape)
 
     neg = np.flatnonzero(x[:, 0] < 0.0)
     if neg.size:
-        limit = RESCALE_EXPONENT if rescale else np.inf
         rt_n = rt[neg]
         st_n = rt_n * t
-        tame = st_n <= limit
+        tame = st_n <= RESCALE_EXPONENT
         c_n = np.cosh(st_n, out=np.empty(st_n.shape), where=tame)
         s_n = np.sinh(st_n, out=np.empty(st_n.shape), where=tame)
         np.divide(s_n, rt_n, out=s_n, where=tame)
@@ -145,10 +143,6 @@ def _kernels(x, t, rescale=True):
             sig[neg] = np.where(late, st_n, 0.0)
         c[neg] = c_n
         s[neg] = s_n
-
-    i, j, z, tz = _window(x, t, SERIES_Z)
-    c[i, j] = 1.0 - 0.5 * z * (1.0 - z / 12.0 * (1.0 - z / 30.0))
-    s[i, j] = tz * (1.0 - z / 6.0 * (1.0 - z / 20.0 * (1.0 - z / 42.0)))
     return c.reshape(shape), s.reshape(shape), sig.reshape(shape)
 
 
@@ -159,11 +153,11 @@ def _kernel_derivs(x, t, c, s):
     s = np.reshape(s, (x.size, t.size))
     dc = -0.5 * t * s
     # divide before halving: 2 x overflows once |x| passes half the float
-    # range; x = 0 rows lie wholly in the Taylor window
+    # range; x = 0 rows lie wholly in the series window
     ds = t * c - s
     ds /= np.where(x != 0.0, x, 1.0)
     ds *= 0.5
-    i, j, z, tz = _window(x, t, DSERIES_Z)
+    i, j, z, tz = _window(x, t)
     ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
         1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))
     return dc.reshape(shape), ds.reshape(shape)
@@ -173,8 +167,9 @@ def propagator(block: ModeBlock, t: float) -> np.ndarray:
     """The 2x2 matrix exp(-i M t) of one block."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    c, s, _ = _kernels(block.eps_sq, t, rescale=False)
-    return complex(c) * _EYE2 - 1j * complex(s) * block.matrix()
+    c, s, sig = _kernels(block.eps_sq, t)
+    # exp(sigma) overflows, with a RuntimeWarning, where the entries do
+    return np.exp(sig) * (complex(c) * _EYE2 - 1j * complex(s) * block.matrix())
 
 
 def _theta_rates(a, b, j_imag, hermitian, theta_kind):
@@ -196,9 +191,8 @@ def _theta_rates(a, b, j_imag, hermitian, theta_kind):
 def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
 
-    a, b, j_imag and x hold one value per mode and t one per time, with
-    the mode axes before the time axes (x[:, None] against t[None, :]);
-    either side may be a scalar.
+    a, b, j_imag and x hold one value per mode and t one per time, each
+    a scalar or a 1-D array; the results have shape x.shape + t.shape.
 
     The evolved amplitudes phi = U(t)(1, 0) = (C + i a S, -i m S), with
     m = M_10 (b non-Hermitian, -b Hermitian), have the theta-derivative
@@ -222,14 +216,14 @@ def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
     m = -b if hermitian else b  # lower-left block entry M_10
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
-    c, s, sig = _kernels(x, t)
+    c, s, sig = _kernels(x.ravel(), t.ravel())  # on the (modes x times) grid
     cs = np.multiply(c, s)
     # 2 x W = C S - t e^{-2 sigma}, where sigma > 0 only on rows with x < 0,
     # in place when theta = h, which needs no C S after it (v = 0)
     tail = t * np.exp(-2.0 * sig) if (x < 0.0).any() and sig.any() else t
     ci = np.subtract(cs, tail, out=cs if theta_kind is ThetaKind.FIELD_H else None)
     ci /= np.where(x != 0.0, x, 1.0)  # before halving, as 2 x can overflow
-    i, j, z, tz = _window(x, t, DSERIES_Z)  # x = 0 rows lie wholly inside
+    i, j, z, tz = _window(x, t)  # x = 0 rows lie wholly inside
     ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (1.0 - z / 18.0)))
     ci *= 0.5 * xp * m
     if theta_kind is ThetaKind.ANISOTROPY_GAMMA:

@@ -13,7 +13,6 @@ from ixysense.blocks import ModeBlock, block_arrays, build_blocks
 from ixysense.dynamics import (
     DSERIES_Z,
     RESCALE_EXPONENT,
-    SERIES_Z,
     evolve_mode,
     evolve_mode_derivative,
     propagator,
@@ -24,26 +23,20 @@ from ixysense.dynamics import (
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
 
 
-def _reference_kernels(x, t, rescale=True):
+def _reference_kernels(x, t):
     """C, S, sigma classified cell by cell: the reference for _kernels."""
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape = xb.shape
-    xf = xb.ravel().astype(float)
-    tf = tb.ravel().astype(float)
-    c = np.empty_like(xf)
-    s = np.empty_like(xf)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = x.shape + t.shape
+    xb, tb = np.broadcast_arrays(x.reshape(-1, 1), t.reshape(1, -1))
+    xf = xb.ravel()
+    tf = tb.ravel()
+    c = np.ones_like(xf)  # x = 0: C = 1, S = t
+    s = tf.copy()
     sig = np.zeros_like(xf)
+    pos = xf > 0.0
+    neg = xf < 0.0
 
-    z = xf * tf * tf
-    ser = np.abs(z) < SERIES_Z
-    pos = ~ser & (xf > 0.0)
-    neg = ~ser & (xf < 0.0)
-
-    if ser.any():
-        zs = z[ser]
-        ts = tf[ser]
-        c[ser] = 1.0 - 0.5 * zs * (1.0 - zs / 12.0 * (1.0 - zs / 30.0))
-        s[ser] = ts * (1.0 - zs / 6.0 * (1.0 - zs / 20.0 * (1.0 - zs / 42.0)))
     if pos.any():
         # cos and sin from the half-angle tangent, in _kernels' operations
         rt = np.sqrt(xf[pos])
@@ -56,7 +49,7 @@ def _reference_kernels(x, t, rescale=True):
         st = rt * tf[neg]
         cn = np.empty_like(st)
         sn = np.empty_like(st)
-        grow = st > RESCALE_EXPONENT if rescale else np.zeros(st.shape, dtype=bool)
+        grow = st > RESCALE_EXPONENT
         if grow.any():
             damp = np.exp(-2.0 * st[grow])
             cn[grow] = 0.5 * (1.0 + damp)
@@ -75,14 +68,14 @@ def _reference_kernels(x, t, rescale=True):
 
 def _reference_kernel_derivs(x, t, c, s):
     """dC/dx, dS/dx classified cell by cell: the reference for _kernel_derivs."""
-    xb, tb, cb, sb = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(t, dtype=float),
-        np.asarray(c), np.asarray(s))
-    shape = xb.shape
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = x.shape + t.shape
+    xb, tb = np.broadcast_arrays(x.reshape(-1, 1), t.reshape(1, -1))
     xf = xb.ravel()
     tf = tb.ravel()
-    cf = cb.ravel()
-    sf = sb.ravel()
+    cf = np.ravel(c)
+    sf = np.ravel(s)
 
     dc = -0.5 * tf * sf
     z = xf * tf * tf
@@ -164,8 +157,8 @@ def test_propagator_negative_time_raises():
 
 def test_scalar_views_at_huge_time_run_without_warning():
     # z = x t^2 overflows at t = 1e300, which only places the cell outside
-    # the series window.  A broken block's propagator is left out: with
-    # rescale=False its true entries cosh and sinh overflow.
+    # the series window.  A broken block's propagator is left out: its true
+    # entries cosh and sinh overflow.
     params = ModelParams(N=16, Z=2, alpha=1.5, gamma=0.5, h=-1.0)
     blocks = build_blocks(params)
     with warnings.catch_warnings():
@@ -182,8 +175,8 @@ def test_scalar_views_at_huge_time_run_without_warning():
 
 
 def test_kernels_match_complex_reference():
-    # C = Re cos(sqrt(x) t), S = sin(sqrt(x) t)/sqrt(x), x of either sign;
-    # spot the Taylor branch against the analytic continuation
+    # C = Re cos(sqrt(x) t), S = sin(sqrt(x) t)/sqrt(x), x of either sign,
+    # against the analytic continuation down to x = 0
     xs = np.concatenate([np.geomspace(1e-30, 1e3, 45),
                          -np.geomspace(1e-30, 1e3, 45), [0.0]])
     for t in (1e-3, 1.0, 11.0):
@@ -199,64 +192,95 @@ def test_kernels_match_complex_reference():
             assert si == pytest.approx(s_ref, rel=1e-12, abs=1e-12)
 
 
+def _mp_kernels(x, t):
+    """40-digit C and S of the phase sqrt(|x|) t as rounded, on the x by t grid."""
+    rt = np.sqrt(np.abs(x))
+    c_ref = np.ones((x.size, t.size))  # x = 0: C = 1, S = t
+    s_ref = np.broadcast_to(t, c_ref.shape).copy()
+    with mpmath.workdps(40):
+        for i, (xi, ri) in enumerate(zip(x.tolist(), rt.tolist())):
+            if xi == 0.0:
+                continue
+            cos, sin = (mpmath.cos, mpmath.sin) if xi > 0 else (mpmath.cosh, mpmath.sinh)
+            for j, v in enumerate((ri * t).tolist()):
+                c_ref[i, j] = float(cos(v))
+                s_ref[i, j] = float(sin(v) / ri)
+    return c_ref, s_ref
+
+
 def test_trigonometric_kernels_match_mpmath():
     # C and S against 40-digit cos and sin of the phase sqrt(x) t as
-    # rounded, outside the Taylor window.  The half-angle tangent form
-    # measures 1.0 eps absolute in C and 1.93 eps relative in S here;
-    # libm's cos and sin measure 0.5 and 1.0.
+    # rounded.  The half-angle tangent form measures 1.0 eps absolute in C
+    # and 1.93 eps relative in S here; libm's cos and sin measure 0.5 and 1.0.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     x = np.geomspace(1e-6, 20.0, 40)
     t = np.concatenate([[1.0, 1000.0], rng.uniform(1.0, 1000.0, 198)])
-    c, s, sig = _kernels(x[:, None], t[None, :])
+    c, s, sig = _kernels(x, t)
     assert (sig == 0).all()
-    rt = np.sqrt(x)
-    st = rt[:, None] * t[None, :]
-    with mpmath.workdps(40):
-        c_ref = np.array([[float(mpmath.cos(v)) for v in row] for row in st.tolist()])
-        s_ref = np.array([[float(mpmath.sin(v) / r) for v in row]
-                          for row, r in zip(st.tolist(), rt.tolist())])
+    c_ref, s_ref = _mp_kernels(x, t)
     assert np.abs(c - c_ref).max() <= 2.0 * eps
     assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= 3.0 * eps
+    # the same gates near x = 0, where no series takes over: x of both
+    # signs with |x t^2| from 1e-20 to 1e-8, and x = 0 (measured 1.0 eps
+    # in C and 1.2 eps in S)
+    z = np.geomspace(1e-20, 1e-8, 25)
+    for ti in np.geomspace(0.01, 1000.0, 9):
+        x = np.concatenate([z, -z, [0.0]]) / (ti * ti)
+        t = np.array([ti])
+        c, s, sig = _kernels(x, t)
+        assert (sig == 0).all()
+        c_ref, s_ref = _mp_kernels(x, t)
+        assert np.abs(c - c_ref).max() <= 2.0 * eps
+        assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= 3.0 * eps
 
 
-# Modes of both signs, Taylor-small |x|, x = 0 and strongly broken x,
-# against times from 0 through the Taylor windows to deep growth.
+# Modes of both signs, tiny |x|, x = 0 and strongly broken x, against
+# times from 0 through the DSERIES_Z window to deep growth.
 _GRID_X = np.concatenate([np.geomspace(1e-30, 1e3, 37), -np.geomspace(1e-30, 1e3, 37),
                           [0.0, 1e-320, -1e-320, 0.0225, -0.0225]])
 _GRID_T = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.02, 0.3, 1.0, 11.0,
                     149.9, 150.1, 200.0, 1000.0])
 
 
-@pytest.mark.parametrize("rescale", [True, False])
-def test_kernels_match_cell_reference(rescale):
+def test_kernels_match_cell_reference():
     # the per-mode kernels reproduce the cell-by-cell classification bit
     # for bit, on the (modes x times) grid and on the scalar layouts
-    t_all = _GRID_T if rescale else _GRID_T[_GRID_T <= 11.0]
-    x, t = _GRID_X[:, None], t_all[None, :]
-    got = _kernels(x, t, rescale)
-    want = _reference_kernels(x, t, rescale)
+    got = _kernels(_GRID_X, _GRID_T)
+    want = _reference_kernels(_GRID_X, _GRID_T)
     for g, w in zip(got, want):
-        assert g.shape == w.shape == (x.size, t.size)
+        assert g.shape == w.shape == (_GRID_X.size, _GRID_T.size)
         assert np.array_equal(g, w)
-    assert (got[2] > 0).any() == rescale  # growth cells were hit
+    assert (got[2] > 0).any()  # growth cells were hit
     c, s, _ = want
-    for g, w in zip(_kernel_derivs(x, t, c, s), _reference_kernel_derivs(x, t, c, s)):
+    for g, w in zip(_kernel_derivs(_GRID_X, _GRID_T, c, s),
+                    _reference_kernel_derivs(_GRID_X, _GRID_T, c, s)):
         assert np.array_equal(g, w)
-    for ti in t_all[::3]:
-        for g, w in zip(_kernels(_GRID_X, ti, rescale), _reference_kernels(_GRID_X, ti, rescale)):
+    for ti in _GRID_T[::3]:
+        for g, w in zip(_kernels(_GRID_X, ti), _reference_kernels(_GRID_X, ti)):
             assert g.shape == _GRID_X.shape and np.array_equal(g, w)
-    for g, w in zip(_kernels(-0.5, 400.0, rescale), _reference_kernels(-0.5, 400.0, rescale)):
+    for g, w in zip(_kernels(-0.5, 400.0), _reference_kernels(-0.5, 400.0)):
         assert g.shape == () and np.array_equal(g, w)
 
 
-def test_trajectory_arrays_rejects_shared_axis():
-    # one value per mode against one per time; pairing them cell by cell
-    # along a shared axis is not a (modes x times) grid
+def test_trajectory_arrays_rejects_2d_input():
+    # modes and times are each a scalar or 1-D; a column of modes against
+    # a row of times would otherwise broadcast into a 4-D grid
     x = np.array([0.5, -0.2, 1.0])
-    with pytest.raises(ValueError, match="axes"):
-        trajectory_arrays(x, x, x, x, False, np.array([0.1, 0.2, 0.3]),
-                          ThetaKind.FIELD_H)
+    t = np.array([0.1, 0.2])
+    assert _kernels(x, t)[0].shape == (3, 2)
+    for xs, ts in ((x[:, None], t), (x, t[None, :]), (x[:, None], t[None, :])):
+        with pytest.raises(ValueError, match="1-D"):
+            _kernels(xs, ts)
+        with pytest.raises(ValueError, match="1-D"):
+            trajectory_arrays(x, x, x, xs, False, ts, ThetaKind.FIELD_H)
+
+
+# Relative gate of a broken block's propagator entries against 40-digit
+# cosh and sinh of the rounded |eps| t = 300 and 650, where sigma > 0 and
+# the matrix is scaled back by exp(sigma): 3 eps, against 1.1 eps measured
+# here and 1.55 eps worst over 600 random broken blocks at |eps| t 151-700.
+PROPAGATOR_GROWTH_RTOL = 3.0 * np.finfo(float).eps
 
 
 def test_rescaled_growth_matches_direct_propagator():
@@ -269,6 +293,20 @@ def test_rescaled_growth_matches_direct_propagator():
     direct = propagator(blk, t) @ np.array([1.0, 0.0], dtype=complex)
     direct /= np.linalg.norm(direct)
     assert_allclose(state.vector(), direct, atol=1e-12)
+    # and the propagator's own entries are the true, unscaled ones
+    for blk in (_block(0.0, 2.0), _block(0.6, 2.0)):
+        rt = math.sqrt(-blk.eps_sq)
+        for target in (300.0, 650.0):
+            t = target / rt
+            got = propagator(blk, t)
+            with mpmath.workdps(40):
+                st = mpmath.mpf(rt * t)
+                c, s = mpmath.cosh(st), mpmath.sinh(st) / rt
+                want = np.array([[complex(c * (i == j) - 1j * s * complex(blk.matrix()[i, j]))
+                                  for j in range(2)] for i in range(2)])
+            nonzero = want != 0
+            rel = np.abs(got - want)[nonzero] / np.abs(want[nonzero])
+            assert rel.max() <= PROPAGATOR_GROWTH_RTOL
 
 
 @pytest.mark.parametrize("hermitian", [False, True])
@@ -381,8 +419,7 @@ def test_cell_qfi_matches_mpmath(theta, mode):
     hermitian = mode is AnisotropyMode.HERMITIAN
     edge = np.sqrt(DSERIES_Z / np.abs(x[:4]))
     t = np.concatenate([np.geomspace(0.01, 2000.0, 32), 0.99 * edge, 1.01 * edge])
-    n, cr, ci, sig = trajectory_arrays(a[:, None], b[:, None], ji[:, None], x[:, None],
-                                       hermitian, t[None, :], theta)
+    n, cr, ci, sig = trajectory_arrays(a, b, ji, x, hermitian, t, theta)
     got = 4.0 * (cr * cr + ci * ci) / (n * n)
     z = np.abs(x[:, None] * t * t)
     inside, outside = z < DSERIES_Z, z >= DSERIES_Z

@@ -139,18 +139,18 @@ def test_qfi_curve_non_finite_total_raises(monkeypatch):
         qfi_curve(params, [1.0, 2.0], ThetaKind.FIELD_H)
 
 
-def _grid_columns(params):
-    """a, b, J^I and eps_sq of every block, as one column of modes."""
+def _mode_columns(params):
+    """a, b, J^I and eps_sq of every block."""
     _, _, j_imag, a, b, eps_sq = block_arrays(params)
-    return a[:, None], b[:, None], j_imag[:, None], eps_sq[:, None]
+    return a, b, j_imag, eps_sq
 
 
 def _full_grid_qfi_curve(params, t_grid, theta_kind):
     """The whole (modes x times) grid in one trajectory_arrays call."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    n, cr, ci, _ = trajectory_arrays(*_grid_columns(params), hermitian,
-                                     t_grid[None, :], theta_kind)
+    n, cr, ci, _ = trajectory_arrays(*_mode_columns(params), hermitian,
+                                     t_grid, theta_kind)
     return np.add.reduce(4.0 * (cr * cr + ci * ci) / (n * n), axis=0)
 
 
@@ -161,12 +161,13 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
     kernels, reduced with 4 |phi_0 dphi_1 - phi_1 dphi_0|^2 / n^2: the
     cross-check for the real closed form of trajectory_arrays.
     """
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))[None, :]
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    a, b, ji, x = _grid_columns(params)
-    m = -b if hermitian else b
+    a, b, ji, x = _mode_columns(params)
     c, s, _ = _kernels(x, t)
     dc, ds = _kernel_derivs(x, t, c, s)
+    a, b, ji = a[:, None], b[:, None], ji[:, None]
+    m = -b if hermitian else b
     amp0 = c + 1j * (a * s)
     amp2 = -1j * (m * s)
     if theta_kind is ThetaKind.FIELD_H:
@@ -183,7 +184,7 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
     return np.add.reduce(4.0 * (cross.real ** 2 + cross.imag ** 2) / (n * n), axis=0)
 
 
-# t = 0 and Taylor-small times, then out to t = 1000, where the broken
+# t = 0 and tiny times, then out to t = 1000, where the broken
 # blocks of h = -0.8 (|eps| t up to 230) are rescaled
 _STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
 
@@ -293,7 +294,8 @@ def test_stationary_qfi_matches_closed_form(z, alpha, gamma, h, theta):
     sample = stationary_qfi(params, theta)
     assert sample.meta["straddled_modes"] == 0
     assert sample.meta["defective_modes"] == 0
-    assert sample.value == pytest.approx(exact, rel=1e-6, abs=1e-12)
+    # worst measured 4.2e-10 (Z = 4, theta = h)
+    assert sample.value == pytest.approx(exact, rel=2e-9, abs=1e-12)
 
 
 def test_stationary_qfi_straddle_flagged():
