@@ -6,28 +6,31 @@ Every block satisfies M^2 = eps_sq * I, so the propagator collapses to
     C(x, t) = cos(sqrt(x) t),   S(x, t) = sin(sqrt(x) t) / sqrt(x).
 
 C and S are entire functions of x: trigonometric for x > 0, hyperbolic
-for x < 0 (cos(i y) = cosh y), with C = 1 and S = t at x = 0; the closed
-forms need no series near x = 0.  The trigonometric branch takes both
-from one half-angle tangent u = tan(sqrt(x) t / 2),
+for x < 0 (cos(i y) = cosh y), with C = 1 and S = t at x = 0.
+
+The array path, trajectory_arrays, needs only C^2, S^2 and C S, which
+are linear in cos 2 psi and sin 2 psi (psi = sqrt(x) t): one full-angle
+tangent per cell fixes them up to a common factor that cancels in the
+Fisher information, so nothing there grows like exp(|eps| t).
+
+The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
+the true amplitudes.  _kernels takes C and S from one half-angle tangent
+u = tan(sqrt(x) t / 2) for x >= 0,
 
     C = (1 - u)(1 + u) / (1 + u^2),   S = 2 u / ((1 + u^2) sqrt(x)),
 
-within 1 eps absolute in C and 2 eps relative in S of the rounded phase.
-Parameter derivatives follow from the chain rule,
+within 1 eps absolute in C and 2 eps relative in S of the rounded phase,
+and from cosh and sinh for x < 0.  Parameter derivatives follow from the
+chain rule,
 
     dU/dtheta = (dx/dtheta) [C_x I - i S_x M] - i S dM/dtheta,
     C_x = -t S / 2,   S_x = (t C - S) / (2 x),
 
-with a series for S_x inside DSERIES_Z.  The array path forms neither:
-det U = 1 gives C^2 + x S^2 = exp(-2 sigma) (sigma as below), so
-W = S C_x - C S_x = (C S - t exp(-2 sigma)) / (2 x), or
--(t^3/3)(1 - z/5 + 2z^2/105 - z^3/945) with z = x t^2 near x = 0, and
-trajectory_arrays needs no _kernel_derivs.
-
-Broken blocks (x < 0) grow like exp(|eps| t).  Once |eps| t exceeds
-RESCALE_EXPONENT both the amplitudes and their derivatives are scaled by
-exp(-|eps| t); the common factor cancels in any Fisher information and
-is reported through log_scale.
+with a series for S_x inside DSERIES_Z.  Once |eps| t exceeds
+RESCALE_EXPONENT a broken block's amplitudes and their derivatives are
+scaled by exp(-|eps| t); the common factor cancels in any Fisher
+information and is reported through log_scale.  The views share only
+x, t and _theta_rates with the array path, so they check it.
 
 The array functions take modes and times each as a scalar or a 1-D
 array and return (modes x times) grids of shape x.shape + t.shape.
@@ -45,7 +48,7 @@ from .blocks import ModeBlock, ModeState, block_arrays
 
 # Series window for W and S_x, whose closed forms cancel near x = 0.
 DSERIES_Z = 1e-6
-# Hyperbolic growth beyond exp(150) is factored out of the amplitudes.
+# Hyperbolic growth beyond exp(150) is factored out of the scalar views' amplitudes.
 RESCALE_EXPONENT = 150.0
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -188,6 +191,48 @@ def _theta_rates(a, b, j_imag, hermitian, theta_kind):
     raise ValueError(f"unknown theta_kind: {theta_kind!r}")
 
 
+def _tangents(x, t):
+    """tau = tan(sqrt(x) t) / sqrt(x) and d = 1 + x tau^2 for a column x and a row t.
+
+    Each row takes one branch.  x > 0: one tan pass, d = 1 + tan^2 =
+    sec^2.  x < 0: with psi = |eps| t, e = expm1(-2 psi) and
+    g = exp(-2 psi),
+
+        tanh psi = -e / (1 + g),   d = sech^2 psi = 4 g / (1 + g)^2,
+
+    neither of which cancels or overflows at any |eps| t.  x = 0 rows
+    take tau = t and d = 1.  A chunk with both signs is split by rows.
+    """
+    neg = x[:, 0] < 0.0
+    broken = np.count_nonzero(neg)
+    if 0 < broken < neg.size:
+        tau = np.empty((x.size, t.size))
+        d = np.empty(tau.shape)
+        for rows in (~neg, neg):
+            tau[rows], d[rows] = _tangents(x[rows], t)
+        return tau, d
+    rt = np.sqrt(np.abs(x))
+    if broken:
+        e = np.multiply(-2.0 * rt, t)
+        d = np.exp(e)
+        tau = np.expm1(e, out=e)
+        q = np.add(d, 1.0)
+        tau /= q
+        tau *= -1.0 / rt
+        d /= q
+        d /= q
+        d *= 4.0
+        return tau, d
+    tau = np.multiply(rt, t)
+    np.tan(tau, out=tau)
+    d = np.multiply(tau, tau)
+    d += 1.0
+    tau /= np.where(x != 0.0, rt, 1.0)
+    if np.count_nonzero(x) < x.size:
+        tau[x[:, 0] == 0.0] = t  # tan 0 = 0 there, so d = 1 already
+    return tau, d
+
+
 def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
 
@@ -201,44 +246,51 @@ def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
 
     with dx/dtheta and (u, v) = dM/dtheta (1, 0) from _theta_rates.  The
     norm n = |phi|^2 and the cross term phi_0 dphi_1 - phi_1 dphi_0 =
-    cr + i ci are then real polynomials in C, S, C_x and S_x:
+    cr + i ci are quadratic in C and S:
 
         n  = C^2 + (a^2 + m^2) S^2
         cr = (a v + m u) S^2
-        ci = (dx/dtheta) m W - v C S,      W = S C_x - C S_x,
+        ci = (dx/dtheta) m W - v C S,      W = S C_x - C S_x.
 
-    with W = (C S - t exp(-2 sigma)) / (2 x), or its series inside DSERIES_Z,
-    so no _kernel_derivs call forms C_x and S_x.  They are written in place
-    over the kernel arrays and returned as (n, cr, ci, sigma).  n, cr and ci
-    share the inert factor exp(-2 sigma), which cancels in 4 (cr^2 + ci^2) / n^2.
+    C^2 = (1 + cos 2 psi) / 2, S^2 = (1 - cos 2 psi) / (2 x) and
+    C S = sin 2 psi / (2 sqrt(x)), psi = sqrt(x) t, so times
+    d = 1 / C^2 = 1 + x tau^2 they are 1, tau^2 and tau, with one
+    full-angle tangent tau = tan(psi) / sqrt(x) from _tangents.  Each
+    result is returned times d:
+
+        n  = 1 + (a^2 + m^2) tau^2 >= 1,   cr = (a v + m u) tau^2,
+        ci = (dx/dtheta) m d W - v tau,    d W = (tau - t d) / (2 x),
+
+    with d times the series of W inside DSERIES_Z.  d cancels in the
+    per-mode QFI 4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
     x, t, shape = _mode_grid(x, t)
     a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
     m = -b if hermitian else b  # lower-left block entry M_10
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
-    c, s, sig = _kernels(x.ravel(), t.ravel())  # on the (modes x times) grid
-    cs = np.multiply(c, s)
-    # 2 x W = C S - t e^{-2 sigma}, where sigma > 0 only on rows with x < 0,
-    # in place when theta = h, which needs no C S after it (v = 0)
-    tail = t * np.exp(-2.0 * sig) if (x < 0.0).any() and sig.any() else t
-    ci = np.subtract(cs, tail, out=cs if theta_kind is ThetaKind.FIELD_H else None)
-    ci /= np.where(x != 0.0, x, 1.0)  # before halving, as 2 x can overflow
-    i, j, z, tz = _window(x, t)  # x = 0 rows lie wholly inside
-    ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (1.0 - z / 18.0)))
-    ci *= 0.5 * xp * m
+    tau, d = _tangents(x, t)
+    # (dx/dtheta) m d W = (tau - t d) h / x, h = (dx/dtheta) m / 2
+    h = 0.5 * xp * m
+    ci = np.multiply(t, d)
+    np.subtract(tau, ci, out=ci)
+    ci *= h / np.where(x != 0.0, x, 1.0)  # x = 0 rows lie wholly in the window
+    i, j, z, tz = _window(x, t)
+    if i.size:
+        ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
+            1.0 - z / 18.0))) * d[i, j] * h[i, 0]
     if theta_kind is ThetaKind.ANISOTROPY_GAMMA:
-        ci -= np.multiply(cs, v, out=cs)
-    s2 = np.multiply(s, s, out=s)
-    cr = np.multiply(s2, a * v + m * u)
-    n = np.multiply(c, c, out=c)
-    n += np.multiply(s2, a * a + m * m, out=s2)
-    return tuple(k.reshape(shape) for k in (n, cr, ci, sig))
+        ci -= np.multiply(tau, v, out=d)
+    tau2 = np.multiply(tau, tau, out=tau)
+    cr = np.multiply(tau2, a * v + m * u)
+    n = np.multiply(tau2, a * a + m * m, out=d)
+    n += 1.0
+    return tuple(k.reshape(shape) for k in (n, cr, ci))
 
 
 def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
     """Complex amplitudes of one block, their theta-derivative and sigma.
 
-    trajectory_arrays' scalar form, but with C_x, S_x: a check of its fused W.
+    Built from C, S, C_x and S_x, not from tau: a check of trajectory_arrays.
     """
     c, s, sig = (float(k) for k in _kernels(x, t))
     dc, ds = (float(k) for k in _kernel_derivs(x, t, c, s))

@@ -110,11 +110,11 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
             block = slice(t0, t0 + CHUNK_CELLS)
             for lo in range(0, eps_sq.size, rows):
                 chunk = slice(lo, lo + rows)
-                n, cr, ci, _ = trajectory_arrays(
+                n, cr, ci = trajectory_arrays(
                     a[chunk], b[chunk], j_imag[chunk], eps_sq[chunk], hermitian,
                     t_grid[block], theta_kind)
-                # n = C^2 + (a^2 + m^2) S^2 >= 1 in an unrescaled cell and >= 1/4
-                # in a rescaled one, so the division below never meets n ~ 0
+                # n = 1 + (a^2 + m^2) tau^2 >= 1 in every cell, so the
+                # division below never meets n ~ 0
                 # per-mode QFI over 4, (cr^2 + ci^2) / n^2, on the chunk's own arrays
                 per_mode = np.multiply(cr, cr, out=cr)
                 per_mode += np.multiply(ci, ci, out=ci)

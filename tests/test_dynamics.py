@@ -360,8 +360,9 @@ def test_analytic_derivative_matches_finite_difference():
 
 
 def test_trajectory_arrays_matches_scalar_path():
-    # n and the cross term cr + i ci against the complex scalar amplitudes,
-    # on unbroken and broken blocks, for both theta and both modes
+    # the scale-free cross term (cr + i ci) / n against the complex scalar
+    # amplitudes' cross / |phi|^2, on unbroken and broken blocks, for both
+    # theta and both modes: n, cr and ci carry the factor d = 1 / C^2
     for mode in AnisotropyMode:
         params = ModelParams(N=16, Z=3, alpha=1.3, gamma=0.4, h=-0.8, anisotropy_mode=mode)
         blocks = build_blocks(params)
@@ -372,14 +373,13 @@ def test_trajectory_arrays_matches_scalar_path():
         hermitian = mode is AnisotropyMode.HERMITIAN
         assert (x < 0).any() != hermitian
         for theta in ThetaKind:
-            n, cr, ci, _ = trajectory_arrays(a, b, ji, x, hermitian, 1.3, theta)
+            n, cr, ci = trajectory_arrays(a, b, ji, x, hermitian, 1.3, theta)
             for i, blk in enumerate(blocks):
                 traj = evolve_mode_derivative(params, blk.p, 1.3, theta)
                 (amp0, amp2), (d0, d1) = traj.state.vector(), traj.dstate
-                cross = amp0 * d1 - amp2 * d0
-                assert n[i] == pytest.approx(abs(amp0) ** 2 + abs(amp2) ** 2, rel=1e-14)
-                assert cr[i] == pytest.approx(cross.real, rel=1e-13, abs=1e-15)
-                assert ci[i] == pytest.approx(cross.imag, rel=1e-13, abs=1e-15)
+                cross = (amp0 * d1 - amp2 * d0) / (abs(amp0) ** 2 + abs(amp2) ** 2)
+                assert cr[i] / n[i] == pytest.approx(cross.real, rel=1e-13, abs=1e-15)
+                assert ci[i] / n[i] == pytest.approx(cross.imag, rel=1e-13, abs=1e-15)
 
 
 def _mp_cell_qfi(a, b, ji, x, hermitian, t, theta):
@@ -403,36 +403,90 @@ def _mp_cell_qfi(a, b, ji, x, hermitian, t, theta):
 
 # Relative gate of the per-cell QFI below against 50 digits, 10x the worst
 # error of W built as S C_x - C S_x from _kernel_derivs: 5.5e-13, at
-# sqrt(x) t = 374, where the rounded phase sets it in either form.  There
-# the fused W measures the same; in hyperbolic cells it measures 1.1e-15
-# against 1.1e-13, and in rescaled ones 3.8e-16 against 2.1e-13.
+# sqrt(x) t = 374, where the rounded phase sets it in any form.  The
+# tangent form of trajectory_arrays measures 5.5e-13 there too, 2.4e-14
+# in the cells near tan poles and 3.8e-16 at |eps| t = 700-3000.
 CELL_QFI_RTOL = 5.5e-12
+
+
+def _mp_qfi_grid(a, b, ji, x, hermitian, t, theta):
+    """_mp_cell_qfi at 50 digits on the (modes x times) grid of 1-D inputs."""
+    with mpmath.workdps(50):
+        return np.array([[_mp_cell_qfi(*p, hermitian, ti, theta) for ti in t.tolist()]
+                         for p in zip(a.tolist(), b.tolist(), ji.tolist(), x.tolist())])
+
+
+# Cells near a tan pole: psi = sqrt(x) t at (pi/2 + k pi)(1 + delta), where
+# C = 0 and tau = S / C passes through infinity.
+_POLE_K = (0, 1, 10, 100)
+_POLE_DELTA = (0.0, -1e-15, 1e-15, -1e-12, 1e-12, -1e-9, 1e-9)
+# Broken cells past the double range of cosh (about 710).
+_HUGE_GROWTH = (700.0, 1000.0, 3000.0)
 
 
 @pytest.mark.parametrize("mode", list(AnisotropyMode))
 @pytest.mark.parametrize("theta", list(ThetaKind))
 def test_cell_qfi_matches_mpmath(theta, mode):
-    # trigonometric, hyperbolic and rescaled cells (|eps| t up to 460), and
-    # cells 1 % either side of the DSERIES_Z edge in four modes
+    # trigonometric and hyperbolic cells, |eps| t up to 460 (past
+    # RESCALE_EXPONENT, where the scalar views rescale), cells 1 % either
+    # side of the DSERIES_Z edge in four modes, cells near tan poles and
+    # broken cells where cosh overflows double
     params = ModelParams(N=32, Z=3, alpha=1.5, gamma=0.4, h=-0.8, anisotropy_mode=mode)
     _, _, ji, a, b, x = block_arrays(params)
     hermitian = mode is AnisotropyMode.HERMITIAN
     edge = np.sqrt(DSERIES_Z / np.abs(x[:4]))
     t = np.concatenate([np.geomspace(0.01, 2000.0, 32), 0.99 * edge, 1.01 * edge])
-    n, cr, ci, sig = trajectory_arrays(a, b, ji, x, hermitian, t, theta)
+    n, cr, ci = trajectory_arrays(a, b, ji, x, hermitian, t, theta)
     got = 4.0 * (cr * cr + ci * ci) / (n * n)
     z = np.abs(x[:, None] * t * t)
+    growth = np.sqrt(np.maximum(-x, 0.0))[:, None] * t  # |eps| t of broken cells
     inside, outside = z < DSERIES_Z, z >= DSERIES_Z
     assert (inside & (z > 0.97 * DSERIES_Z)).sum() >= 4
     assert (outside & (z < 1.03 * DSERIES_Z)).sum() >= 4
     assert (outside & (x[:, None] > 0)).any()
-    assert (outside & (x[:, None] < 0) & (sig == 0)).any() != hermitian
-    assert (sig > 0).any() != hermitian
-    with mpmath.workdps(50):
-        want = np.array([[_mp_cell_qfi(*p, hermitian, ti, theta) for ti in t.tolist()]
-                         for p in zip(a.tolist(), b.tolist(), ji.tolist(), x.tolist())])
+    assert (outside & (x[:, None] < 0) & (growth <= RESCALE_EXPONENT)).any() != hermitian
+    assert (growth > RESCALE_EXPONENT).any() != hermitian
+    want = _mp_qfi_grid(a, b, ji, x, hermitian, t, theta)
     rel = np.abs(got - want) / want
     assert rel.max() <= CELL_QFI_RTOL
+
+    # one mode at a time, each at its own times
+    pole = [(i, np.array([(np.pi / 2 + k * np.pi) * (1.0 + dl) / np.sqrt(x[i])
+                          for k in _POLE_K for dl in _POLE_DELTA]))
+            for i in np.flatnonzero(x > 0)[::5]]
+    huge = [(i, np.array(_HUGE_GROWTH) / np.sqrt(-x[i])) for i in np.flatnonzero(x < 0)]
+    assert len(pole) >= 3 and (len(huge) >= 2) != hermitian
+    for i, ti in pole + huge:
+        row = (a[i:i + 1], b[i:i + 1], ji[i:i + 1], x[i:i + 1])
+        n, cr, ci = trajectory_arrays(*row, hermitian, ti, theta)
+        got = 4.0 * (cr * cr + ci * ci) / (n * n)
+        want = _mp_qfi_grid(*row, hermitian, ti, theta)
+        assert np.isfinite(got).all() and (np.abs(got - want) <= CELL_QFI_RTOL * want).all()
+
+
+def test_trajectory_arrays_mixed_chunk_stays_finite():
+    # rows with x > 0, x < 0 and x = 0 in one chunk, at t = 0 and out to a
+    # broken cell at |eps| t = 1e4, where cosh and sinh overflow double:
+    # every n >= 1 and every result finite, with no warning (pytest turns
+    # warnings into errors)
+    a = np.array([1.2, 0.3, 0.5, 0.0, -0.7])
+    b = np.array([0.4, 1.1, 0.5, 0.9, 0.2])
+    ji = np.array([0.3, -0.8, 0.6, 0.9, -0.1])
+    x = a * a - b * b
+    assert x[2] == 0.0 and (x < 0).sum() == 2 and (x > 0).sum() == 2
+    t = np.array([0.0, 1e-3, 2.5, 40.0, 1e4 / math.sqrt(-x[1])])
+    for theta in ThetaKind:
+        n, cr, ci = trajectory_arrays(a, b, ji, x, False, t, theta)
+        assert np.isfinite(n).all() and np.isfinite(cr).all() and np.isfinite(ci).all()
+        assert (n >= 1.0).all()
+        assert (n[:, 0] == 1.0).all() and (cr[:, 0] == 0.0).all() and (ci[:, 0] == 0.0).all()
+        # x = 0: C = 1 and S = t, so d = 1 and W = -t^3 / 3
+        xp, u, v = (2 * a[2], -1.0, 0.0) if theta is ThetaKind.FIELD_H else \
+            (-2 * b[2] * ji[2], 0.0, ji[2])
+        assert_allclose(n[2], 1.0 + (a[2] ** 2 + b[2] ** 2) * t * t, rtol=1e-15)
+        assert_allclose(cr[2], (a[2] * v + b[2] * u) * t * t, rtol=1e-15)
+        w, vt = -xp * b[2] * t ** 3 / 3.0, v * t  # the two terms of ci, which may cancel
+        assert (np.abs(ci[2] - (w - vt)) <= 1e-15 * (np.abs(w) + np.abs(vt))).all()
 
 
 @pytest.mark.parametrize("hermitian", [False, True])

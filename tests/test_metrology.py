@@ -129,9 +129,9 @@ def test_qfi_curve_non_finite_time_raises(bad):
 def test_qfi_curve_non_finite_total_raises(monkeypatch):
     # an overflowed cross term must end in NumericalError, not NaN totals
     def overflowed(*args):
-        n, cr, ci, sig = trajectory_arrays(*args)
+        n, cr, ci = trajectory_arrays(*args)
         ci[0, 0] = np.inf
-        return n, cr, ci, sig
+        return n, cr, ci
 
     monkeypatch.setattr(metrology, "trajectory_arrays", overflowed)
     params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
@@ -149,8 +149,8 @@ def _full_grid_qfi_curve(params, t_grid, theta_kind):
     """The whole (modes x times) grid in one trajectory_arrays call."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    n, cr, ci, _ = trajectory_arrays(*_mode_columns(params), hermitian,
-                                     t_grid, theta_kind)
+    n, cr, ci = trajectory_arrays(*_mode_columns(params), hermitian,
+                                  t_grid, theta_kind)
     return np.add.reduce(4.0 * (cr * cr + ci * ci) / (n * n), axis=0)
 
 
@@ -185,17 +185,17 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
 
 
 # t = 0 and tiny times, then out to t = 1000, where the broken
-# blocks of h = -0.8 (|eps| t up to 230) are rescaled
+# blocks of h = -0.8 reach |eps| t = 230 and the reference's kernels rescale
 _STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
 
 # Relative gate of the closed form against the complex-amplitude reference,
-# about 10x the worst drift measured on the grids below: 9.3e-16.  Both
-# forms take the same C, S and sigma, but the closed form takes W from
-# C S - t exp(-2 sigma) and the reference from C_x and S_x, so cells just
-# outside DSERIES_Z, where both cancel, can differ by ~1e-10.  At
-# N = 16384-65536 with 300 times the drift reached 1.6e-14 near the
-# exceptional point (Z = 5, h = -0.6, theta = gamma), from one such cell;
-# a 50-digit sum put the closed form 4.5e-15 and the reference 1.1e-14 off.
+# about 10x the worst drift measured on the grids below: 9.4e-16.  The
+# closed form takes tau = S / C and d = 1 / C^2 from one tangent per cell
+# and W from (tau - t d) / (2 x); the reference takes C, S and sigma from
+# _kernels and W from C_x and S_x, so cells just outside DSERIES_Z, where
+# both cancel, can differ by ~1e-10.  Near the exceptional point
+# (N = 32768, Z = 5, h = -0.6, theta = gamma, t = 2.21) a 50-digit sum put
+# the closed form 1.5e-15 and the reference 2.5e-15 off.
 CLOSED_FORM_RTOL = 1e-14
 
 
