@@ -8,10 +8,12 @@ Every block satisfies M^2 = eps_sq * I, so the propagator collapses to
 C and S are entire functions of x: trigonometric for x > 0, hyperbolic
 for x < 0 (cos(i y) = cosh y), with C = 1 and S = t at x = 0.
 
-The array path, trajectory_arrays, needs only C^2, S^2 and C S, which
-are linear in cos 2 psi and sin 2 psi (psi = sqrt(x) t): one full-angle
-tangent per cell fixes them up to a common factor that cancels in the
-Fisher information, so nothing there grows like exp(|eps| t).
+The array path needs only C^2, S^2 and C S, which are linear in
+cos 2 psi and sin 2 psi (psi = sqrt(x) t): one full-angle tangent per
+cell fixes them up to a common factor that cancels in the Fisher
+information, so nothing there grows like exp(|eps| t).  mode_columns
+forms a curve's per-mode columns once, and trajectory_arrays evaluates
+one chunk of them against a row of the curve's times.
 
 The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
 the true amplitudes.  _kernels takes C and S from one half-angle tangent
@@ -32,8 +34,8 @@ scaled by exp(-|eps| t); the common factor cancels in any Fisher
 information and is reported through log_scale.  The views share only
 x, t and _theta_rates with the array path, so they check it.
 
-The array functions take modes and times each as a scalar or a 1-D
-array and return (modes x times) grids of shape x.shape + t.shape.
+_kernels and _kernel_derivs take modes and times each as a scalar or
+a 1-D array and return (modes x times) grids of shape x.shape + t.shape.
 """
 
 from __future__ import annotations
@@ -80,17 +82,20 @@ def _mode_grid(x, t):
     return x.reshape(-1, 1), t.reshape(1, -1), x.shape + t.shape
 
 
-def _window(x, t):
-    """Cells (rows, cols) with |z| < DSERIES_Z, z = x t^2, with their z and t.
+def _near(x, t):
+    """Mask of the modes x that can enter the DSERIES_Z window at the smallest |t| in t.
 
-    |x t t| does not decrease with |t| in floating point either, so only
-    modes inside the window at the smallest |t| are checked per cell.
+    |x t t| does not decrease with |t| in floating point either, so no
+    other mode enters it at any time in t.
     """
     t_min = np.abs(t).min(initial=np.inf)
     with np.errstate(over="ignore"):  # an infinite z only lies outside the window
-        rows = np.flatnonzero(np.abs(x[:, 0] * t_min * t_min) < DSERIES_Z)
-        if not rows.size:  # the usual chunk: no mode near x = 0
-            return rows, rows, np.empty(0), np.empty(0)
+        return np.abs(x * t_min * t_min) < DSERIES_Z
+
+
+def _window(x, t, rows):
+    """Cells (rows, cols) of the given rows with |z| < DSERIES_Z, z = x t^2, with their z and t."""
+    with np.errstate(over="ignore"):
         z = x[rows] * t * t
     i, j = np.nonzero(np.abs(z) < DSERIES_Z)
     return rows[i], j, z[i, j], t[0, j]
@@ -160,7 +165,7 @@ def _kernel_derivs(x, t, c, s):
     ds = t * c - s
     ds /= np.where(x != 0.0, x, 1.0)
     ds *= 0.5
-    i, j, z, tz = _window(x, t)
+    i, j, z, tz = _window(x, t, np.flatnonzero(_near(x, t)))
     ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
         1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))
     return dc.reshape(shape), ds.reshape(shape)
@@ -191,53 +196,68 @@ def _theta_rates(a, b, j_imag, hermitian, theta_kind):
     raise ValueError(f"unknown theta_kind: {theta_kind!r}")
 
 
-def _tangents(x, t):
-    """tau = tan(sqrt(x) t) / sqrt(x) and d = 1 + x tau^2 for a column x and a row t.
+def _tangents(r, neg, t):
+    """tau = tan(sqrt(x) t) / sqrt(x) and d = 1 + x tau^2 from r = sqrt|x|, x < 0 and t.
 
-    Each row takes one branch.  x > 0: one tan pass, d = 1 + tan^2 =
+    Each row takes one branch.  x >= 0: one tan pass, d = 1 + tan^2 =
     sec^2.  x < 0: with psi = |eps| t, e = expm1(-2 psi) and
     g = exp(-2 psi),
 
         tanh psi = -e / (1 + g),   d = sech^2 psi = 4 g / (1 + g)^2,
 
-    neither of which cancels or overflows at any |eps| t.  x = 0 rows
-    take tau = t and d = 1.  A chunk with both signs is split by rows.
+    neither of which cancels or overflows at any |eps| t.  The caller
+    sets x = 0 rows (r = 1).  A chunk with both signs is split by rows.
     """
-    neg = x[:, 0] < 0.0
     broken = np.count_nonzero(neg)
     if 0 < broken < neg.size:
-        tau = np.empty((x.size, t.size))
+        tau = np.empty((r.size, t.size))
         d = np.empty(tau.shape)
-        for rows in (~neg, neg):
-            tau[rows], d[rows] = _tangents(x[rows], t)
+        for rows in (~neg[:, 0], neg[:, 0]):
+            tau[rows], d[rows] = _tangents(r[rows], neg[rows], t)
         return tau, d
-    rt = np.sqrt(np.abs(x))
     if broken:
-        e = np.multiply(-2.0 * rt, t)
+        e = np.multiply(-2.0 * r, t)
         d = np.exp(e)
         tau = np.expm1(e, out=e)
         q = np.add(d, 1.0)
         tau /= q
-        tau *= -1.0 / rt
+        tau *= -1.0 / r
         d /= q
         d /= q
         d *= 4.0
         return tau, d
-    tau = np.multiply(rt, t)
+    tau = np.multiply(r, t)
     np.tan(tau, out=tau)
     d = np.multiply(tau, tau)
     d += 1.0
-    tau /= np.where(x != 0.0, rt, 1.0)
-    if np.count_nonzero(x) < x.size:
-        tau[x[:, 0] == 0.0] = t  # tan 0 = 0 there, so d = 1 already
+    tau /= r
     return tau, d
 
 
-def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
-    """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
+def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
+    """The per-mode columns of trajectory_arrays for one curve at the times t.
 
     a, b, j_imag and x hold one value per mode and t one per time, each
-    a scalar or a 1-D array; the results have shape x.shape + t.shape.
+    a scalar or a 1-D array.  The columns, each (modes, 1), are x,
+    r = sqrt|x| (1 at x = 0), h / x (h at x = 0), h = (dx/dtheta) m / 2,
+    a^2 + m^2, a v + m u, v (None for theta = h), x < 0 and _near(x, t).
+    """
+    x, t, _ = _mode_grid(x, t)
+    a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
+    m = -b if hermitian else b  # lower-left block entry M_10
+    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
+    h = 0.5 * xp * m
+    return (x, np.where(x != 0.0, np.sqrt(np.abs(x)), 1.0), h / np.where(x != 0.0, x, 1.0), h,
+            a * a + m * m, a * v + m * u, v if theta_kind is ThetaKind.ANISOTROPY_GAMMA else None,
+            x < 0.0, _near(x, t))
+
+
+def trajectory_arrays(columns, t, modes=slice(None)):
+    """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
+
+    columns come from mode_columns at times that include t, and modes
+    picks a run of them (all by default); t is a scalar or a 1-D array.
+    The results have shape (modes,) + t.shape.
 
     The evolved amplitudes phi = U(t)(1, 0) = (C + i a S, -i m S), with
     m = M_10 (b non-Hermitian, -b Hermitian), have the theta-derivative
@@ -264,27 +284,27 @@ def trajectory_arrays(a, b, j_imag, x, hermitian, t, theta_kind):
     with d times the series of W inside DSERIES_Z.  d cancels in the
     per-mode QFI 4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
-    x, t, shape = _mode_grid(x, t)
-    a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
-    m = -b if hermitian else b  # lower-left block entry M_10
-    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
-    tau, d = _tangents(x, t)
-    # (dx/dtheta) m d W = (tau - t d) h / x, h = (dx/dtheta) m / 2
-    h = 0.5 * xp * m
+    x, r, hx, h, k, p, v, neg, near = (c if c is None else c[modes] for c in columns)
+    _, t, shape = _mode_grid(x[:, 0], t)
+    tau, d = _tangents(r, neg, t)
+    rows = np.flatnonzero(near)
+    if rows.size:  # x = 0 rows are among these, with tau = t and d = 1
+        zero = rows[x[rows, 0] == 0.0]
+        tau[zero], d[zero] = t, 1.0
+        i, j, z, tz = _window(x, t, rows)
     ci = np.multiply(t, d)
     np.subtract(tau, ci, out=ci)
-    ci *= h / np.where(x != 0.0, x, 1.0)  # x = 0 rows lie wholly in the window
-    i, j, z, tz = _window(x, t)
-    if i.size:
+    ci *= hx  # (dx/dtheta) m d W = (tau - t d) h / x; x = 0 rows lie wholly in the window
+    if rows.size:
         ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
             1.0 - z / 18.0))) * d[i, j] * h[i, 0]
-    if theta_kind is ThetaKind.ANISOTROPY_GAMMA:
+    if v is not None:
         ci -= np.multiply(tau, v, out=d)
     tau2 = np.multiply(tau, tau, out=tau)
-    cr = np.multiply(tau2, a * v + m * u)
-    n = np.multiply(tau2, a * a + m * m, out=d)
+    cr = np.multiply(tau2, p)
+    n = np.multiply(tau2, k, out=d)
     n += 1.0
-    return tuple(k.reshape(shape) for k in (n, cr, ci))
+    return tuple(q.reshape(shape) for q in (n, cr, ci))
 
 
 def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):

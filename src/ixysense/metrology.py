@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NumericalError, UnderflowError
 from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import _describe, block_arrays, probe_vectors
-from .dynamics import trajectory_arrays
+from .dynamics import mode_columns, trajectory_arrays
 
 # Mode x time cells that qfi_curve evaluates at once.  Each chunk array is
 # then at most 128 KiB, small enough that malloc reuses the same heap pages
@@ -81,16 +81,18 @@ def mode_qfi(phi, dphi) -> float:
 def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     """Dynamical QFI at each time in t_grid, streamed over mode x time chunks.
 
-    Each chunk holds about CHUNK_CELLS mode x time cells: a run of modes
-    by the whole grid, or, for a grid of more than CHUNK_CELLS times, one
-    mode by a block of CHUNK_CELLS times.  The working memory is then one
-    chunk beyond the O(N) block arrays and the O(T) totals, whatever N and
-    T.  The per-mode values (cr^2 + ci^2) / n^2, a quarter of the QFI, are
-    formed in place over the chunk's trajectory_arrays output.  A block's
-    running totals are added into the first row of the next chunk before
-    that chunk is reduced along the mode axis, and scaled by 4 at the end.
-    numpy reduces a C-ordered array over its leading axis row by row, so
-    with two or more times the totals are a sequential sum in mode order
+    The per-mode columns are formed once per curve (mode_columns), and
+    each chunk is one trajectory_arrays call on about CHUNK_CELLS mode x
+    time cells of them: a run of modes by the whole grid, or, for a grid
+    of more than CHUNK_CELLS times, one mode by a block of CHUNK_CELLS
+    times.  The working memory is then one chunk beyond the O(N) columns
+    and the O(T) totals, whatever N and T.  The per-mode values
+    (cr^2 + ci^2) / n^2, a quarter of the QFI, are formed in place over
+    the chunk's trajectory_arrays output.  A block's running totals are
+    added into the first row of the next chunk before that chunk is
+    reduced along the mode axis, and scaled by 4 at the end.  numpy
+    reduces a C-ordered array over its leading axis row by row, so with
+    two or more times the totals are a sequential sum in mode order
     whatever the chunk size.  (With a single time a chunk is one column,
     which numpy sums pairwise; one chunk then holds up to CHUNK_CELLS =
     16384 modes.  The default experiments evaluate at most 2048 modes
@@ -106,13 +108,11 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
     totals = np.empty(t_grid.size)
     with np.errstate(over="ignore"):  # overflow: the totals are checked below
+        columns = mode_columns(a, b, j_imag, eps_sq, hermitian, t_grid, theta_kind)
         for t0 in range(0, t_grid.size, CHUNK_CELLS):
             block = slice(t0, t0 + CHUNK_CELLS)
             for lo in range(0, eps_sq.size, rows):
-                chunk = slice(lo, lo + rows)
-                n, cr, ci = trajectory_arrays(
-                    a[chunk], b[chunk], j_imag[chunk], eps_sq[chunk], hermitian,
-                    t_grid[block], theta_kind)
+                n, cr, ci = trajectory_arrays(columns, t_grid[block], slice(lo, lo + rows))
                 # n = 1 + (a^2 + m^2) tau^2 >= 1 in every cell, so the
                 # division below never meets n ~ 0
                 # per-mode QFI over 4, (cr^2 + ci^2) / n^2, on the chunk's own arrays

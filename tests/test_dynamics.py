@@ -15,6 +15,7 @@ from ixysense.dynamics import (
     RESCALE_EXPONENT,
     evolve_mode,
     evolve_mode_derivative,
+    mode_columns,
     propagator,
     trajectory_arrays,
     _kernel_derivs,
@@ -273,7 +274,9 @@ def test_trajectory_arrays_rejects_2d_input():
         with pytest.raises(ValueError, match="1-D"):
             _kernels(xs, ts)
         with pytest.raises(ValueError, match="1-D"):
-            trajectory_arrays(x, x, x, xs, False, ts, ThetaKind.FIELD_H)
+            trajectory_arrays(mode_columns(x, x, x, xs, False, ts, ThetaKind.FIELD_H), ts)
+    with pytest.raises(ValueError, match="1-D"):  # times that reach one chunk as 2-D
+        trajectory_arrays(mode_columns(x, x, x, x, False, t, ThetaKind.FIELD_H), t[None, :])
 
 
 # Relative gate of a broken block's propagator entries against 40-digit
@@ -373,7 +376,7 @@ def test_trajectory_arrays_matches_scalar_path():
         hermitian = mode is AnisotropyMode.HERMITIAN
         assert (x < 0).any() != hermitian
         for theta in ThetaKind:
-            n, cr, ci = trajectory_arrays(a, b, ji, x, hermitian, 1.3, theta)
+            n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, 1.3, theta), 1.3)
             for i, blk in enumerate(blocks):
                 traj = evolve_mode_derivative(params, blk.p, 1.3, theta)
                 (amp0, amp2), (d0, d1) = traj.state.vector(), traj.dstate
@@ -436,7 +439,7 @@ def test_cell_qfi_matches_mpmath(theta, mode):
     hermitian = mode is AnisotropyMode.HERMITIAN
     edge = np.sqrt(DSERIES_Z / np.abs(x[:4]))
     t = np.concatenate([np.geomspace(0.01, 2000.0, 32), 0.99 * edge, 1.01 * edge])
-    n, cr, ci = trajectory_arrays(a, b, ji, x, hermitian, t, theta)
+    n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, t, theta), t)
     got = 4.0 * (cr * cr + ci * ci) / (n * n)
     z = np.abs(x[:, None] * t * t)
     growth = np.sqrt(np.maximum(-x, 0.0))[:, None] * t  # |eps| t of broken cells
@@ -458,7 +461,7 @@ def test_cell_qfi_matches_mpmath(theta, mode):
     assert len(pole) >= 3 and (len(huge) >= 2) != hermitian
     for i, ti in pole + huge:
         row = (a[i:i + 1], b[i:i + 1], ji[i:i + 1], x[i:i + 1])
-        n, cr, ci = trajectory_arrays(*row, hermitian, ti, theta)
+        n, cr, ci = trajectory_arrays(mode_columns(*row, hermitian, ti, theta), ti)
         got = 4.0 * (cr * cr + ci * ci) / (n * n)
         want = _mp_qfi_grid(*row, hermitian, ti, theta)
         assert np.isfinite(got).all() and (np.abs(got - want) <= CELL_QFI_RTOL * want).all()
@@ -476,7 +479,7 @@ def test_trajectory_arrays_mixed_chunk_stays_finite():
     assert x[2] == 0.0 and (x < 0).sum() == 2 and (x > 0).sum() == 2
     t = np.array([0.0, 1e-3, 2.5, 40.0, 1e4 / math.sqrt(-x[1])])
     for theta in ThetaKind:
-        n, cr, ci = trajectory_arrays(a, b, ji, x, False, t, theta)
+        n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, False, t, theta), t)
         assert np.isfinite(n).all() and np.isfinite(cr).all() and np.isfinite(ci).all()
         assert (n >= 1.0).all()
         assert (n[:, 0] == 1.0).all() and (cr[:, 0] == 0.0).all() and (ci[:, 0] == 0.0).all()

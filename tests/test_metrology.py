@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from ixysense.blocks import block_arrays
 from ixysense import metrology
 from ixysense.dynamics import (
-    _kernel_derivs, _kernels, evolve_mode_derivative, trajectory_arrays)
+    _kernel_derivs, _kernels, evolve_mode_derivative, mode_columns, trajectory_arrays)
 from ixysense.errors import NumericalError, UnderflowError
 from ixysense.metrology import (
     dynamical_qfi,
@@ -149,8 +149,8 @@ def _full_grid_qfi_curve(params, t_grid, theta_kind):
     """The whole (modes x times) grid in one trajectory_arrays call."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    n, cr, ci = trajectory_arrays(*_mode_columns(params), hermitian,
-                                  t_grid, theta_kind)
+    n, cr, ci = trajectory_arrays(
+        mode_columns(*_mode_columns(params), hermitian, t_grid, theta_kind), t_grid)
     return np.add.reduce(4.0 * (cr * cr + ci * ci) / (n * n), axis=0)
 
 
@@ -187,6 +187,12 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
 # t = 0 and tiny times, then out to t = 1000, where the broken
 # blocks of h = -0.8 reach |eps| t = 230 and the reference's kernels rescale
 _STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
+_SHUFFLED_TIMES = np.random.default_rng(20261019).permutation(_STREAM_TIMES)
+_FIELDS = (-0.8, -2.0)
+# Each puts one block of the N = 2000 chain at its exceptional point, so
+# x ~ 0 there (-1.0e-17, 0 and 6.9e-18 at blocks 76, 77 and 79) and its
+# chunk mixes x < 0 and x > 0 rows.
+_EP_FIELDS = (-0.7877690321080538, -0.7841862617414519, -0.7769694172198554)
 
 # Relative gate of the closed form against the complex-amplitude reference,
 # about 10x the worst drift measured on the grids below: 9.4e-16.  The
@@ -213,37 +219,53 @@ def test_qfi_curve_matches_complex_reference(theta, mode):
 
 @pytest.mark.parametrize("mode", list(AnisotropyMode))
 @pytest.mark.parametrize("theta", list(ThetaKind))
-@pytest.mark.parametrize("n,times,budget,chunks", [
-    (2000, _STREAM_TIMES, None, 19),         # 1000 modes, 54 a chunk
-    (2000, [200.0], None, 1),                # one time: one chunk
-    (64, _STREAM_TIMES[::3], 64, 64),        # 100 times > budget: one mode by 64 + 36
-    (16, _STREAM_TIMES[:129], 64, 24),       # 129 times: blocks of 64, 64 and 1
-], ids=["chunks", "one-time", "one-mode-chunks", "time-blocks"])
-def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, chunks,
+@pytest.mark.parametrize("n,times,budget,chunks,fields", [
+    (2000, _STREAM_TIMES, None, 19, _FIELDS),          # 1000 modes, 54 a chunk
+    (2000, _SHUFFLED_TIMES, None, 19, _FIELDS),        # the same times, shuffled
+    (2000, [200.0], None, 1, _FIELDS),                 # one time: one chunk
+    (64, _STREAM_TIMES[::3], 64, 64, _FIELDS),         # 100 times > budget: one mode by 64 + 36
+    (16, _STREAM_TIMES[:129], 64, 24, _FIELDS),        # 129 times: blocks of 64, 64 and 1
+    # every mode can enter the DSERIES_Z window at t = 1e-9, but only
+    # cells of the first block of 64 times do
+    (16, _STREAM_TIMES[1:129], 64, 16, _FIELDS),
+    (2000, _STREAM_TIMES[4:], None, 19, _EP_FIELDS),   # x < 0, x ~ 0 and x > 0 in one chunk
+], ids=["chunks", "shuffled", "one-time", "one-mode-chunks", "time-blocks",
+        "window-first-block", "mixed-sign"])
+def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, chunks, fields,
                                                theta, mode):
-    # streaming over mode x time chunks gives the full-grid totals bit for bit
+    # streaming over mode x time chunks gives the full-grid totals bit for
+    # bit, from per-mode columns built once per curve
     if budget is not None:
         monkeypatch.setattr(metrology, "CHUNK_CELLS", budget)
-    calls = []
+    calls, built = [], []
 
     def counted(*args):
-        calls.append(args[0].shape)
-        return trajectory_arrays(*args)
+        r = trajectory_arrays(*args)
+        calls.append(r[0].size)
+        return r
+
+    def counted_columns(*args):
+        built.append(args)
+        return mode_columns(*args)
 
     monkeypatch.setattr(metrology, "trajectory_arrays", counted)
-    for h in (-0.8, -2.0):
+    monkeypatch.setattr(metrology, "mode_columns", counted_columns)
+    for h in fields:
         params = ModelParams(N=n, Z=3, alpha=1.5, gamma=0.4, h=h, anisotropy_mode=mode)
         calls.clear()
+        built.clear()
         got = qfi_curve(params, times, theta)
-        assert len(calls) == chunks
+        assert len(calls) == chunks and len(built) == 1
+        assert sum(calls) == n // 2 * len(times)
         assert np.array_equal(got, _full_grid_qfi_curve(params, times, theta))
 
 
 def test_qfi_curve_memory_bounded():
-    # beyond the O(N) block arrays the working set is O(CHUNK_CELLS), not
-    # O(N/2 x T).  With 300 times the traced peak was 1.7 MiB at N=2^14 and
-    # 2.9 MiB at N=2^16, where block_arrays itself sets it; one pass over
-    # the full grid peaks at 1.26 GB at N=2^16, about 4 kB per mode.
+    # beyond the O(N) block arrays and mode columns the working set is
+    # O(CHUNK_CELLS), not O(N/2 x T).  With 300 times the traced peak was
+    # 1.7 MiB at N=2^14 and 3.6 MiB at N=2^16, where those arrays set it;
+    # one pass over the full grid peaks at 1.26 GB at N=2^16, about 4 kB
+    # per mode.
     grid = np.geomspace(0.02, 1000.0, 300)
     sizes = (2 ** 14, 2 ** 16)
     peaks = []
@@ -256,7 +278,7 @@ def test_qfi_curve_memory_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 8 * 2 ** 20
-    # 51 B per added mode measured: the block columns, not a row of times
+    # 78 B per added mode measured: the block and mode columns, not a row of times
     assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) // 2) < 128
 
 
