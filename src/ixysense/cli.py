@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
 }
 
 
+@cache  # one parser per process; parse_args copies the --set default list
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ixysense",

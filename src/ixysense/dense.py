@@ -15,18 +15,17 @@ behind the momentum-block picture, and is the initial state of every
 evolution here.
 
 Every term of H flips two bits or none, so H conserves the parity of the
-number of down spins, and the sum over (j, r) makes H commute with the
-lattice shift.  The vacuum is even (N is even) and shift invariant, so
-the evolution never leaves the zero-momentum part of the even sector
-(Sandvik, AIP Conf. Proc. 1297, 135 (2010), momentum states).  Its basis
-states are the normalized shift orbits
-
-    |a> = R_a^(-1/2) sum_{k < R_a} T^k |a>,
-
-one per representative a: an even state that is the smallest of its N
-rotations, with orbit period R_a.  The dimension is 20, 56, 180 and 596
-at N = 8, 10, 12 and 14, against 2^(N-1) for the whole even sector.
-In this basis
+number of down spins.  The sum over (j, r) makes H commute with the
+lattice shift, and the mirror j -> -1 - j (bit reversal) maps term
+(j, r) onto term (-1 - j - r, r) with the same string.  The vacuum is
+even (N is even) and invariant under both, so the evolution never
+leaves their symmetric part of the even sector (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010), momentum and reflection states).  Its basis
+states are the normalized orbits |a> = R_a^(-1/2) sum_{s in O_a} |s>,
+one per representative a: an even state that is the smallest of its 2N
+images (N rotations, and N rotations of its bit reversal), O_a its R_a
+distinct images.  The dimension is 18, 44, 122 and 362 at N = 8, 10,
+12 and 14, against 2^(N-1) for the whole even sector.  In this basis
 
     H = H_hop + gamma H_gamma + h H_z,
 
@@ -38,6 +37,7 @@ for the imaginary anisotropy), and H_z = (1/2) sum_j sigma^z_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,7 +49,7 @@ MAX_DENSE_SITES = 14
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """H on the zero-momentum even sector, with its derivatives in h and gamma.
+    """H on the symmetric even sector, with its derivatives in h and gamma.
 
     matrix  -- H, dense, in the order of the ascending representatives
     d_gamma -- dH/dgamma = H_gamma, dense
@@ -67,24 +67,59 @@ class SectorHamiltonian:
 
 
 def _orbit_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Representatives of the even shift orbits, their periods, and a lookup.
+    """Representatives of the even shift-and-mirror orbits, their sizes, and a lookup.
 
-    Returns the representatives ascending, the orbit period R of each, and
+    A state's orbit holds its 2n images: its n rotations and those of its
+    bit reversal.  Returns the representatives (smallest members; 18, 44,
+    122 and 362 at n = 8 to 14) ascending, the orbit size R of each, and
     for every one of the 2^n states the position of its orbit's
     representative (meaningful for even states only).
     """
     every = np.arange(1 << n)
-    shifts = np.arange(n)[:, None]
-    rotations = ((every << shifts) | (every >> (n - shifts))) & ((1 << n) - 1)
-    smallest = rotations.min(axis=0)
+    sites = np.arange(n)
+    mirrored = (((every[:, None] >> sites) & 1) << (n - 1 - sites)).sum(axis=1)
+    images = np.concatenate([((s << sites[:, None]) | (s >> (n - sites[:, None])))
+                             & ((1 << n) - 1) for s in (every, mirrored)])
+    smallest = images.min(axis=0)
     states = np.flatnonzero((smallest == every) & (np.bitwise_count(every) % 2 == 0))
-    # a state is fixed by n / R of its n rotations
-    period = n // (rotations[:, states] == states).sum(axis=0)
-    return states, period, np.searchsorted(states, smallest)
+    # a state is its own image under 2n / R of the 2n shifts and mirrors
+    size = 2 * n // (images[:, states] == states).sum(axis=0)
+    return states, size, np.searchsorted(states, smallest)
+
+
+@cache
+def _term_table(n: int) -> tuple[np.ndarray, ...]:
+    """Every (j, r <= n/2) term's entries on the lower triangle, for all Z at once.
+
+    In the builder's (j, r) order, then by column: the flat target
+    b * dim + a, r, the string sign and whether the two bits agree (a
+    pair term), followed by sqrt(R_a / R_b) and the diagonal of H_z.
+    Built on the first call for each n and kept read-only.
+    """
+    states, size, orbit = _orbit_basis(n)
+    dim = len(states)
+    cols = np.arange(dim)
+    bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
+    sz = 1 - 2 * bits
+    terms = []
+    for j in range(n):
+        for r in range(1, n // 2 + 1):
+            k = (j + r) % n
+            string = [(j + m) % n for m in range(1, r)]
+            rows = orbit[states ^ ((1 << (n - 1 - j)) | (1 << (n - 1 - k)))]
+            lower = rows >= cols
+            terms.append((rows[lower] * dim + cols[lower], np.full(lower.sum(), r),
+                          np.prod(sz[lower][:, string], axis=1),
+                          (bits[:, j] == bits[:, k])[lower]))
+    table = (*map(np.concatenate, zip(*terms)),
+             np.sqrt(size[None, :] / size[:, None]), 0.5 * sz.sum(axis=1))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
-    """The periodic-chain Hamiltonian on the zero-momentum even sector.
+    """The periodic-chain Hamiltonian on the symmetric even sector.
 
     Site indices wrap modulo N; every (j, r) term of the double sum is
     built literally, including both antipodal partners at r = N/2, whose
@@ -95,11 +130,12 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
     on pairs of unequal bits (hopping) and -gamma/2 on pairs of equal
     bits (pair creation or annihilation), times the string sign and J_r.
 
-    The terms act on the representatives only.  A term that maps a into
-    the orbit of b adds its value times sqrt(R_a / R_b) to H[b, a], which
-    is the orbit state's matrix element because H commutes with the
-    shift.  H_hop and H_gamma are real symmetric; their lower triangles
-    are accumulated and mirrored, so the symmetry holds bit for bit.
+    The terms act on the representatives only, tabulated once per N.  A
+    term that maps a into the orbit of b adds its value times
+    sqrt(R_a / R_b) to H[b, a], the orbit state's matrix element as H
+    commutes with the shift and the mirror.  H_hop and H_gamma are real
+    symmetric; their lower triangles are summed in (j, r) order by
+    np.bincount and mirrored, so the symmetry holds bit for bit.
 
     Coupling sign is ferromagnetic: the string terms enter with -J_r, so
     the even-parity sector realizes quasiparticle blocks with diagonal
@@ -113,26 +149,13 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
         raise ValueError(
             f"dense oracle is limited to N <= {MAX_DENSE_SITES}, got N={n}")
     weights = coupling_profile(params.alpha, params.Z).weights
-    states, period, orbit = _orbit_basis(n)
-    dim = len(states)
-    cols = np.arange(dim)
-    bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
-    sz = 1 - 2 * bits
-
-    hop = np.zeros((dim, dim))
-    pair = np.zeros((dim, dim))
-    for j in range(n):
-        for r in range(1, params.Z + 1):
-            k = (j + r) % n
-            string = [(j + m) % n for m in range(1, r)]
-            value = -0.5 * weights[r - 1] * np.prod(sz[:, string], axis=1)
-            flip = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
-            rows = orbit[states ^ flip]
-            lower = rows >= cols
-            same = bits[:, j] == bits[:, k]
-            for target, keep in ((hop, lower & ~same), (pair, lower & same)):
-                target[rows[keep], cols[keep]] += value[keep]
-    scale = np.sqrt(period[None, :] / period[:, None])
+    flat, r, sign, same, scale, d_h = _term_table(n)
+    dim = d_h.size
+    keep = r <= params.Z
+    value = (-0.5 * weights)[r[keep] - 1] * sign[keep]
+    flat, same = flat[keep], same[keep]
+    hop, pair = (np.bincount(flat[m], value[m], minlength=dim * dim).reshape(dim, dim)
+                 for m in (~same, same))
     for target in (hop, pair):
         target *= scale
         target += np.tril(target, -1).T
@@ -140,9 +163,8 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
     d_gamma = pair.astype(complex)
     if params.anisotropy_mode is not AnisotropyMode.HERMITIAN:
         d_gamma *= 1j
-    d_h = 0.5 * sz.sum(axis=1)
     matrix = hop + params.gamma * d_gamma
-    matrix[cols, cols] += params.h * d_h
+    matrix[np.diag_indices(dim)] += params.h * d_h
     return SectorHamiltonian(matrix=matrix, d_gamma=d_gamma, d_h=d_h)
 
 

@@ -83,14 +83,17 @@ def _mode_grid(x, t):
 
 
 def _near(x, t):
-    """Mask of the modes x that can enter the DSERIES_Z window at the smallest |t| in t.
+    """Mask of the modes x that can enter the DSERIES_Z window at the smallest nonzero |t| in t.
 
     |x t t| does not decrease with |t| in floating point either, so no
-    other mode enters it at any time in t.
+    other mode enters it at any nonzero time in t.  At t = 0 the closed
+    form already gives tau = 0 and d = 1.  x = 0 rows are always in the
+    mask, as they take tau = t and d = 1 from the window.
     """
-    t_min = np.abs(t).min(initial=np.inf)
-    with np.errstate(over="ignore"):  # an infinite z only lies outside the window
-        return np.abs(x * t_min * t_min) < DSERIES_Z
+    t_min = np.abs(t).min(initial=np.inf, where=t != 0.0)
+    # an infinite z, or 0 * inf with no nonzero time, lies outside the window
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x == 0.0) | (np.abs(x * t_min * t_min) < DSERIES_Z)
 
 
 def _window(x, t, rows):

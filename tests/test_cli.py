@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ixysense
+from ixysense import dense
 from ixysense.analysis import ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
 from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
@@ -291,6 +292,17 @@ def test_options_parse_the_same_before_and_after_the_experiment():
                            "print_config": True}
     assert parser.parse_args([*options, "ratio"]) == after
     assert parser.parse_args([*options[:4], "ratio", *options[4:]]) == after
+
+
+def test_parser_is_built_once_and_keeps_no_overrides(capsys):
+    # main reuses one parser; each run resolves only its own --set list
+    assert build_parser() is build_parser()
+    for overrides, want in ((["N=16", "Z=2"], {"N": 16, "Z": 2, "h": -0.7}),
+                            (["h=-1.1"], {"N": 1024, "Z": 1, "h": -1.1})):
+        assert main(["ratio", "--print-config", *_args(" ".join(overrides))]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert {key: cfg[key] for key in want} == want
+    assert build_parser().parse_args(["ratio"]).set == []
 
 
 def _fresh_python(code):
@@ -582,6 +594,16 @@ def test_threads_do_not_change_results(tmp_path):
     a = (tmp_path / "a" / "size_scaling.csv").read_bytes()
     b = (tmp_path / "b" / "size_scaling.csv").read_bytes()
     assert a == b
+
+
+def test_threads_do_not_change_oracle_results_from_a_cold_term_table(tmp_path):
+    # the first build for each N can run on several run_cells threads at once
+    base = ["oracle-check", "--set", "N_list=[4,6,8,10,12]", "--set", "t_list=[1.0]"]
+    for threads in ("2", "1"):
+        dense._term_table.cache_clear()
+        assert main(base + ["--out", str(tmp_path / threads), "--threads", threads]) == 0
+    assert ((tmp_path / "2" / "oracle_check.csv").read_bytes()
+            == (tmp_path / "1" / "oracle_check.csv").read_bytes())
 
 
 def test_threads_do_not_change_results_when_scipy_loads_on_a_worker(tmp_path):

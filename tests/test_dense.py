@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from ixysense import dense
 from ixysense.dense import (
     MAX_DENSE_SITES,
     build_spin_hamiltonian,
@@ -95,19 +96,68 @@ def _rotate(state, n):
     return ((state << 1) | (state >> (n - 1))) & ((1 << n) - 1)
 
 
+def _mirror(state, n):
+    return sum(((state >> j) & 1) << (n - 1 - j) for j in range(n))
+
+
 def _orbits(n):
-    """Shift orbits of the even states, ordered by their smallest member."""
+    """Shift-and-mirror orbits of the even states, ordered by their smallest member."""
     orbits = {}
     for state in sector_states(n).tolist():
-        orbit = [state]
-        while (nxt := _rotate(orbit[-1], n)) != state:
-            orbit.append(nxt)
+        orbit, frontier = {state}, [state]
+        while frontier:
+            s = frontier.pop()
+            for image in (_rotate(s, n), _mirror(s, n)):
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
         orbits[min(orbit)] = sorted(orbit)
     return [orbits[rep] for rep in sorted(orbits)]
 
 
+def _loop_hamiltonian(params):
+    """(H, dH/dgamma, diagonal of dH/dh) from the literal (j, r) loop.
+
+    The builder before its terms were tabulated, on the same orbit basis:
+    each term's lower-triangle entries are added in (j, r) order.
+    """
+    n = params.N
+    weights = coupling_profile(params.alpha, params.Z).weights
+    states, size, orbit = dense._orbit_basis(n)
+    dim = len(states)
+    cols = np.arange(dim)
+    bits = (states[:, None] >> (n - 1 - np.arange(n))) & 1
+    sz = 1 - 2 * bits
+
+    hop = np.zeros((dim, dim))
+    pair = np.zeros((dim, dim))
+    for j in range(n):
+        for r in range(1, params.Z + 1):
+            k = (j + r) % n
+            string = [(j + m) % n for m in range(1, r)]
+            value = -0.5 * weights[r - 1] * np.prod(sz[:, string], axis=1)
+            flip = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
+            rows = orbit[states ^ flip]
+            lower = rows >= cols
+            same = bits[:, j] == bits[:, k]
+            for target, keep in ((hop, lower & ~same), (pair, lower & same)):
+                target[rows[keep], cols[keep]] += value[keep]
+    scale = np.sqrt(size[None, :] / size[:, None])
+    for target in (hop, pair):
+        target *= scale
+        target += np.tril(target, -1).T
+
+    d_gamma = pair.astype(complex)
+    if params.anisotropy_mode is not AnisotropyMode.HERMITIAN:
+        d_gamma *= 1j
+    d_h = 0.5 * sz.sum(axis=1)
+    matrix = hop + params.gamma * d_gamma
+    matrix[cols, cols] += params.h * d_h
+    return matrix, d_gamma, d_h
+
+
 def _isometry(n):
-    """Columns: the normalized zero-momentum orbit states, in the even sector."""
+    """Columns: the normalized shift-and-mirror orbit states, in the even sector."""
     states = sector_states(n)
     orbits = _orbits(n)
     p = np.zeros((len(states), len(orbits)))
@@ -146,7 +196,7 @@ def test_sector_builder_matches_kron_reference(n, z, mode):
 @pytest.mark.parametrize("n,z", [(n, z) for n in (4, 6, 8, 10, 12)
                                  for z in range(1, n // 2 + 1)])
 def test_zero_momentum_builder_matches_sector_reference(n, z):
-    # P maps the zero-momentum orbit states into the even sector; the new
+    # P maps the shift-and-mirror orbit states into the even sector; the new
     # matrices are the sector ones seen through P, and the sector H maps
     # the range of P into itself
     p = _isometry(n)
@@ -164,9 +214,43 @@ def test_zero_momentum_builder_matches_sector_reference(n, z):
 def test_zero_momentum_dimensions():
     dims = {n: build_spin_hamiltonian(
         ModelParams(N=n, Z=2, alpha=1.0, gamma=0.3, h=-0.7)).matrix.shape
-        for n in (8, 10, 12, 14)}
-    assert dims == {8: (20, 20), 10: (56, 56), 12: (180, 180), 14: (596, 596)}
-    assert [len(_orbits(n)) for n in (8, 10, 12)] == [20, 56, 180]
+        for n in (4, 6, 8, 10, 12, 14)}
+    assert dims == {4: (4, 4), 6: (8, 8), 8: (18, 18), 10: (44, 44), 12: (122, 122),
+                    14: (362, 362)}
+    assert [len(_orbits(n)) for n in (8, 10, 12)] == [18, 44, 122]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+def test_term_table_matches_loop_reference(n):
+    # np.bincount adds each cell's terms in the loop's (j, r) order from
+    # 0, so the tabulated build equals the loop bit for bit
+    for z in range(1, n // 2 + 1):
+        for mode in AnisotropyMode:
+            params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
+            op = build_spin_hamiltonian(params)
+            matrix, d_gamma, d_h = _loop_hamiltonian(params)
+            assert np.array_equal(op.matrix, matrix)
+            assert np.array_equal(op.d_gamma, d_gamma)
+            assert np.array_equal(op.d_h, d_h)
+    for array in dense._term_table(n):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_cached_table_serves_every_z():
+    # one table per N holds every range; a build at a smaller Z leaves it
+    # intact for the next build at a larger one
+    n = 8
+    dense._term_table.cache_clear()
+    p = _isometry(n)
+    for z in (4, 1, 4):
+        params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8)
+        op = build_spin_hamiltonian(params)
+        matrix, d_gamma, d_h = _sector_hamiltonian(params)
+        assert np.abs(p.T @ matrix @ p - op.matrix).max() <= 1e-14
+        assert np.abs(p.T @ d_gamma @ p - op.d_gamma).max() <= 1e-14
+        assert np.abs((p.T * d_h) @ p - np.diag(op.d_h)).max() <= 1e-14
+    assert dense._term_table.cache_info().misses == 1
 
 
 def test_polarized_diagonal_elements():
@@ -180,7 +264,7 @@ def test_polarized_diagonal_elements():
 
 def test_hermitian_mode_builds_hermitian_matrix():
     # the lower triangle is mirrored, so the symmetry is exact even where
-    # orbits of different periods meet (N = 6 onward)
+    # orbits of different sizes meet (N = 6 onward)
     for n, z in ((4, 2), (6, 3), (10, 5), (12, 4)):
         params = ModelParams(N=n, Z=z, alpha=1.0, gamma=0.4, h=-0.7,
                              anisotropy_mode=AnisotropyMode.HERMITIAN)
@@ -198,8 +282,8 @@ def test_imaginary_anisotropy_conjugates_to_negated_gamma():
 
 def test_parity_commutes_exactly():
     # every term flips two bits or none, so no flipped state leaves the
-    # sector; the sum over j makes H commute with the shift, so the
-    # zero-momentum orbit states span an invariant subspace of the sector
+    # sector; the sum over j makes H commute with the shift and the mirror,
+    # so the symmetric orbit states span an invariant subspace of the sector
     n = 6
     even = sector_states(n)
     assert len(even) == 2 ** (n - 1)
@@ -214,6 +298,8 @@ def test_parity_commutes_exactly():
     assert np.abs(m * p[None, :] - p[:, None] * m).max() == 0.0
     shift = np.array([_rotate(s, n) for s in range(2 ** n)])
     assert np.abs(m[np.ix_(shift, shift)] - m).max() <= 1e-15
+    mirror = np.array([_mirror(s, n) for s in range(2 ** n)])
+    assert np.abs(m[np.ix_(mirror, mirror)] - m).max() <= 1e-15
     iso = _isometry(n)
     sector = m[np.ix_(even, even)]
     assert np.abs(iso @ (iso.T @ sector @ iso) - sector @ iso).max() <= 1e-15

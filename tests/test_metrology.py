@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from ixysense.blocks import block_arrays
 from ixysense import metrology
 from ixysense.dynamics import (
-    _kernel_derivs, _kernels, evolve_mode_derivative, mode_columns, trajectory_arrays)
+    _kernel_derivs, _kernels, _near, evolve_mode_derivative, mode_columns, trajectory_arrays)
 from ixysense.errors import NumericalError, UnderflowError
 from ixysense.metrology import (
     dynamical_qfi,
@@ -258,6 +258,26 @@ def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, ch
         assert len(calls) == chunks and len(built) == 1
         assert sum(calls) == n // 2 * len(times)
         assert np.array_equal(got, _full_grid_qfi_curve(params, times, theta))
+
+
+def test_leading_zero_time_keeps_the_window_mask():
+    # the window bound comes from the smallest nonzero time, so t = 0 marks
+    # no extra mode, x = 0 rows stay window rows, and the QFI at the other
+    # times keeps its bits
+    grid = _STREAM_TIMES[4:]
+    with_zero = np.concatenate([[0.0], grid])
+    for h in (-0.8, _EP_FIELDS[1]):  # the second puts x = 0 at block 77
+        params = ModelParams(N=2000, Z=3, alpha=1.5, gamma=0.4, h=h)
+        x = block_arrays(params)[-1][:, None]
+        near = _near(x, with_zero[None, :])
+        assert np.array_equal(near, _near(x, grid[None, :]))
+        assert 0 < near.sum() < x.size and near[x == 0.0].all()
+        for theta in ThetaKind:
+            got = qfi_curve(params, with_zero, theta)
+            assert np.array_equal(got, _full_grid_qfi_curve(params, with_zero, theta))
+            assert got[0] == 0.0 and np.array_equal(got[1:], qfi_curve(params, grid, theta))
+    assert (x == 0.0).any()
+    assert np.array_equal(_near(np.array([[0.0], [1.0]]), np.zeros((1, 2))), [[True], [False]])
 
 
 def test_qfi_curve_memory_bounded():
