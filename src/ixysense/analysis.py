@@ -32,12 +32,12 @@ STATIONARY_N_LIST = (1024, 2048, 4096, 8192)
 # quasirandomly with N).  dh = 0 sits exactly on the anchor.
 STATIONARY_DH_LIST = (0.0, -1e-4, -1e-3, -1e-2, -1e-1)
 
-# Number of scan angles in (0, pi) used to locate the global maximum of
-# J^R + |gamma J^I| before continuous refinement; equals the positive-half
-# mode count of a 2^17-site chain.  The scan only has to land in the
-# right basin; a bounded scalar maximization finishes the job, so the
-# boundary comes out free of the O((2 pi / N)^2) grid shift that the
-# discrete classification of any single finite chain carries.
+# The finest odd-angle grid of the exceptional-point search, the positive-half
+# mode count of a 2^17-site chain.  It sets the polish cell, pi / EP_SCAN_ANGLES
+# either side of the grid's best angle, and caps the coarse grid, so no search
+# costs more than one scan of this many angles.  The polish is a bounded scalar
+# maximization, so the boundary comes out free of the O((2 pi / N)^2) grid
+# shift that the discrete classification of any single finite chain carries.
 EP_SCAN_ANGLES = 1 << 16
 
 
@@ -123,10 +123,15 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
 
     A mode is broken exactly when |h + J^R| < |gamma J^I|, so every mode
     is unbroken for h <= -max g and the maximizing mode breaks just
-    above.  The maximum is taken over continuous angles: a scan of the
-    EP_SCAN_ANGLES-point odd-angle grid, then a bounded scalar
-    maximization inside the best cell, so h_e is the dispersion's own
-    edge, not the grid-shifted one of any finite chain.
+    above.  The maximum is certified by branch and bound: g = max(h+, h-),
+    h+- = J^R +- gamma J^I, |h+-''| <= K = (1 + gamma) sum r^2 J_r, so a
+    cell of width d holds no g above max(its ends) + K d^2 / 8.  The cells
+    lie between m >= 4Z + 4 odd angles (EP_SCAN_ANGLES at most, or if K
+    overflows); g is even about 0 and pi, so each edge half-cell reflects
+    into a full cell with equal ends.  Cells bounded below the best g seen
+    are dropped, the rest halved until the midpoints are the odd angles of
+    EP_SCAN_ANGLES.  A bounded scalar maximization within a step of the
+    best of these gives h_e free of any finite chain's grid shift.
     """
     gamma = abs(params.gamma)
     if params.anisotropy_mode is AnisotropyMode.HERMITIAN or gamma == 0.0:
@@ -134,22 +139,42 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
             f"no exceptional point: every mode is unbroken at every h for "
             f"anisotropy={params.anisotropy_mode.value}, gamma={params.gamma!r}")
     profile = coupling_profile(params.alpha, params.Z)
-    angles = _odd_angles(EP_SCAN_ANGLES)
-    j_scan = momentum_coupling(profile, angles)
-    g_scan = j_scan.real + gamma * np.abs(j_scan.imag)
-    k = int(np.argmax(g_scan))
-    phi_k = float(angles[k])
-    step = math.pi / EP_SCAN_ANGLES
 
-    def minus_g(phi: float) -> float:
+    def g(phi):
         j = momentum_coupling(profile, phi)
-        return -(j.real + gamma * abs(j.imag))
+        return j.real + gamma * abs(j.imag)
 
-    res = minimize_scalar(minus_g, method="bounded",
+    r = np.arange(1, params.Z + 1)
+    curvature = (1.0 + gamma) * float(r * r @ profile.weights)
+    m = min(EP_SCAN_ANGLES, max(8, 1 << (4 * params.Z + 3).bit_length()))
+    m = m if math.isfinite(curvature) else EP_SCAN_ANGLES
+    # positions are integers in units of pi / full: the EP_SCAN_ANGLES grid
+    # is the odd integers, which a capped coarse grid already is (w = 1)
+    full = 2 * EP_SCAN_ANGLES
+    w = full // m if m < EP_SCAN_ANGLES else 1
+    angles = _odd_angles(m)
+    gi = g(angles)
+    best = float(gi.max())
+    if w > 1:  # cells [a, a + w]; each edge half-cell reflected into a full one
+        a = np.arange(-1, 2 * m, 2) * (w // 2)
+        ga, gb = np.concatenate((gi[:1], gi)), np.concatenate((gi, gi[-1:]))
+    while w > 1:
+        # the mirror halves of edge cells drop; 2^-40 (1 + gamma) covers rounding
+        slack = curvature * (w * math.pi / full) ** 2 / 8 + 2.0 ** -40 * (1.0 + gamma)
+        keep = (best - np.maximum(ga, gb) <= slack) & (a + w > 0) & (a < full)
+        a, ga, gb, w = a[keep], ga[keep], gb[keep], w // 2
+        idx = a + w
+        angles = idx * math.pi / full
+        gi = g(angles)
+        best = max(best, float(gi.max()))
+        a, ga, gb = np.concatenate((a, idx)), np.concatenate((ga, gi)), np.concatenate((gi, gb))
+    phi_k = float(angles[np.argmax(gi)])
+    step = math.pi / EP_SCAN_ANGLES
+    res = minimize_scalar(lambda phi: -g(phi), method="bounded",
                           bounds=(max(phi_k - step, 1e-300), min(phi_k + step, math.pi)),
                           options={"xatol": 1e-13, "maxiter": 300})
-    # res.fun is -g at the polished angle; keep the scan cell if it is higher
-    return EPResult(h_e=min(-float(g_scan[k]), float(res.fun)), iterations=int(res.nit))
+    # res.fun is -g at the polished angle; keep the best grid value if it is higher
+    return EPResult(h_e=min(-best, float(res.fun)), iterations=int(res.nit))
 
 
 def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:

@@ -1,12 +1,15 @@
 """Power-law fits, the phase-boundary locator, and the sweep drivers."""
 
 import math
+import sys
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
+from ixysense import analysis
 from ixysense.analysis import (
     EP_SCAN_ANGLES,
     LONGTIME_GRID,
@@ -141,6 +144,89 @@ def test_ep_scan_bins_sit_at_their_labelled_angles():
     scan = momentum_coupling(profile, angles)
     for k in (21845, 65535):
         assert abs(scan[k] - momentum_coupling(profile, float(angles[k]))) < 1e-10
+
+
+def _full_scan_edge(params):
+    """Reference locator, returning (h_e, max g on its grid): g on all
+    EP_SCAN_ANGLES odd angles (one FFT), then the bounded polish within one
+    grid step of the argmax."""
+    gamma = abs(params.gamma)
+    profile = coupling_profile(params.alpha, params.Z)
+    angles = _odd_angles(EP_SCAN_ANGLES)
+    j = momentum_coupling(profile, angles)
+    g_scan = j.real + gamma * np.abs(j.imag)
+    k = int(np.argmax(g_scan))
+    step = math.pi / EP_SCAN_ANGLES
+
+    def minus_g(phi):
+        j = momentum_coupling(profile, phi)
+        return -(j.real + gamma * abs(j.imag))
+
+    res = scipy_minimize_scalar(
+        minus_g, method="bounded", options={"xatol": 1e-13, "maxiter": 300},
+        bounds=(max(angles[k] - step, 1e-300), min(angles[k] + step, math.pi)))
+    return min(-float(g_scan[k]), float(res.fun)), float(g_scan[k])
+
+
+def _assert_matches_full_scan(params, atol=EP_REFERENCE_ATOL):
+    he = find_exceptional_point(params).h_e
+    reference, g_max = _full_scan_edge(params)
+    assert math.isfinite(he)
+    assert abs(he - reference) <= atol
+    # certified: no cell holding the maximum was pruned, so h_e never
+    # lies above the scan grid's own edge
+    assert he <= -g_max + atol
+
+
+def test_find_exceptional_point_matches_the_full_scan():
+    rng = np.random.default_rng(21)
+    cases = [(int(rng.integers(1, 201)), float(rng.uniform(0.0, 3.0)),
+              float(rng.uniform(0.05, 2.0))) for _ in range(24)]
+    # alpha = 0 is a Dirichlet kernel: many near-equal side lobes
+    cases += [(Z, 0.0, gamma) for Z in (64, 512) for gamma in (0.1, 0.9, 1.7)]
+    # two near-equal maxima, the best coarse angle in the lower one's basin:
+    # a search that drops every cell below the best value seen misses these
+    # by 1e-4 and 2e-3
+    cases += [(11, 2.0, 1.980451127819549), (11, 1.75, 3.08922305764411)]
+    for Z, alpha, gamma in cases:
+        _assert_matches_full_scan(ModelParams(N=2 * Z + 2, Z=Z, alpha=alpha, gamma=gamma, h=-1.0))
+
+
+def test_find_exceptional_point_edge_cells_and_z_at_half_n():
+    # gamma <= 1e-3 puts the maximum next to phi = 0, inside the reflected
+    # edge half-cell of the coarse grid; Z = N/2 is the longest range allowed
+    angles = _odd_angles(EP_SCAN_ANGLES)
+    for Z, alpha, gamma in ((1, 1.0, 1e-3), (3, 1.0, 1e-3), (5, 0.5, 1e-9), (50, 0.5, 0.4)):
+        j = momentum_coupling(coupling_profile(alpha, Z), angles)
+        phi0 = float(angles[np.argmax(j.real + gamma * np.abs(j.imag))])
+        exact, _ = _reference_edge(alpha, Z, gamma, phi0, math.pi / EP_SCAN_ANGLES)
+        params = ModelParams(N=max(4, 2 * Z), Z=Z, alpha=alpha, gamma=gamma, h=-1.0)
+        assert abs(find_exceptional_point(params).h_e - float(exact)) <= EP_REFERENCE_ATOL
+
+
+def test_find_exceptional_point_capped_and_extreme_inputs():
+    # Z >= EP_SCAN_ANGLES / 4 caps the coarse grid at the full scan grid
+    _assert_matches_full_scan(ModelParams(N=40000, Z=20000, alpha=1.0, gamma=0.5, h=-1.0))
+    # the curvature bound overflows at Z = 5 (every cell kept: the capped
+    # grid) but not at Z = 1; either way the search ends with a finite h_e
+    for Z in (1, 5):
+        for gamma in (1e308, sys.float_info.max):
+            _assert_matches_full_scan(ModelParams(N=64, Z=Z, alpha=1.0, gamma=gamma, h=-1.0),
+                                      atol=EP_REFERENCE_ATOL * gamma)
+
+
+def test_find_exceptional_point_work_grows_with_z_not_the_scan_grid(monkeypatch):
+    evaluated = []
+
+    def counting(profile, phi):
+        evaluated.append(np.size(phi))
+        return momentum_coupling(profile, phi)
+
+    monkeypatch.setattr(analysis, "momentum_coupling", counting)
+    for Z in (1, 8):
+        evaluated.clear()
+        find_exceptional_point(ModelParams(N=64, Z=Z, alpha=1.0, gamma=0.5, h=-1.0))
+        assert sum(evaluated) < EP_SCAN_ANGLES / 64
 
 
 def test_find_exceptional_point_needs_a_broken_mode():
