@@ -261,15 +261,16 @@ class RunWriter:
     def csv(self, name: str, header: str, columns) -> Path:
         """One row per index of the equal-length columns (arrays or lists).
 
-        Each value is written with str, which for a Python float is its
-        shortest round-trip repr.
+        Each value is written with %s, which is str: for a Python float
+        its shortest round-trip repr.
         """
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        row_format = ",".join(["%s"] * len(columns)) + "\n"
         path = self._path(name)
         with open(path, "w") as f:
             f.writelines(f"# {line}\n" for line in self._preamble())
             f.write(header + "\n")
-            f.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
+            f.writelines(row_format % row for row in zip(*columns))
         self.outputs.append(name)
         print(f"wrote {path}")
         return path
@@ -550,6 +551,9 @@ def main(argv=None) -> int:
         return status
     except (ConfigError, ValueError) as exc:  # ValueError: a library call's rejection
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size whose arrays cannot be allocated
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,11 +9,13 @@ C and S are entire functions of x: trigonometric for x > 0, hyperbolic
 for x < 0 (cos(i y) = cosh y), with C = 1 and S = t at x = 0.
 
 The array path needs only C^2, S^2 and C S, which are linear in
-cos 2 psi and sin 2 psi (psi = sqrt(x) t): one full-angle tangent per
-cell fixes them up to a common factor that cancels in the Fisher
-information, so nothing there grows like exp(|eps| t).  mode_columns
-forms a curve's per-mode columns once, and trajectory_arrays evaluates
-one chunk of them against a row of the curve's times.
+cos 2 psi and sin 2 psi (psi = sqrt(x) t): the bare tangent T = tan psi
+of each cell (tanh |eps| t for x < 0) fixes them up to a common factor
+that cancels in the Fisher information, so nothing there grows like
+exp(|eps| t).  mode_columns forms a curve's per-mode columns once, with
+every factor of 1 / sqrt|x| folded into them, and trajectory_arrays
+evaluates one chunk of them against a row of the curve's times: one
+tangent and a few multiplies per cell, for either parameter.
 
 The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
 the true amplitudes.  _kernels takes C and S from one half-angle tangent
@@ -82,18 +84,25 @@ def _mode_grid(x, t):
     return x.reshape(-1, 1), t.reshape(1, -1), x.shape + t.shape
 
 
-def _near(x, t):
-    """Mask of the modes x that can enter the DSERIES_Z window at the smallest nonzero |t| in t.
+def _z_min(x, t):
+    """|x t t| of each mode x at the smallest nonzero |t| in t (inf with none).
 
-    |x t t| does not decrease with |t| in floating point either, so no
-    other mode enters it at any nonzero time in t.  At t = 0 the closed
-    form already gives tau = 0 and d = 1.  x = 0 rows are always in the
-    mask, as they take tau = t and d = 1 from the window.
+    |x t t| does not decrease with |t| in floating point either, so this
+    is its least value at any nonzero time in t.
     """
     t_min = np.abs(t).min(initial=np.inf, where=t != 0.0)
-    # an infinite z, or 0 * inf with no nonzero time, lies outside the window
+    # an infinite z, or 0 * inf with no nonzero time, compares as large
     with np.errstate(over="ignore", invalid="ignore"):
-        return (x == 0.0) | (np.abs(x * t_min * t_min) < DSERIES_Z)
+        return np.abs(x * t_min * t_min)
+
+
+def _near(x, t):
+    """Mask of the modes x that can enter the DSERIES_Z window at a nonzero time in t.
+
+    At t = 0 the closed form already gives T = 0 and d = 1.  x = 0 rows
+    are always in the mask.
+    """
+    return (x == 0.0) | (_z_min(x, t) < DSERIES_Z)
 
 
 def _window(x, t, rows):
@@ -200,41 +209,39 @@ def _theta_rates(a, b, j_imag, hermitian, theta_kind):
 
 
 def _tangents(r, neg, t):
-    """tau = tan(sqrt(x) t) / sqrt(x) and d = 1 + x tau^2 from r = sqrt|x|, x < 0 and t.
+    """T, S = T^2 and d = 1 +- S (the sign of x) from r = sqrt|x|, x < 0 and t.
 
-    Each row takes one branch.  x >= 0: one tan pass, d = 1 + tan^2 =
-    sec^2.  x < 0: with psi = |eps| t, e = expm1(-2 psi) and
-    g = exp(-2 psi),
+    Each row takes one branch.  x >= 0: one tan pass, T = tan(r t) and
+    d = 1 + S = sec^2.  x < 0: with psi = |eps| t = r t,
+    e = expm1(-2 psi) and g = exp(-2 psi),
 
-        tanh psi = -e / (1 + g),   d = sech^2 psi = 4 g / (1 + g)^2,
+        T = tanh psi = -e / (1 + g),   d = sech^2 psi = 4 g / (1 + g)^2,
 
     neither of which cancels or overflows at any |eps| t.  The caller
     sets x = 0 rows (r = 1).  A chunk with both signs is split by rows.
     """
     broken = np.count_nonzero(neg)
     if 0 < broken < neg.size:
-        tau = np.empty((r.size, t.size))
-        d = np.empty(tau.shape)
+        tan = np.empty((r.size, t.size))
+        sq = np.empty(tan.shape)
+        d = np.empty(tan.shape)
         for rows in (~neg[:, 0], neg[:, 0]):
-            tau[rows], d[rows] = _tangents(r[rows], neg[rows], t)
-        return tau, d
+            tan[rows], sq[rows], d[rows] = _tangents(r[rows], neg[rows], t)
+        return tan, sq, d
     if broken:
         e = np.multiply(-2.0 * r, t)
         d = np.exp(e)
-        tau = np.expm1(e, out=e)
-        q = np.add(d, 1.0)
-        tau /= q
-        tau *= -1.0 / r
+        tan = np.expm1(e, out=e)
+        q = np.subtract(-1.0, d)  # -(1 + g)
+        tan /= q
         d /= q
         d /= q
         d *= 4.0
-        return tau, d
-    tau = np.multiply(r, t)
-    np.tan(tau, out=tau)
-    d = np.multiply(tau, tau)
-    d += 1.0
-    tau /= r
-    return tau, d
+        return tan, np.multiply(tan, tan), d
+    tan = np.multiply(r, t)
+    np.tan(tan, out=tan)
+    sq = np.multiply(tan, tan)
+    return tan, sq, np.add(sq, 1.0)
 
 
 def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
@@ -242,17 +249,38 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
 
     a, b, j_imag and x hold one value per mode and t one per time, each
     a scalar or a 1-D array.  The columns, each (modes, 1), are x,
-    r = sqrt|x| (1 at x = 0), h / x (h at x = 0), h = (dx/dtheta) m / 2,
-    a^2 + m^2, a v + m u, v (None for theta = h), x < 0 and _near(x, t).
+    r = sqrt|x|, h / x, h = (dx/dtheta) m / 2, kappa = (a^2 + m^2) / |x|,
+    rho = (a v + m u) / |x|, beta = (h / x - v) / r, v / r (None for
+    theta = h), x < 0, _near(x, t) and the rows in tau form.
+
+    A chunk multiplies kappa and rho by T^2 and beta and v / r by T,
+    which gives (a^2 + m^2) tau^2, (a v + m u) tau^2, (h / x - v) tau
+    and v tau with tau = T / r (trajectory_arrays).  Where |x| t^2 falls
+    below the smallest normal double at a nonzero time in t, T^2 loses
+    its digits, and kappa can overflow.  Those rows, and x = 0 rows
+    (tau = t), are in tau form: the chunk carries tau itself, against
+    the columns a^2 + m^2, a v + m u, h / x - v and v.  At x = 0, r = 1
+    and h / x = h.  No other row's columns overflow where x = a^2 -+ b^2
+    as block_arrays rounds it, since |x| is then 0 or about
+    eps (a^2 + b^2) or more.
     """
     x, t, _ = _mode_grid(x, t)
     a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
     m = -b if hermitian else b  # lower-left block entry M_10
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     h = 0.5 * xp * m
-    return (x, np.where(x != 0.0, np.sqrt(np.abs(x)), 1.0), h / np.where(x != 0.0, x, 1.0), h,
-            a * a + m * m, a * v + m * u, v if theta_kind is ThetaKind.ANISOTROPY_GAMMA else None,
-            x < 0.0, _near(x, t))
+    zero = x == 0.0
+    z = _z_min(x, t)
+    near, tau_rows = zero | (z < DSERIES_Z), zero | (z < np.finfo(float).tiny)
+    x1 = np.where(zero, 1.0, x)
+    hx = h / x1
+    ax = np.abs(x1, out=x1)
+    r = np.sqrt(ax)
+    ax[tau_rows] = 1.0  # the tau-form rows divide by 1
+    rt = np.where(tau_rows, 1.0, r)
+    kappa, rho, beta = (a * a + m * m) / ax, (a * v + m * u) / ax, (hx - v) / rt
+    vr = v / rt if theta_kind is ThetaKind.ANISOTROPY_GAMMA else None
+    return x, r, hx, h, kappa, rho, beta, vr, x < 0.0, near, tau_rows
 
 
 def trajectory_arrays(columns, t, modes=slice(None)):
@@ -277,36 +305,47 @@ def trajectory_arrays(columns, t, modes=slice(None)):
 
     C^2 = (1 + cos 2 psi) / 2, S^2 = (1 - cos 2 psi) / (2 x) and
     C S = sin 2 psi / (2 sqrt(x)), psi = sqrt(x) t, so times
-    d = 1 / C^2 = 1 + x tau^2 they are 1, tau^2 and tau, with one
-    full-angle tangent tau = tan(psi) / sqrt(x) from _tangents.  Each
-    result is returned times d:
+    d = 1 / C^2 = 1 + x tau^2 they are 1, tau^2 and tau, with
+    tau = tan(psi) / sqrt(x) = T / sqrt|x| and T = tan psi for x > 0,
+    tanh |eps| t for x < 0 (_tangents).  Each result is returned times
+    d, from T, T^2 and d with the factors of 1 / sqrt|x| in the columns
+    kappa, rho, beta and v / sqrt|x| of mode_columns:
 
-        n  = 1 + (a^2 + m^2) tau^2 >= 1,   cr = (a v + m u) tau^2,
-        ci = (dx/dtheta) m d W - v tau,    d W = (tau - t d) / (2 x),
+        n  = 1 + kappa T^2 >= 1,   cr = rho T^2,
+        ci = (dx/dtheta) m d W - v tau = beta T - (h / x) t d,
 
-    with d times the series of W inside DSERIES_Z.  d cancels in the
-    per-mode QFI 4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
+    as d W = (tau - t d) / (2 x) and h = (dx/dtheta) m / 2.  Inside
+    DSERIES_Z, ci is d h times the series of 2 W, less (v / sqrt|x|) T.
+    Rows in tau form (mode_columns) carry tau in place of T, and
+    tau = t, d = 1 at x = 0.  d cancels in the per-mode QFI
+    4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
-    x, r, hx, h, k, p, v, neg, near = (c if c is None else c[modes] for c in columns)
+    x, r, hx, h, kappa, rho, beta, vr, neg, near, tau_rows = (
+        c if c is None else c[modes] for c in columns)
     _, t, shape = _mode_grid(x[:, 0], t)
-    tau, d = _tangents(r, neg, t)
-    rows = np.flatnonzero(near)
+    tan, sq, d = _tangents(r, neg, t)
+    rows = np.flatnonzero(tau_rows)
     if rows.size:  # x = 0 rows are among these, with tau = t and d = 1
+        tan[rows] /= r[rows]
         zero = rows[x[rows, 0] == 0.0]
-        tau[zero], d[zero] = t, 1.0
-        i, j, z, tz = _window(x, t, rows)
-    ci = np.multiply(t, d)
-    np.subtract(tau, ci, out=ci)
-    ci *= hx  # (dx/dtheta) m d W = (tau - t d) h / x; x = 0 rows lie wholly in the window
+        tan[zero], d[zero] = t, 1.0
+        sq[rows] = np.square(tan[rows])
+    rows = np.flatnonzero(near)
     if rows.size:
-        ci[i, j] = (-2.0 / 3.0) * tz ** 3 * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
-            1.0 - z / 18.0))) * d[i, j] * h[i, 0]
-    if v is not None:
-        ci -= np.multiply(tau, v, out=d)
-    tau2 = np.multiply(tau, tau, out=tau)
-    cr = np.multiply(tau2, p)
-    n = np.multiply(tau2, k, out=d)
+        i, j, z, tz = _window(x, t, rows)
+        # h t^3 before the series: t^3 alone overflows once t passes 5.6e102
+        w = h[i, 0] * tz * tz * tz * ((-2.0 / 3.0) * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
+            1.0 - z / 18.0)))) * d[i, j]
+        if vr is not None:
+            w -= tan[i, j] * vr[i, 0]
+    ci = np.multiply(t, d)
+    ci *= hx  # x = 0 rows lie wholly in the window
+    n = np.multiply(sq, kappa, out=d)
     n += 1.0
+    cr = np.multiply(sq, rho, out=sq)
+    np.subtract(np.multiply(tan, beta, out=tan), ci, out=ci)
+    if rows.size:
+        ci[i, j] = w
     return tuple(q.reshape(shape) for q in (n, cr, ci))
 
 

@@ -118,7 +118,9 @@ def momentum_coupling(profile: CouplingProfile, phi):
     phi_arr = np.asarray(phi, dtype=float)
     m = phi_arr.size
     r = np.arange(1, profile.weights.size + 1)
-    if phi_arr.ndim == 1 and m > 0 and np.array_equal(phi_arr, _odd_angles(m)):
+    # _odd_angles(m) starts at pi / (2m) to the bit, so no other phi needs it built
+    if (phi_arr.ndim == 1 and m > 0 and phi_arr[0] == math.pi / (2 * m)
+            and np.array_equal(phi_arr, _odd_angles(m))):
         folded = np.bincount(r % (4 * m), weights=profile.weights, minlength=4 * m)
         # rfft has exp(-i...); folded is real, so J is its conjugate
         return np.conj(np.fft.rfft(folded)[1:2 * m:2])

@@ -217,6 +217,23 @@ def test_rejected_values_exit_2(tmp_path, capsys, experiment, override):
     assert not (tmp_path / "o").exists()
 
 
+# Sizes whose arrays need 4 EiB, past any 47-bit address space, so the
+# allocation fails whatever the overcommit setting.
+HUGE_N = 2 ** 60
+
+
+@pytest.mark.parametrize("experiment,override", [
+    ("dispersion", f"N={HUGE_N}"),
+    ("qfi-dynamics", f"N={HUGE_N}"),
+    ("size-scaling", f"N_list=[64,128,{HUGE_N}]"),
+])
+def test_out_of_memory_exits_2(tmp_path, capsys, experiment, override):
+    assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("experiment,override,keys", CROSS_KEY_ERRORS)
 def test_cross_key_errors_name_both_keys(tmp_path, capsys, experiment, override, keys):
     assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 2
@@ -477,6 +494,18 @@ def test_csv_writes_floats_as_repr(tmp_path):
     _, header, rows = _read_csv(tmp_path / "w.csv")
     assert header == "v"
     assert rows == [[repr(v)] for v in values]
+
+
+def test_csv_row_template_writes_str_bytes(tmp_path):
+    # the %s row template gives the bytes of ",".join(map(str, row))
+    columns = [np.array([0, -3, 2 ** 40]), np.array([-0.0, 1e-300, 5e-324]),
+               np.array([1e300, 0.1, -2.5]), ["mean", "", "x"]]
+    path = RunWriter(str(tmp_path), "dispersion", {}).csv("w.csv", "a,b,c,d", columns)
+    rows = path.read_bytes().split(b"a,b,c,d\n", 1)[1]
+    want = "".join(",".join(map(str, row)) + "\n"
+                   for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                    for c in columns)))
+    assert rows == want.encode()
 
 
 def test_exceptional_point_output(tmp_path):

@@ -20,6 +20,7 @@ from ixysense.dynamics import (
     trajectory_arrays,
     _kernel_derivs,
     _kernels,
+    _mode_amplitudes,
 )
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
 
@@ -490,6 +491,53 @@ def test_trajectory_arrays_mixed_chunk_stays_finite():
         assert_allclose(cr[2], (a[2] * v + b[2] * u) * t * t, rtol=1e-15)
         w, vt = -xp * b[2] * t ** 3 / 3.0, v * t  # the two terms of ci, which may cancel
         assert (np.abs(ci[2] - (w - vt)) <= 1e-15 * (np.abs(w) + np.abs(vt))).all()
+
+
+# Modes with |x| down to the smallest subnormal, where T^2 = x t^2 leaves
+# the normal range and kappa = (a^2 + m^2) / |x| can overflow.
+_TINY_X = np.array([5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e-17, -1e-17, 0.0])
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("theta", list(ThetaKind))
+def test_trajectory_arrays_tiny_x_rows(theta, hermitian):
+    # a and b scale with sqrt|x|, so (a^2 + m^2) / |x| and h / x are of
+    # order one, and the times run out to 1e200.  The rows in tau form
+    # (|x| <= 1e-310 and x = 0) overflow once tau^2 = t^2 does, past
+    # t = 1.3e154; every other row stays finite.  Each cell must match the
+    # scalar view's per-mode QFI wherever that is finite, broken cells
+    # up to |eps| t = 1e3 (past that the view's C_x and S_x terms cancel).
+    x = _TINY_X
+    t = np.geomspace(0.02, 1e200, 41)
+    s = np.sqrt(np.abs(x))
+    s[x == 0.0] = 1e-150
+    a = np.where(x < 0, 0.75, 1.25) * s
+    b = np.where(x < 0, 1.25, 0.75) * s
+    ji = np.full(x.size, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, t, theta), t)
+        got = 4.0 * (cr * cr + ci * ci) / (n * n)
+    finite = np.isfinite(n) & np.isfinite(cr) & np.isfinite(ci)
+    assert finite[np.abs(x) >= 1e-300].all()
+    compared = 0
+    for i, j in np.ndindex(got.shape):
+        if x[i] < 0 and math.sqrt(-x[i]) * t[j] > 1e3:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp0, amp2, d0, d1, _ = (np.complex128(q) for q in _mode_amplitudes(
+                a[i], b[i], ji[i], x[i], hermitian, t[j], theta))
+            want = 4.0 * abs(amp0 * d1 - amp2 * d0) ** 2 / (abs(amp0) ** 2 + abs(amp2) ** 2) ** 2
+        if np.isfinite(want):
+            compared += 1
+            assert finite[i, j] and abs(got[i, j] - want) <= CELL_QFI_RTOL * want
+    assert compared >= 20 * x.size
+    # a and b of order one, far from a^2 -+ b^2 = x: every row stays
+    # finite while h t^3 can, here up to t = 1.4e99
+    late = t[t < 1e100]
+    with np.errstate(over="ignore", invalid="ignore"):  # h / x overflows; the window holds
+        q = trajectory_arrays(mode_columns(
+            np.full(x.size, 1.25), np.full(x.size, 0.75), ji, x, hermitian, late, theta), late)
+    assert all(np.isfinite(v).all() for v in q)
 
 
 @pytest.mark.parametrize("hermitian", [False, True])

@@ -283,7 +283,7 @@ def test_leading_zero_time_keeps_the_window_mask():
 def test_qfi_curve_memory_bounded():
     # beyond the O(N) block arrays and mode columns the working set is
     # O(CHUNK_CELLS), not O(N/2 x T).  With 300 times the traced peak was
-    # 1.7 MiB at N=2^14 and 3.6 MiB at N=2^16, where those arrays set it;
+    # 2.0 MiB at N=2^14 and 4.0 MiB at N=2^16, where those arrays set it;
     # one pass over the full grid peaks at 1.26 GB at N=2^16, about 4 kB
     # per mode.
     grid = np.geomspace(0.02, 1000.0, 300)
@@ -298,7 +298,7 @@ def test_qfi_curve_memory_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 8 * 2 ** 20
-    # 78 B per added mode measured: the block and mode columns, not a row of times
+    # 85 B per added mode measured: the block and mode columns, not a row of times
     assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) // 2) < 128
 
 

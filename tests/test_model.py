@@ -106,6 +106,20 @@ def test_momentum_coupling_grid_and_direct_paths_agree():
     assert momentum_coupling(prof, phi.reshape(8, 8)).shape == (8, 8)
 
 
+def test_momentum_coupling_perturbed_grid_takes_the_direct_sum():
+    # the first angle is the grid's to the bit but one interior angle is
+    # moved, so J is the direct sum: bit for bit the direct path's value
+    # (here forced by an extra off-grid angle), and the moved angle's own J
+    prof = coupling_profile(1.2, 40)
+    phi = _odd_angles(64)
+    phi[17] += 1e-3
+    assert phi[0] == math.pi / 128
+    got = momentum_coupling(prof, phi)
+    assert np.array_equal(got, momentum_coupling(prof, np.append(phi, 0.5))[:-1])
+    assert_allclose(got, _direct_sum(prof, phi), rtol=0, atol=1e-12)
+    assert abs(got[17] - momentum_coupling(prof, _odd_angles(64))[17]) > 1e-6
+
+
 # Absolute gate of J on the mode grid against a 30-digit sum.  On the 48
 # sampled modes of these grids the FFT erred by at most 2.3e-16, and the
 # compensated ascending-r loop it replaced by up to 1.3e-15.
