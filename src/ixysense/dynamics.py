@@ -18,14 +18,9 @@ evaluates one chunk of them against a row of the curve's times: one
 tangent and a few multiplies per cell, for either parameter.
 
 The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
-the true amplitudes.  _kernels takes C and S from one half-angle tangent
-u = tan(sqrt(x) t / 2) for x >= 0,
-
-    C = (1 - u)(1 + u) / (1 + u^2),   S = 2 u / ((1 + u^2) sqrt(x)),
-
-within 1 eps absolute in C and 2 eps relative in S of the rounded phase,
-and from cosh and sinh for x < 0.  Parameter derivatives follow from the
-chain rule,
+the true amplitudes.  _cell gives C and S of one (x, t) from libm: cos
+and sin for x > 0, cosh and sinh for x < 0.  Parameter derivatives
+follow from the chain rule,
 
     dU/dtheta = (dx/dtheta) [C_x I - i S_x M] - i S dM/dtheta,
     C_x = -t S / 2,   S_x = (t C - S) / (2 x),
@@ -34,10 +29,8 @@ with a series for S_x inside DSERIES_Z.  Once |eps| t exceeds
 RESCALE_EXPONENT a broken block's amplitudes and their derivatives are
 scaled by exp(-|eps| t); the common factor cancels in any Fisher
 information and is reported through log_scale.  The views share only
-x, t and _theta_rates with the array path, so they check it.
-
-_kernels and _kernel_derivs take modes and times each as a scalar or
-a 1-D array and return (modes x times) grids of shape x.shape + t.shape.
+x, t and _theta_rates with the array path, so they check it; no run
+path calls _cell.
 """
 
 from __future__ import annotations
@@ -96,15 +89,6 @@ def _z_min(x, t):
         return np.abs(x * t_min * t_min)
 
 
-def _near(x, t):
-    """Mask of the modes x that can enter the DSERIES_Z window at a nonzero time in t.
-
-    At t = 0 the closed form already gives T = 0 and d = 1.  x = 0 rows
-    are always in the mask.
-    """
-    return (x == 0.0) | (_z_min(x, t) < DSERIES_Z)
-
-
 def _window(x, t, rows):
     """Cells (rows, cols) of the given rows with |z| < DSERIES_Z, z = x t^2, with their z and t."""
     with np.errstate(over="ignore"):
@@ -113,81 +97,48 @@ def _window(x, t, rows):
     return rows[i], j, z[i, j], t[0, j]
 
 
-def _kernels(x, t):
-    """C, S and the rescale exponent sigma on the (modes x times) grid of x, t.
+def _cell(x, t):
+    """C, S, C_x, S_x and the rescale exponent sigma of one (x, t).
 
-    Every row is first evaluated on the trigonometric branch from one
-    half-angle tangent u = tan(sqrt(x) t / 2),
-
-        C = (1 - u)(1 + u) / (1 + u^2),   S = (u / (1 + u^2)) (2 / sqrt(x)),
-
-    one vectorized tan in place of a cos and a sin per cell.  Against
-    40-digit cos and sin of the phase sqrt(x) t as rounded, C is within
-    1 eps absolute and S within 2 eps relative (libm cos and sin: 0.5
-    and 1), down to x t^2 -> 0.  u^2 cannot overflow, as |tan| of any
-    double is below about 1e19, and (1 - u)(1 + u) is not formed as
-    1 - u^2, which cancels near C = 0.  Rows with x < 0 are then
-    overwritten on the hyperbolic branch, with the cells past
-    RESCALE_EXPONENT scaled by exp(-sigma), and x = 0 rows take S = t.
+    Broken cells past RESCALE_EXPONENT are scaled by exp(-sigma),
+    sigma = |eps| t.  Raises ValueError where the phase sqrt(x) t of an
+    x > 0 cell overflows: cos and sin of it have no value.
     """
-    x, t, shape = _mode_grid(x, t)
-    rt = np.sqrt(np.abs(x))
-    u = (0.5 * rt) * t
-    np.tan(u, out=u)
-    c = np.subtract(1.0, u)
-    s = np.add(1.0, u)
-    c *= s
-    np.multiply(u, u, out=s)
-    s += 1.0
-    c /= s
-    np.divide(u, s, out=s)
-    s *= np.divide(2.0, rt, out=np.zeros(rt.shape), where=x != 0.0)
-    s[x[:, 0] == 0.0] = t  # u = 0 there, so C = 1 already
-    sig = np.zeros(u.shape)
-
-    neg = np.flatnonzero(x[:, 0] < 0.0)
-    if neg.size:
-        rt_n = rt[neg]
-        st_n = rt_n * t
-        tame = st_n <= RESCALE_EXPONENT
-        c_n = np.cosh(st_n, out=np.empty(st_n.shape), where=tame)
-        s_n = np.sinh(st_n, out=np.empty(st_n.shape), where=tame)
-        np.divide(s_n, rt_n, out=s_n, where=tame)
-        late = ~tame
-        if late.any():
-            # growing cells: exp(-|eps| t) is factored out
-            st_l = st_n[late]
-            damp = np.exp(-2.0 * st_l)
-            c_n[late] = 0.5 * (1.0 + damp)
-            s_n[late] = (1.0 - damp) / (2.0 * np.broadcast_to(rt_n, st_n.shape)[late])
-            sig[neg] = np.where(late, st_n, 0.0)
-        c[neg] = c_n
-        s[neg] = s_n
-    return c.reshape(shape), s.reshape(shape), sig.reshape(shape)
-
-
-def _kernel_derivs(x, t, c, s):
-    """dC/dx and dS/dx given already-evaluated (possibly rescaled) C, S."""
-    x, t, shape = _mode_grid(x, t)
-    c = np.reshape(c, (x.size, t.size))
-    s = np.reshape(s, (x.size, t.size))
-    dc = -0.5 * t * s
-    # divide before halving: 2 x overflows once |x| passes half the float
-    # range; x = 0 rows lie wholly in the series window
-    ds = t * c - s
-    ds /= np.where(x != 0.0, x, 1.0)
-    ds *= 0.5
-    i, j, z, tz = _window(x, t, np.flatnonzero(_near(x, t)))
-    ds[i, j] = -tz ** 3 / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
-        1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))
-    return dc.reshape(shape), ds.reshape(shape)
+    x, t = float(x), float(t)  # numpy scalars would warn where x t t overflows
+    r = math.sqrt(abs(x))
+    psi = r * t
+    sig = 0.0
+    if x > 0.0:
+        if math.isinf(psi):
+            raise ValueError(f"the phase sqrt(x) t overflows at x={x!r}, t={t!r}")
+        c, s = math.cos(psi), math.sin(psi) / r
+    elif x < 0.0 and psi > RESCALE_EXPONENT:
+        # growing cells: exp(-|eps| t) is factored out
+        damp = math.exp(-2.0 * psi)
+        c, s, sig = 0.5 * (1.0 + damp), (1.0 - damp) / (2.0 * r), psi
+    elif x < 0.0:
+        c, s = math.cosh(psi), math.sinh(psi) / r
+    else:
+        c, s = 1.0, t
+    z = x * t * t
+    if x == 0.0 or abs(z) < DSERIES_Z:
+        ds = -(t * t * t) / 6.0 * (1.0 - z / 10.0 * (1.0 - z / 28.0 * (
+            1.0 - z / 54.0 * (1.0 - z / 88.0 * (1.0 - z / 130.0)))))
+    else:
+        # divide before halving: 2 x overflows once |x| passes half the float range
+        ds = (t * c - s) / x * 0.5
+    return c, s, -0.5 * t * s, ds, sig
 
 
 def propagator(block: ModeBlock, t: float) -> np.ndarray:
-    """The 2x2 matrix exp(-i M t) of one block."""
+    """The 2x2 matrix exp(-i M t) of one block.
+
+    Raises ValueError for t < 0, and for an unbroken block (eps_sq > 0)
+    where its phase sqrt(eps_sq) t overflows to inf.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    c, s, sig = _kernels(block.eps_sq, t)
+    c, s, _, _, sig = _cell(block.eps_sq, t)
     # exp(sigma) overflows, with a RuntimeWarning, where the entries do
     return np.exp(sig) * (complex(c) * _EYE2 - 1j * complex(s) * block.matrix())
 
@@ -251,7 +202,8 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     a scalar or a 1-D array.  The columns, each (modes, 1), are x,
     r = sqrt|x|, h / x, h = (dx/dtheta) m / 2, kappa = (a^2 + m^2) / |x|,
     rho = (a v + m u) / |x|, beta = (h / x - v) / r, v / r (None for
-    theta = h), x < 0, _near(x, t) and the rows in tau form.
+    theta = h), x < 0, the modes that can enter the DSERIES_Z window at a
+    nonzero time in t (all x = 0 rows) and the rows in tau form.
 
     A chunk multiplies kappa and rho by T^2 and beta and v / r by T,
     which gives (a^2 + m^2) tau^2, (a v + m u) tau^2, (h / x - v) tau
@@ -354,8 +306,7 @@ def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
 
     Built from C, S, C_x and S_x, not from tau: a check of trajectory_arrays.
     """
-    c, s, sig = (float(k) for k in _kernels(x, t))
-    dc, ds = (float(k) for k in _kernel_derivs(x, t, c, s))
+    c, s, dc, ds, sig = _cell(x, t)
     m = -b if hermitian else b
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     amp0 = complex(c, a * s)
@@ -380,8 +331,8 @@ def evolve_mode_derivative(params: ModelParams, p: int, t: float,
                            theta_kind: ThetaKind) -> ModeTrajectory:
     """Unnormalized amplitudes of block p and their analytic theta-derivative.
 
-    A view onto row p - 1 of block_arrays, evolved by the kernels of
-    trajectory_arrays.
+    A view onto row p - 1 of block_arrays, evolved by _cell
+    independently of trajectory_arrays.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ixysense
-from ixysense import dense
+from ixysense import dense, dynamics
 from ixysense.analysis import ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
 from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
@@ -604,6 +604,23 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert header == "N,Z,alpha,gamma,h,t,theta,qfi_mode,qfi_dense,rel_diff"
     assert len(rows) == 32
     assert max(float(r[-1]) for r in rows) < 1e-8
+
+
+def test_no_run_path_calls_the_scalar_views(tmp_path, monkeypatch):
+    # propagator, evolve_mode and evolve_mode_derivative are checks of the
+    # array path, not a route of any experiment's numbers
+    def refuse(x, t):
+        raise AssertionError(f"a run path called the scalar views at x={x}, t={t}")
+
+    monkeypatch.setattr(dynamics, "_cell", refuse)
+    runs = ["qfi-dynamics N=32 Z_list=[1,2] t_points=10 t_max=5.0",
+            "time-scaling N=64 h=-3.0 transient_points=12 longtime_points=12",
+            "size-scaling t_eval=5.0 N_list=[32,64,128]",
+            "ratio N=32 t0=2.0 t1=8.0 n_grid=13",
+            "oracle-check N_list=[4,6] t_list=[1.0]"]
+    for i, run in enumerate(runs):
+        experiment, override = run.split(" ", 1)
+        assert main([experiment, *_args(override), "--out", str(tmp_path / str(i))]) == 0
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import mpmath
@@ -18,80 +19,10 @@ from ixysense.dynamics import (
     mode_columns,
     propagator,
     trajectory_arrays,
-    _kernel_derivs,
-    _kernels,
+    _cell,
     _mode_amplitudes,
 )
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
-
-
-def _reference_kernels(x, t):
-    """C, S, sigma classified cell by cell: the reference for _kernels."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = x.shape + t.shape
-    xb, tb = np.broadcast_arrays(x.reshape(-1, 1), t.reshape(1, -1))
-    xf = xb.ravel()
-    tf = tb.ravel()
-    c = np.ones_like(xf)  # x = 0: C = 1, S = t
-    s = tf.copy()
-    sig = np.zeros_like(xf)
-    pos = xf > 0.0
-    neg = xf < 0.0
-
-    if pos.any():
-        # cos and sin from the half-angle tangent, in _kernels' operations
-        rt = np.sqrt(xf[pos])
-        u = np.tan(rt * tf[pos] * 0.5)
-        d = 1.0 + u * u
-        c[pos] = (1.0 - u) * (1.0 + u) / d
-        s[pos] = u / d * (2.0 / rt)
-    if neg.any():
-        rt = np.sqrt(-xf[neg])
-        st = rt * tf[neg]
-        cn = np.empty_like(st)
-        sn = np.empty_like(st)
-        grow = st > RESCALE_EXPONENT
-        if grow.any():
-            damp = np.exp(-2.0 * st[grow])
-            cn[grow] = 0.5 * (1.0 + damp)
-            sn[grow] = (1.0 - damp) / (2.0 * rt[grow])
-        tame = ~grow
-        cn[tame] = np.cosh(st[tame])
-        sn[tame] = np.sinh(st[tame]) / rt[tame]
-        c[neg] = cn
-        s[neg] = sn
-        sg = np.zeros_like(st)
-        sg[grow] = st[grow]
-        sig[neg] = sg
-
-    return c.reshape(shape), s.reshape(shape), sig.reshape(shape)
-
-
-def _reference_kernel_derivs(x, t, c, s):
-    """dC/dx, dS/dx classified cell by cell: the reference for _kernel_derivs."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = x.shape + t.shape
-    xb, tb = np.broadcast_arrays(x.reshape(-1, 1), t.reshape(1, -1))
-    xf = xb.ravel()
-    tf = tb.ravel()
-    cf = np.ravel(c)
-    sf = np.ravel(s)
-
-    dc = -0.5 * tf * sf
-    z = xf * tf * tf
-    ser = np.abs(z) < DSERIES_Z
-    ds = np.empty_like(xf)
-    if ser.any():
-        zs = z[ser]
-        t3 = tf[ser] ** 3
-        ds[ser] = -t3 / 6.0 * (1.0 - zs / 10.0 * (1.0 - zs / 28.0 * (
-            1.0 - zs / 54.0 * (1.0 - zs / 88.0 * (1.0 - zs / 130.0)))))
-    rest = ~ser
-    if rest.any():
-        ds[rest] = (tf[rest] * cf[rest] - sf[rest]) / (2.0 * xf[rest])
-    return dc.reshape(shape), ds.reshape(shape)
 
 
 def _block(a, b, hermitian=False):
@@ -182,11 +113,9 @@ def test_kernels_match_complex_reference():
     xs = np.concatenate([np.geomspace(1e-30, 1e3, 45),
                          -np.geomspace(1e-30, 1e3, 45), [0.0]])
     for t in (1e-3, 1.0, 11.0):
-        keep = np.sqrt(np.abs(xs)) * t < 0.5 * RESCALE_EXPONENT
-        x = xs[keep]
-        c, s, sig = _kernels(x, t)
-        assert (sig == 0).all()
-        for xi, ci, si in zip(x, c, s):
+        for xi in xs[np.sqrt(np.abs(xs)) * t < 0.5 * RESCALE_EXPONENT].tolist():
+            ci, si, _, _, sig = _cell(xi, t)
+            assert sig == 0.0
             root = cmath.sqrt(complex(xi))
             c_ref = cmath.cos(root * t).real
             s_ref = t if xi == 0.0 else (cmath.sin(root * t) / root).real
@@ -194,7 +123,13 @@ def test_kernels_match_complex_reference():
             assert si == pytest.approx(s_ref, rel=1e-12, abs=1e-12)
 
 
-def _mp_kernels(x, t):
+def _cell_grid(x, t):
+    """_cell's C, S, C_x, S_x and sigma on the (modes x times) grid of 1-D x and t."""
+    cells = np.frompyfunc(_cell, 2, 5)(np.reshape(x, (-1, 1)), np.reshape(t, (1, -1)))
+    return tuple(q.astype(float) for q in cells)
+
+
+def _mp_cells(x, t):
     """40-digit C and S of the phase sqrt(|x|) t as rounded, on the x by t grid."""
     rt = np.sqrt(np.abs(x))
     c_ref = np.ones((x.size, t.size))  # x = 0: C = 1, S = t
@@ -210,59 +145,93 @@ def _mp_kernels(x, t):
     return c_ref, s_ref
 
 
+# Gates of C (absolute) and S (relative) against 40-digit cos and sin of
+# the phase sqrt(x) t as rounded: libm measures 0.5 and 1.0 eps below,
+# where the replaced half-angle tangent form measured 1.0 and 1.93.
+C_ATOL = np.finfo(float).eps
+S_RTOL = 2.0 * np.finfo(float).eps
+
+
 def test_trigonometric_kernels_match_mpmath():
-    # C and S against 40-digit cos and sin of the phase sqrt(x) t as
-    # rounded.  The half-angle tangent form measures 1.0 eps absolute in C
-    # and 1.93 eps relative in S here; libm's cos and sin measure 0.5 and 1.0.
-    eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     x = np.geomspace(1e-6, 20.0, 40)
     t = np.concatenate([[1.0, 1000.0], rng.uniform(1.0, 1000.0, 198)])
-    c, s, sig = _kernels(x, t)
+    c, s, _, _, sig = _cell_grid(x, t)
     assert (sig == 0).all()
-    c_ref, s_ref = _mp_kernels(x, t)
-    assert np.abs(c - c_ref).max() <= 2.0 * eps
-    assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= 3.0 * eps
+    c_ref, s_ref = _mp_cells(x, t)
+    assert np.abs(c - c_ref).max() <= C_ATOL
+    assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= S_RTOL
     # the same gates near x = 0, where no series takes over: x of both
-    # signs with |x t^2| from 1e-20 to 1e-8, and x = 0 (measured 1.0 eps
-    # in C and 1.2 eps in S)
+    # signs with |x t^2| from 1e-20 to 1e-8, and x = 0 (measured 0 in C
+    # and 0.78 eps in S)
     z = np.geomspace(1e-20, 1e-8, 25)
     for ti in np.geomspace(0.01, 1000.0, 9):
         x = np.concatenate([z, -z, [0.0]]) / (ti * ti)
-        t = np.array([ti])
-        c, s, sig = _kernels(x, t)
+        c, s, _, _, sig = _cell_grid(x, ti)
         assert (sig == 0).all()
-        c_ref, s_ref = _mp_kernels(x, t)
-        assert np.abs(c - c_ref).max() <= 2.0 * eps
-        assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= 3.0 * eps
+        c_ref, s_ref = _mp_cells(x, np.array([ti]))
+        assert np.abs(c - c_ref).max() <= C_ATOL
+        assert (np.abs(s - s_ref) / np.abs(s_ref)).max() <= S_RTOL
 
 
-# Modes of both signs, tiny |x|, x = 0 and strongly broken x, against
-# times from 0 through the DSERIES_Z window to deep growth.
-_GRID_X = np.concatenate([np.geomspace(1e-30, 1e3, 37), -np.geomspace(1e-30, 1e3, 37),
-                          [0.0, 1e-320, -1e-320, 0.0225, -0.0225]])
-_GRID_T = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.02, 0.3, 1.0, 11.0,
-                    149.9, 150.1, 200.0, 1000.0])
+# C, S, C_x, S_x and sigma of the vectorized half-angle kernels that _cell
+# replaced, at extreme x and t, as they computed them; NaN where the phase
+# sqrt(x) t overflowed.
+_REPLACED_KERNEL_CELLS = {
+    (0.0, 0.0): (1.0, 0.0, -0.0, -0.0, 0.0),
+    (0.0, 1.0): (1.0, 1.0, -0.5, -0.16666666666666666, 0.0),
+    (0.0, 1e+150): (1.0, 1e+150, -4.9999999999999995e+299, -math.inf, 0.0),
+    (0.0, 1e+300): (1.0, 1e+300, -math.inf, -math.inf, 0.0),
+    (5e-324, 0.0): (1.0, 0.0, -0.0, 0.0, 0.0),
+    (5e-324, 1.0): (1.0, 1.0, -0.5, -0.16666666666666666, 0.0),
+    (5e-324, 1e+150): (1.0, 1e+150, -4.9999999999999995e+299, -math.inf, 0.0),
+    (5e-324, 1e+300): (0.7981968917530666, 2.7101305912441834e+161, -math.inf, math.inf, 0.0),
+    (-5e-324, 0.0): (1.0, 0.0, -0.0, -0.0, 0.0),
+    (-5e-324, 1.0): (1.0, 1.0, -0.5, -0.16666666666666666, 0.0),
+    (-5e-324, 1e+150): (1.0, 1e+150, -4.9999999999999995e+299, -math.inf, 0.0),
+    (-5e-324, 1e+300): (0.5, 2.2494568972715982e+161, -math.inf,
+        -math.inf, 2.2227587494850776e+138),
+    (1e-320, 0.0): (1.0, 0.0, -0.0, 0.0, 0.0),
+    (1e-320, 1.0): (1.0, 1.0, -0.5, -0.16666666666666666, 0.0),
+    (1e-320, 1e+150): (1.0, 1e+150, -4.9999999999999995e+299, -math.inf, 0.0),
+    (1e-320, 1e+300): (0.7899996911815813, 6.131106529910056e+159, -math.inf, math.inf, 0.0),
+    (-1e-320, 0.0): (1.0, 0.0, -0.0, -0.0, 0.0),
+    (-1e-320, 1.0): (1.0, 1.0, -0.5, -0.16666666666666666, 0.0),
+    (-1e-320, 1e+150): (1.0, 1e+150, -4.9999999999999995e+299, -math.inf, 0.0),
+    (-1e-320, 1e+300): (0.5, 5.0000278322756814e+159, -math.inf, -math.inf, 9.99994433575849e+139),
+    (1e+308, 0.0): (1.0, 0.0, -0.0, 0.0, 0.0),
+    (1e+308, 1.0): (0.9585335384748351, -2.8497974598015173e-155, 1.4248987299007586e-155,
+        4.792667692374177e-309, 0.0),
+    (1e+308, 1e+150): (0.9948707118517949, -1.0115466721562065e-155, 5.057733360781032e-06,
+        4.974353559258974e-159, 0.0),
+    (1e+308, 1e+300): (math.nan, math.nan, math.nan, math.nan, 0.0),
+    (-1e+308, 0.0): (1.0, 0.0, -0.0, -0.0, 0.0),
+    (-1e+308, 1.0): (0.5, 5e-155, -2.5e-155, -2.499999999999997e-309, 1e+154),
+    (-1e+308, 1e+150): (0.5, 5e-155, -2.4999999999999998e-05, -2.5e-159, 1.0000000000000001e+304),
+    (-1e+308, 1e+300): (0.5, 5e-155, -2.5e+145, -2.5e-09, math.inf),
+}
 
 
-def test_kernels_match_cell_reference():
-    # the per-mode kernels reproduce the cell-by-cell classification bit
-    # for bit, on the (modes x times) grid and on the scalar layouts
-    got = _kernels(_GRID_X, _GRID_T)
-    want = _reference_kernels(_GRID_X, _GRID_T)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape == (_GRID_X.size, _GRID_T.size)
-        assert np.array_equal(g, w)
-    assert (got[2] > 0).any()  # growth cells were hit
-    c, s, _ = want
-    for g, w in zip(_kernel_derivs(_GRID_X, _GRID_T, c, s),
-                    _reference_kernel_derivs(_GRID_X, _GRID_T, c, s)):
-        assert np.array_equal(g, w)
-    for ti in _GRID_T[::3]:
-        for g, w in zip(_kernels(_GRID_X, ti), _reference_kernels(_GRID_X, ti)):
-            assert g.shape == _GRID_X.shape and np.array_equal(g, w)
-    for g, w in zip(_kernels(-0.5, 400.0), _reference_kernels(-0.5, 400.0)):
-        assert g.shape == () and np.array_equal(g, w)
+def test_cell_keeps_the_replaced_grid_values_at_extreme_x_and_t():
+    # every cell keeps the finite / +-inf pattern, and the finite values
+    # agree within C_ATOL in C and S_RTOL relative elsewhere; where the
+    # phase of an x > 0 cell overflows, the views raise a ValueError that
+    # names x and t
+    for (x, t), want in _REPLACED_KERNEL_CELLS.items():
+        if math.isnan(want[0]):
+            blk = _block(math.sqrt(x), 0.0)
+            assert blk.eps_sq == x
+            for view in (_cell, lambda x, t: propagator(blk, t), lambda x, t: evolve_mode(blk, t)):
+                with pytest.raises(ValueError, match=re.escape(f"x={x!r}, t={t!r}")):
+                    view(x, t)
+            continue
+        got = _cell(x, t)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if not math.isfinite(w):
+                assert g == w
+            else:
+                assert abs(g - w) <= (C_ATOL if k == 0 else S_RTOL * abs(w))
+    assert sum(math.isnan(w[0]) for w in _REPLACED_KERNEL_CELLS.values()) == 1
 
 
 def test_trajectory_arrays_rejects_2d_input():
@@ -270,10 +239,9 @@ def test_trajectory_arrays_rejects_2d_input():
     # a row of times would otherwise broadcast into a 4-D grid
     x = np.array([0.5, -0.2, 1.0])
     t = np.array([0.1, 0.2])
-    assert _kernels(x, t)[0].shape == (3, 2)
+    assert trajectory_arrays(mode_columns(x, x, x, x, False, t, ThetaKind.FIELD_H), t)[0].shape \
+        == (3, 2)
     for xs, ts in ((x[:, None], t), (x, t[None, :]), (x[:, None], t[None, :])):
-        with pytest.raises(ValueError, match="1-D"):
-            _kernels(xs, ts)
         with pytest.raises(ValueError, match="1-D"):
             trajectory_arrays(mode_columns(x, x, x, xs, False, ts, ThetaKind.FIELD_H), ts)
     with pytest.raises(ValueError, match="1-D"):  # times that reach one chunk as 2-D
@@ -406,7 +374,7 @@ def _mp_cell_qfi(a, b, ji, x, hermitian, t, theta):
 
 
 # Relative gate of the per-cell QFI below against 50 digits, 10x the worst
-# error of W built as S C_x - C S_x from _kernel_derivs: 5.5e-13, at
+# error of W built as S C_x - C S_x from _cell: 5.5e-13, at
 # sqrt(x) t = 374, where the rounded phase sets it in any form.  The
 # tangent form of trajectory_arrays measures 5.5e-13 there too, 2.4e-14
 # in the cells near tan poles and 3.8e-16 at |eps| t = 700-3000.

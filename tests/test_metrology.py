@@ -10,8 +10,7 @@ from numpy.testing import assert_allclose
 
 from ixysense.blocks import block_arrays
 from ixysense import metrology
-from ixysense.dynamics import (
-    _kernel_derivs, _kernels, _near, evolve_mode_derivative, mode_columns, trajectory_arrays)
+from ixysense.dynamics import _cell, evolve_mode_derivative, mode_columns, trajectory_arrays
 from ixysense.errors import NumericalError, UnderflowError
 from ixysense.metrology import (
     dynamical_qfi,
@@ -157,15 +156,15 @@ def _full_grid_qfi_curve(params, t_grid, theta_kind):
 def _reference_qfi_curve(params, t_grid, theta_kind):
     """QFI from the complex amplitudes and their derivative, on the whole grid.
 
-    phi = (C + i a S, -i m S) and dphi as complex arrays built from the
-    kernels, reduced with 4 |phi_0 dphi_1 - phi_1 dphi_0|^2 / n^2: the
-    cross-check for the real closed form of trajectory_arrays.
+    phi = (C + i a S, -i m S) and dphi as complex arrays built from C,
+    S, C_x and S_x of the scalar views' _cell, cell by cell, reduced with
+    4 |phi_0 dphi_1 - phi_1 dphi_0|^2 / n^2: the cross-check for the real
+    closed form of trajectory_arrays.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     a, b, ji, x = _mode_columns(params)
-    c, s, _ = _kernels(x, t)
-    dc, ds = _kernel_derivs(x, t, c, s)
+    c, s, dc, ds, _ = (q.astype(float) for q in np.frompyfunc(_cell, 2, 5)(x[:, None], t))
     a, b, ji = a[:, None], b[:, None], ji[:, None]
     m = -b if hermitian else b
     amp0 = c + 1j * (a * s)
@@ -185,7 +184,7 @@ def _reference_qfi_curve(params, t_grid, theta_kind):
 
 
 # t = 0 and tiny times, then out to t = 1000, where the broken
-# blocks of h = -0.8 reach |eps| t = 230 and the reference's kernels rescale
+# blocks of h = -0.8 reach |eps| t = 230 and the reference's _cell rescales
 _STREAM_TIMES = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3], np.geomspace(0.01, 1000.0, 296)])
 _SHUFFLED_TIMES = np.random.default_rng(20261019).permutation(_STREAM_TIMES)
 _FIELDS = (-0.8, -2.0)
@@ -195,10 +194,10 @@ _FIELDS = (-0.8, -2.0)
 _EP_FIELDS = (-0.7877690321080538, -0.7841862617414519, -0.7769694172198554)
 
 # Relative gate of the closed form against the complex-amplitude reference,
-# about 10x the worst drift measured on the grids below: 9.4e-16.  The
+# about 10x the worst drift measured on the grids below: 8.2e-16.  The
 # closed form takes tau = S / C and d = 1 / C^2 from one tangent per cell
-# and W from (tau - t d) / (2 x); the reference takes C, S and sigma from
-# _kernels and W from C_x and S_x, so cells just outside DSERIES_Z, where
+# and W from (tau - t d) / (2 x); the reference takes C, S, C_x and S_x
+# from _cell and W from C_x and S_x, so cells just outside DSERIES_Z, where
 # both cancel, can differ by ~1e-10.  Near the exceptional point
 # (N = 32768, Z = 5, h = -0.6, theta = gamma, t = 2.21) a 50-digit sum put
 # the closed form 1.5e-15 and the reference 2.5e-15 off.
@@ -260,6 +259,11 @@ def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, ch
         assert np.array_equal(got, _full_grid_qfi_curve(params, times, theta))
 
 
+def _window_modes(params, t):
+    """The near column of mode_columns: the modes that can enter the DSERIES_Z window in t."""
+    return mode_columns(*_mode_columns(params), False, t, ThetaKind.FIELD_H)[9][:, 0]
+
+
 def test_leading_zero_time_keeps_the_window_mask():
     # the window bound comes from the smallest nonzero time, so t = 0 marks
     # no extra mode, x = 0 rows stay window rows, and the QFI at the other
@@ -268,16 +272,19 @@ def test_leading_zero_time_keeps_the_window_mask():
     with_zero = np.concatenate([[0.0], grid])
     for h in (-0.8, _EP_FIELDS[1]):  # the second puts x = 0 at block 77
         params = ModelParams(N=2000, Z=3, alpha=1.5, gamma=0.4, h=h)
-        x = block_arrays(params)[-1][:, None]
-        near = _near(x, with_zero[None, :])
-        assert np.array_equal(near, _near(x, grid[None, :]))
+        x = block_arrays(params)[-1]
+        near = _window_modes(params, with_zero)
+        assert np.array_equal(near, _window_modes(params, grid))
         assert 0 < near.sum() < x.size and near[x == 0.0].all()
         for theta in ThetaKind:
             got = qfi_curve(params, with_zero, theta)
             assert np.array_equal(got, _full_grid_qfi_curve(params, with_zero, theta))
             assert got[0] == 0.0 and np.array_equal(got[1:], qfi_curve(params, grid, theta))
     assert (x == 0.0).any()
-    assert np.array_equal(_near(np.array([[0.0], [1.0]]), np.zeros((1, 2))), [[True], [False]])
+    # at t = 0 alone only the x = 0 row is a window row
+    near = mode_columns(0.0, 0.0, 0.0, np.array([0.0, 1.0]), False, np.zeros(2),
+                        ThetaKind.FIELD_H)[9]
+    assert np.array_equal(near, [[True], [False]])
 
 
 def test_qfi_curve_memory_bounded():
