@@ -146,7 +146,8 @@ def _plain(value):
 # the ones its runner reads; a ModelParams field comes from its
 # <field>_list key where that is set, else from its own key, or, for an h
 # that the runner sets itself or never reads, is 0.  The exceptional-point
-# experiments read no anisotropy: a Hermitian chain has no such point.
+# experiments read no anisotropy (a Hermitian chain has no such point),
+# nor does ratio, which compares the two chains.
 _MODEL = {
     "N": (1024, _int), "Z": (1, _int), "alpha": (1.5, _at_least(_float, 0.0)),
     "gamma": (0.3, _float), "h": (-0.7, _float),
@@ -497,7 +498,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
         "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),
     }, _run_stationary_scaling),
     "ratio": ({
-        **_model(*_ALL_MODEL, "theta"),
+        **_model("N", "Z", "alpha", "gamma", "h", "theta"),
         "t0": (200.0, _at_least(_float, 0.0)), "t1": (1000.0, _float),
         "n_grid": (801, _at_least(_int, 2)),
     }, _run_ratio),

@@ -64,19 +64,6 @@ class ModeTrajectory:
     dstate: tuple[complex, complex]
 
 
-def _mode_grid(x, t):
-    """x as a column of modes, t as a row of times, and the result shape.
-
-    x and t are each a scalar or a 1-D array; the result has shape
-    x.shape + t.shape.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if x.ndim > 1 or t.ndim > 1:
-        raise ValueError(f"modes {x.shape} and times {t.shape} must each be a scalar or 1-D")
-    return x.reshape(-1, 1), t.reshape(1, -1), x.shape + t.shape
-
-
 def _z_min(x, t):
     """|x t t| of each mode x at the smallest nonzero |t| in t (inf with none).
 
@@ -101,10 +88,12 @@ def _cell(x, t):
     """C, S, C_x, S_x and the rescale exponent sigma of one (x, t).
 
     Broken cells past RESCALE_EXPONENT are scaled by exp(-sigma),
-    sigma = |eps| t.  Raises ValueError where the phase sqrt(x) t of an
-    x > 0 cell overflows: cos and sin of it have no value.
+    sigma = |eps| t.  Raises ValueError for t < 0, and where the phase
+    sqrt(x) t of an x > 0 cell overflows: cos and sin of it have no value.
     """
     x, t = float(x), float(t)  # numpy scalars would warn where x t t overflows
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     r = math.sqrt(abs(x))
     psi = r * t
     sig = 0.0
@@ -133,14 +122,17 @@ def _cell(x, t):
 def propagator(block: ModeBlock, t: float) -> np.ndarray:
     """The 2x2 matrix exp(-i M t) of one block.
 
-    Raises ValueError for t < 0, and for an unbroken block (eps_sq > 0)
-    where its phase sqrt(eps_sq) t overflows to inf.
+    Raises ValueError for t < 0, for an unbroken block (eps_sq > 0)
+    where its phase sqrt(eps_sq) t overflows to inf, and for a broken
+    block where an entry overflows, as exp(|eps| t) alone does past
+    |eps| t ~ 709.78.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     c, s, _, _, sig = _cell(block.eps_sq, t)
-    # exp(sigma) overflows, with a RuntimeWarning, where the entries do
-    return np.exp(sig) * (complex(c) * _EYE2 - 1j * complex(s) * block.matrix())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u = np.exp(sig) * (complex(c) * _EYE2 - 1j * complex(s) * block.matrix())
+    if not np.isfinite(u).all():
+        raise ValueError(f"the entries overflow at x={float(block.eps_sq)!r}, t={float(t)!r}")
+    return u
 
 
 def _theta_rates(a, b, j_imag, hermitian, theta_kind):
@@ -198,12 +190,13 @@ def _tangents(r, neg, t):
 def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     """The per-mode columns of trajectory_arrays for one curve at the times t.
 
-    a, b, j_imag and x hold one value per mode and t one per time, each
-    a scalar or a 1-D array.  The columns, each (modes, 1), are x,
-    r = sqrt|x|, h / x, h = (dx/dtheta) m / 2, kappa = (a^2 + m^2) / |x|,
-    rho = (a v + m u) / |x|, beta = (h / x - v) / r, v / r (None for
-    theta = h), x < 0, the modes that can enter the DSERIES_Z window at a
-    nonzero time in t (all x = 0 rows) and the rows in tau form.
+    a, b, j_imag and x hold one value per mode, each reshaped into a
+    column, and t the curve's times.  The columns, each (modes, 1), are
+    x, r = sqrt|x|, h / x, h = (dx/dtheta) m / 2,
+    kappa = (a^2 + m^2) / |x|, rho = (a v + m u) / |x|,
+    beta = (h / x - v) / r, v / r (zeros for theta = h), x < 0, the
+    modes that can enter the DSERIES_Z window at a nonzero time in t
+    (all x = 0 rows) and the rows in tau form.
 
     A chunk multiplies kappa and rho by T^2 and beta and v / r by T,
     which gives (a^2 + m^2) tau^2, (a v + m u) tau^2, (h / x - v) tau
@@ -216,8 +209,8 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     as block_arrays rounds it, since |x| is then 0 or about
     eps (a^2 + b^2) or more.
     """
-    x, t, _ = _mode_grid(x, t)
-    a, b, j_imag = (np.reshape(np.asarray(k, dtype=float), (-1, 1)) for k in (a, b, j_imag))
+    a, b, j_imag, x = (np.asarray(k, dtype=float).reshape(-1, 1) for k in (a, b, j_imag, x))
+    t = np.asarray(t, dtype=float)
     m = -b if hermitian else b  # lower-left block entry M_10
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     h = 0.5 * xp * m
@@ -231,16 +224,15 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     ax[tau_rows] = 1.0  # the tau-form rows divide by 1
     rt = np.where(tau_rows, 1.0, r)
     kappa, rho, beta = (a * a + m * m) / ax, (a * v + m * u) / ax, (hx - v) / rt
-    vr = v / rt if theta_kind is ThetaKind.ANISOTROPY_GAMMA else None
-    return x, r, hx, h, kappa, rho, beta, vr, x < 0.0, near, tau_rows
+    return x, r, hx, h, kappa, rho, beta, v / rt, x < 0.0, near, tau_rows
 
 
 def trajectory_arrays(columns, t, modes=slice(None)):
     """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
 
     columns come from mode_columns at times that include t, and modes
-    picks a run of them (all by default); t is a scalar or a 1-D array.
-    The results have shape (modes,) + t.shape.
+    picks a run of them (all by default); t is reshaped into a row.  The
+    results are (modes, times) arrays.
 
     The evolved amplitudes phi = U(t)(1, 0) = (C + i a S, -i m S), with
     m = M_10 (b non-Hermitian, -b Hermitian), have the theta-derivative
@@ -272,9 +264,8 @@ def trajectory_arrays(columns, t, modes=slice(None)):
     tau = t, d = 1 at x = 0.  d cancels in the per-mode QFI
     4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
-    x, r, hx, h, kappa, rho, beta, vr, neg, near, tau_rows = (
-        c if c is None else c[modes] for c in columns)
-    _, t, shape = _mode_grid(x[:, 0], t)
+    x, r, hx, h, kappa, rho, beta, vr, neg, near, tau_rows = (c[modes] for c in columns)
+    t = np.asarray(t, dtype=float).reshape(1, -1)
     tan, sq, d = _tangents(r, neg, t)
     rows = np.flatnonzero(tau_rows)
     if rows.size:  # x = 0 rows are among these, with tau = t and d = 1
@@ -287,9 +278,7 @@ def trajectory_arrays(columns, t, modes=slice(None)):
         i, j, z, tz = _window(x, t, rows)
         # h t^3 before the series: t^3 alone overflows once t passes 5.6e102
         w = h[i, 0] * tz * tz * tz * ((-2.0 / 3.0) * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
-            1.0 - z / 18.0)))) * d[i, j]
-        if vr is not None:
-            w -= tan[i, j] * vr[i, 0]
+            1.0 - z / 18.0)))) * d[i, j] - tan[i, j] * vr[i, 0]
     ci = np.multiply(t, d)
     ci *= hx  # x = 0 rows lie wholly in the window
     n = np.multiply(sq, kappa, out=d)
@@ -298,13 +287,16 @@ def trajectory_arrays(columns, t, modes=slice(None)):
     np.subtract(np.multiply(tan, beta, out=tan), ci, out=ci)
     if rows.size:
         ci[i, j] = w
-    return tuple(q.reshape(shape) for q in (n, cr, ci))
+    return n, cr, ci
 
 
 def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
     """Complex amplitudes of one block, their theta-derivative and sigma.
 
     Built from C, S, C_x and S_x, not from tau: a check of trajectory_arrays.
+    On a broken block the C_x and S_x terms grow like t and cancel in the
+    cross term only to about eps |eps| t relative, so the two are compared
+    only up to |eps| t = 1e3.
     """
     c, s, dc, ds, sig = _cell(x, t)
     m = -b if hermitian else b
@@ -318,8 +310,6 @@ def _mode_amplitudes(a, b, j_imag, x, hermitian, t, theta_kind):
 
 def evolve_mode(block: ModeBlock, t: float) -> ModeState:
     """Normalized evolved state of one block from the pair vacuum."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     amp0, amp2, _, _, sig = _mode_amplitudes(
         block.a, block.b, block.j_imag, block.eps_sq, block.hermitian, t,
         ThetaKind.FIELD_H)
@@ -334,8 +324,6 @@ def evolve_mode_derivative(params: ModelParams, p: int, t: float,
     A view onto row p - 1 of block_arrays, evolved by _cell
     independently of trajectory_arrays.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     n_blocks = params.N // 2
     if not 1 <= p <= n_blocks:
         raise ValueError(f"p must be in 1..{n_blocks}, got {p}")

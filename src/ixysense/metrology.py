@@ -99,6 +99,8 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     (N = 4096), one chunk each.)
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.ndim > 1:
+        raise ValueError(f"evolution times must be a scalar or 1-D, got shape {t_grid.shape}")
     if not np.isfinite(t_grid).all():
         raise ValueError("evolution times must be finite")
     if (t_grid < 0).any():

@@ -160,8 +160,6 @@ def critical_field_pi(alpha: float, Z: int) -> float:
     the harmonic-number form is used here, the alternating sum is kept
     in the tests as a cross-check.
     """
-    if Z < 1:
-        raise ValueError(f"Z must be >= 1, got {Z}")
     kac = kac_factor(alpha, Z)
     half = Z // 2
     if half == 0:

@@ -162,9 +162,11 @@ FLAG_ERRORS = [
 # field h, the stationary stencil step is fixed, the exceptional point
 # has a closed form, so no bracket or tolerance steers it, and only the
 # non-Hermitian chain has one, so its experiments take no anisotropy.
+# ratio compares the two chains, so it takes no anisotropy either.
 DROPPED_KEYS = [
     ("exceptional-point", "anisotropy=hermitian"),
     ("ep-table", "anisotropy=hermitian"),
+    ("ratio", "anisotropy=hermitian"),
     ("exceptional-point", "h=-0.5"),
     ("ep-table", "h=-0.5"),
     ("stationary-scaling", "h=-0.5"),

@@ -82,16 +82,34 @@ def test_gamma_zero_preserves_norm():
 
 
 def test_propagator_negative_time_raises():
-    with pytest.raises(ValueError):
-        propagator(_block(1.0, 0.0), -0.1)
-    with pytest.raises(ValueError):
-        evolve_mode(_block(1.0, 0.0), -0.1)
+    # all three scalar views reach the one check in _cell
+    blk = _block(1.0, 0.0)
+    params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
+    views = (lambda t: propagator(blk, t), lambda t: evolve_mode(blk, t),
+             lambda t: evolve_mode_derivative(params, 1, t, ThetaKind.FIELD_H))
+    for view in views:
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            view(-0.1)
+
+
+def test_propagator_raises_where_its_entries_overflow():
+    # exp(|eps| t) overflows past |eps| t ~ 709.78; just below it the
+    # entry S b can still overflow.  Either way propagator raises, with no
+    # RuntimeWarning, and names x and t
+    near = _block(1.9, 2.0)
+    cases = [(_block(0.0, 2.0), 500.0), (near, 709.5 / math.sqrt(-near.eps_sq)),
+             (_block(0.0, 2.0), 1e300)]
+    for blk, t in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"x={blk.eps_sq!r}, t={t!r}")):
+                propagator(blk, t)
 
 
 def test_scalar_views_at_huge_time_run_without_warning():
     # z = x t^2 overflows at t = 1e300, which only places the cell outside
     # the series window.  A broken block's propagator is left out: its true
-    # entries cosh and sinh overflow.
+    # entries cosh and sinh overflow, and it raises.
     params = ModelParams(N=16, Z=2, alpha=1.5, gamma=0.5, h=-1.0)
     blocks = build_blocks(params)
     with warnings.catch_warnings():
@@ -234,18 +252,13 @@ def test_cell_keeps_the_replaced_grid_values_at_extreme_x_and_t():
     assert sum(math.isnan(w[0]) for w in _REPLACED_KERNEL_CELLS.values()) == 1
 
 
-def test_trajectory_arrays_rejects_2d_input():
-    # modes and times are each a scalar or 1-D; a column of modes against
-    # a row of times would otherwise broadcast into a 4-D grid
+def test_trajectory_arrays_returns_modes_by_times():
+    # modes form a column and times a row, a scalar time included
     x = np.array([0.5, -0.2, 1.0])
-    t = np.array([0.1, 0.2])
-    assert trajectory_arrays(mode_columns(x, x, x, x, False, t, ThetaKind.FIELD_H), t)[0].shape \
-        == (3, 2)
-    for xs, ts in ((x[:, None], t), (x, t[None, :]), (x[:, None], t[None, :])):
-        with pytest.raises(ValueError, match="1-D"):
-            trajectory_arrays(mode_columns(x, x, x, xs, False, ts, ThetaKind.FIELD_H), ts)
-    with pytest.raises(ValueError, match="1-D"):  # times that reach one chunk as 2-D
-        trajectory_arrays(mode_columns(x, x, x, x, False, t, ThetaKind.FIELD_H), t[None, :])
+    for t, shape in ((np.array([0.1, 0.2]), (3, 2)), (0.1, (3, 1))):
+        for theta in ThetaKind:
+            q = trajectory_arrays(mode_columns(x, x, x, x, False, t, theta), t)
+            assert [v.shape for v in q] == [shape] * 3
 
 
 # Relative gate of a broken block's propagator entries against 40-digit

@@ -1,6 +1,7 @@
 """QFI invariances, the dynamical pipeline, and the stationary closed-form oracle."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -116,6 +117,14 @@ def test_qfi_curve_negative_time_raises():
     params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
     with pytest.raises(ValueError):
         qfi_curve(params, [-1.0], ThetaKind.FIELD_H)
+
+
+def test_qfi_curve_rejects_2d_times():
+    # the kernel would flatten a 2-D grid of times into one row, so the
+    # one public entry rejects it and names the shape
+    params = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
+    with pytest.raises(ValueError, match=re.escape("(1, 2)")):
+        qfi_curve(params, [[1.0, 2.0]], ThetaKind.FIELD_H)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
