@@ -41,6 +41,7 @@ from functools import cache
 
 import numpy as np
 
+from .errors import NumericalError
 from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
@@ -188,5 +189,8 @@ def propagate_dense(op: SectorHamiltonian, t: float,
 
 def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> float:
     """Dynamical QFI of the normalized evolved vacuum, from the dense evolution."""
-    psi, dpsi = propagate_dense(build_spin_hamiltonian(params), t, theta_kind)
-    return mode_qfi(psi, dpsi)
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-i H t) can overflow: checked below
+        qfi = mode_qfi(*propagate_dense(build_spin_hamiltonian(params), t, theta_kind))
+    if not np.isfinite(qfi):  # also wherever the evolved vectors are not finite
+        raise NumericalError(f"non-finite dense evolution at N={params.N}, t={t!r}")
+    return qfi

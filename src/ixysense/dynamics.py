@@ -13,9 +13,11 @@ cos 2 psi and sin 2 psi (psi = sqrt(x) t): the bare tangent T = tan psi
 of each cell (tanh |eps| t for x < 0) fixes them up to a common factor
 that cancels in the Fisher information, so nothing there grows like
 exp(|eps| t).  mode_columns forms a curve's per-mode columns once, with
-every factor of 1 / sqrt|x| folded into them, and trajectory_arrays
-evaluates one chunk of them against a row of the curve's times: one
-tangent and a few multiplies per cell, for either parameter.
+every factor of 1 / sqrt|x| folded into them (the few rows that can meet
+the DSERIES_Z window divide T by sqrt|x| per cell instead), and
+trajectory_arrays evaluates one chunk of them against a row of the
+curve's times: one tangent and a few multiplies per cell, for either
+parameter.
 
 The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
 the true amplitudes.  _cell gives C and S of one (x, t) from libm: cos
@@ -62,26 +64,6 @@ class ModeTrajectory:
 
     state: ModeState
     dstate: tuple[complex, complex]
-
-
-def _z_min(x, t):
-    """|x t t| of each mode x at the smallest nonzero |t| in t (inf with none).
-
-    |x t t| does not decrease with |t| in floating point either, so this
-    is its least value at any nonzero time in t.
-    """
-    t_min = np.abs(t).min(initial=np.inf, where=t != 0.0)
-    # an infinite z, or 0 * inf with no nonzero time, compares as large
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(x * t_min * t_min)
-
-
-def _window(x, t, rows):
-    """Cells (rows, cols) of the given rows with |z| < DSERIES_Z, z = x t^2, with their z and t."""
-    with np.errstate(over="ignore"):
-        z = x[rows] * t * t
-    i, j = np.nonzero(np.abs(z) < DSERIES_Z)
-    return rows[i], j, z[i, j], t[0, j]
 
 
 def _cell(x, t):
@@ -194,20 +176,19 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     column, and t the curve's times.  The columns, each (modes, 1), are
     x, r = sqrt|x|, h / x, h = (dx/dtheta) m / 2,
     kappa = (a^2 + m^2) / |x|, rho = (a v + m u) / |x|,
-    beta = (h / x - v) / r, v / r (zeros for theta = h), x < 0, the
-    modes that can enter the DSERIES_Z window at a nonzero time in t
-    (all x = 0 rows) and the rows in tau form.
+    beta = (h / x - v) / r, v / r (zeros for theta = h), x < 0 and the
+    near rows: the modes that can enter the DSERIES_Z window at a
+    nonzero time in t, and all x = 0 rows.
 
     A chunk multiplies kappa and rho by T^2 and beta and v / r by T,
     which gives (a^2 + m^2) tau^2, (a v + m u) tau^2, (h / x - v) tau
-    and v tau with tau = T / r (trajectory_arrays).  Where |x| t^2 falls
-    below the smallest normal double at a nonzero time in t, T^2 loses
-    its digits, and kappa can overflow.  Those rows, and x = 0 rows
-    (tau = t), are in tau form: the chunk carries tau itself, against
-    the columns a^2 + m^2, a v + m u, h / x - v and v.  At x = 0, r = 1
-    and h / x = h.  No other row's columns overflow where x = a^2 -+ b^2
-    as block_arrays rounds it, since |x| is then 0 or about
-    eps (a^2 + b^2) or more.
+    and v tau with tau = T / r (trajectory_arrays).  The near rows are
+    in tau form: the chunk carries tau itself, against the columns
+    a^2 + m^2, a v + m u, h / x - v and v, so no column divides by a
+    small |x| (where |x| t^2 is subnormal, T^2 would lose its digits
+    and kappa could overflow).  At x = 0, r = 1, h / x = h and tau = t.
+    No other row's columns overflow where x = a^2 -+ b^2 as block_arrays
+    rounds it, since |x| is then 0 or about eps (a^2 + b^2) or more.
     """
     a, b, j_imag, x = (np.asarray(k, dtype=float).reshape(-1, 1) for k in (a, b, j_imag, x))
     t = np.asarray(t, dtype=float)
@@ -215,16 +196,20 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
     h = 0.5 * xp * m
     zero = x == 0.0
-    z = _z_min(x, t)
-    near, tau_rows = zero | (z < DSERIES_Z), zero | (z < np.finfo(float).tiny)
+    t_min = np.abs(t).min(initial=np.inf, where=t != 0.0)
+    # |x t t| does not decrease with |t| in floating point either, so a mode
+    # enters the window at a nonzero time in t only if it does at t_min; an
+    # infinite z, or 0 * inf with no nonzero time, compares as large
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = zero | (np.abs(x * t_min * t_min) < DSERIES_Z)
     x1 = np.where(zero, 1.0, x)
     hx = h / x1
     ax = np.abs(x1, out=x1)
     r = np.sqrt(ax)
-    ax[tau_rows] = 1.0  # the tau-form rows divide by 1
-    rt = np.where(tau_rows, 1.0, r)
+    ax[near] = 1.0  # the near rows, in tau form, divide by 1
+    rt = np.where(near, 1.0, r)
     kappa, rho, beta = (a * a + m * m) / ax, (a * v + m * u) / ax, (hx - v) / rt
-    return x, r, hx, h, kappa, rho, beta, v / rt, x < 0.0, near, tau_rows
+    return x, r, hx, h, kappa, rho, beta, v / rt, x < 0.0, near
 
 
 def trajectory_arrays(columns, t, modes=slice(None)):
@@ -259,23 +244,25 @@ def trajectory_arrays(columns, t, modes=slice(None)):
         ci = (dx/dtheta) m d W - v tau = beta T - (h / x) t d,
 
     as d W = (tau - t d) / (2 x) and h = (dx/dtheta) m / 2.  Inside
-    DSERIES_Z, ci is d h times the series of 2 W, less (v / sqrt|x|) T.
-    Rows in tau form (mode_columns) carry tau in place of T, and
-    tau = t, d = 1 at x = 0.  d cancels in the per-mode QFI
+    DSERIES_Z, ci is d h times the series of 2 W, less v tau.  The near
+    rows of mode_columns, the only ones that can meet the window, carry
+    tau in place of T, with tau = t and d = 1 at x = 0: one pass over
+    them forms tau and the window's cells.  d cancels in the per-mode QFI
     4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
-    x, r, hx, h, kappa, rho, beta, vr, neg, near, tau_rows = (c[modes] for c in columns)
+    x, r, hx, h, kappa, rho, beta, vr, neg, near = (c[modes] for c in columns)
     t = np.asarray(t, dtype=float).reshape(1, -1)
     tan, sq, d = _tangents(r, neg, t)
-    rows = np.flatnonzero(tau_rows)
+    rows = np.flatnonzero(near)
     if rows.size:  # x = 0 rows are among these, with tau = t and d = 1
         tan[rows] /= r[rows]
         zero = rows[x[rows, 0] == 0.0]
         tan[zero], d[zero] = t, 1.0
         sq[rows] = np.square(tan[rows])
-    rows = np.flatnonzero(near)
-    if rows.size:
-        i, j, z, tz = _window(x, t, rows)
+        with np.errstate(over="ignore"):  # an infinite z lies outside the window
+            z = x[rows] * t * t
+        k, j = np.nonzero(np.abs(z) < DSERIES_Z)
+        i, z, tz = rows[k], z[k, j], t[0, j]
         # h t^3 before the series: t^3 alone overflows once t passes 5.6e102
         w = h[i, 0] * tz * tz * tz * ((-2.0 / 3.0) * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
             1.0 - z / 18.0)))) * d[i, j] - tan[i, j] * vr[i, 0]

@@ -109,7 +109,7 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
     totals = np.empty(t_grid.size)
-    with np.errstate(over="ignore"):  # overflow: the totals are checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked below
         columns = mode_columns(a, b, j_imag, eps_sq, hermitian, t_grid, theta_kind)
         for t0 in range(0, t_grid.size, CHUNK_CELLS):
             block = slice(t0, t0 + CHUNK_CELLS)
@@ -125,8 +125,11 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
                     per_mode[0] += totals[block]  # the sum goes on in mode order
                 totals[block] = np.add.reduce(per_mode, axis=0)
     totals *= 4.0
-    if not np.isfinite(totals).all():
-        raise NumericalError(f"non-finite dynamical QFI at {_describe(params)}")
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        raise NumericalError(
+            f"non-finite dynamical QFI at {_describe(params)}, t={float(t_grid[bad][0])!r}: "
+            "the phase sqrt(eps_sq) t of a mode, or a term of the QFI, overflows")
     return totals
 
 

@@ -436,11 +436,17 @@ def test_huge_gamma_exceptional_point_runs_without_warning(tmp_path):
     ("stationary-scaling", "gamma=1e154 N_list=[16,32,64]", "gamma=1e+154"),
     ("qfi-dynamics", "t_max=1e300 t_points=3 N=64", "N=64"),
     ("ratio", "t1=1e300 n_grid=3 N=64", "N=64"),
+    # the phase sqrt(eps_sq) t of an unbroken mode overflows, and tan of it is NaN
+    ("qfi-dynamics", "t_max=1.7e308 t_spacing=linear t_points=3 h=-1.5 N=64", "t=8.5e+307"),
+    # the dense propagator overflows at t = 1e300
+    ("oracle-check", 'N_list=[4] Z_list=[1] gamma_list=[0.0] h_list=[-0.7] '
+                     'theta_list=["h"] t_list=[1.0,1e300]', "t=1e+300"),
 ])
 def test_non_finite_result_exits_3(tmp_path, capsys, experiment, override, named):
     # a field or anisotropy whose square overflows, or a time at which the
-    # QFI does, ends in one numerical-failure line naming the model, not NaN
-    # rows, an inf eps_sq or a numpy warning
+    # QFI or the dense evolution does, ends in one numerical-failure line
+    # naming the model, not NaN rows, an inf eps_sq, a numpy warning or a
+    # PASS over a NaN rel_diff
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([experiment, *_args(override), "--out", str(tmp_path / "o")]) == 3

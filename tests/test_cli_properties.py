@@ -85,6 +85,7 @@ FITTED = {"size-scaling", "stationary-scaling"}
 EXTREMES = [
     {"gamma": math.nan}, {"gamma": -math.inf}, {"h": math.nan}, {"h": 1e155},
     {"h": 1e200}, {"h": 1e300}, {"alpha": -0.5}, {"Z": 99}, {"anisotropy": "bogus"},
+    {"t_list": [1e300]}, {"t_max": 1.7e308}, {"t1": 1.7e308},
 ]
 
 
