@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FitError, NumericalError
+from .errors import NumericalError
 from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
                     coupling_profile, critical_field_zero, momentum_coupling)
 from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
@@ -177,7 +177,7 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
     return EPResult(h_e=min(-best, float(res.fun)), iterations=int(res.nit))
 
 
-def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:
+def fit_power_law(x, y, window: tuple[float, float]) -> PowerFit:
     """Ordinary least squares on (log10 x, log10 y).
 
     Points outside the window, non-finite, or with non-positive x or y
@@ -185,20 +185,19 @@ def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    keep = np.isfinite(x) & np.isfinite(y) & (x > 0.0) & (y > 0.0)
-    if window is not None:
-        keep &= (window[0] <= x) & (x <= window[1])
+    keep = (np.isfinite(x) & np.isfinite(y) & (x > 0.0) & (y > 0.0)
+            & (window[0] <= x) & (x <= window[1]))
     # math.log10 per point: np.log10 differs from it in the last bit
     lx = np.array([math.log10(v) for v in x[keep]])
     ly = np.array([math.log10(v) for v in y[keep]])
     n = lx.size
     if n < 3:
-        raise FitError(f"need >= 3 usable points for a power-law fit, got {n}")
+        raise NumericalError(f"need >= 3 usable points for a power-law fit, got {n}")
     xm = lx.mean()
     ym = ly.mean()
     sxx = float(np.sum((lx - xm) ** 2))
     if sxx == 0.0:
-        raise FitError("all abscissas coincide; slope undefined")
+        raise NumericalError("all abscissas coincide; slope undefined")
     slope = float(np.sum((lx - xm) * (ly - ym)) / sxx)
     intercept = ym - slope * xm
     resid = ly - (intercept + slope * lx)
@@ -206,8 +205,6 @@ def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerFit:
     ss_tot = float(np.sum((ly - ym) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     stderr = math.sqrt(ss_res / (n - 2) / sxx)
-    if window is None:
-        window = (float(10 ** lx.min()), float(10 ** lx.max()))
     return PowerFit(slope=slope, intercept=float(intercept), r_squared=r_squared,
                     window=(float(window[0]), float(window[1])), n_points=n,
                     stderr=stderr, n_excluded=x.size - n)

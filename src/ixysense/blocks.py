@@ -33,11 +33,9 @@ class ModeBlock:
     """One momentum block and its derived quantities."""
 
     p: int
-    phi: float
     a: float
     b: float
     eps_sq: float
-    j_real: float
     j_imag: float
     hermitian: bool
 
@@ -109,13 +107,12 @@ def block_arrays(params: ModelParams):
 
 def build_blocks(params: ModelParams) -> list[ModeBlock]:
     """All mode blocks of the chain, ascending p."""
-    phi, j_real, j_imag, a, b, eps_sq = block_arrays(params)
+    _, _, j_imag, a, b, eps_sq = block_arrays(params)
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
     return [
-        ModeBlock(p=i + 1, phi=float(phi[i]), a=float(a[i]), b=float(b[i]),
-                  eps_sq=float(eps_sq[i]), j_real=float(j_real[i]),
+        ModeBlock(p=i + 1, a=float(a[i]), b=float(b[i]), eps_sq=float(eps_sq[i]),
                   j_imag=float(j_imag[i]), hermitian=hermitian)
-        for i in range(len(phi))
+        for i in range(len(a))
     ]
 
 

@@ -341,9 +341,8 @@ def _run_exceptional_point(params, cfg, writer, threads) -> int:
 
 
 def _run_ep_table(params, cfg, writer, threads) -> int:
-    cells = itertools.product(cfg["Z_list"], cfg["alpha_list"])
-    rows = run_cells(lambda c: _ep_row(replace(params, Z=c[0], alpha=c[1])),
-                     list(cells), threads)
+    rows = [_ep_row(replace(params, Z=z, alpha=alpha))
+            for z, alpha in itertools.product(cfg["Z_list"], cfg["alpha_list"])]
     writer.csv("ep_table.csv", "Z,alpha,gamma,N,h_e,iterations", zip(*rows))
     return 0
 
@@ -423,7 +422,7 @@ def _run_ratio(params, cfg, writer, threads) -> int:
         [*res.t.tolist(), "mean"], [*res.qfi_nh.tolist(), ""],
         [*res.qfi_h.tolist(), ""], [*res.ratio.tolist(), res.mean_ratio]])
     print(f"time-averaged ratio = {res.mean_ratio:.4f} "
-          f"({res.n_samples} points, {res.dropped} dropped)")
+          f"({res.t.size} points, {res.dropped} dropped)")
     return 0
 
 

@@ -7,11 +7,3 @@ class ConfigError(Exception):
 
 class NumericalError(Exception):
     """A computation could not produce a trustworthy result."""
-
-
-class FitError(NumericalError):
-    """Not enough usable points to fit."""
-
-
-class UnderflowError(NumericalError):
-    """Evolved amplitudes collapsed below the double-precision floor."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalError, UnderflowError
+from .errors import NumericalError
 from .model import AnisotropyMode, ModelParams, ThetaKind
 from .blocks import _describe, block_arrays, probe_vectors
 from .dynamics import mode_columns, trajectory_arrays
@@ -52,7 +52,6 @@ class RatioResult:
     """Time-averaged ratio of non-Hermitian to Hermitian-benchmark QFI."""
 
     mean_ratio: float
-    n_samples: int
     dropped: int
     t: np.ndarray
     qfi_nh: np.ndarray
@@ -73,7 +72,7 @@ def mode_qfi(phi, dphi) -> float:
     dphi = np.asarray(dphi, dtype=complex)
     n = np.vdot(phi, phi).real
     if n < 1e-300:
-        raise UnderflowError(f"state norm underflow in mode_qfi (norm^2={n})")
+        raise NumericalError(f"state norm underflow in mode_qfi (norm^2={n})")
     perp = dphi - phi * (np.vdot(phi, dphi) / n)
     return float(4.0 * np.vdot(perp, perp).real / n)
 
@@ -221,7 +220,7 @@ def qfi_ratio_time_avg(params: ModelParams, theta_kind: ThetaKind,
 
     if params.gamma == 0.0 or params.anisotropy_mode is AnisotropyMode.HERMITIAN:
         f = qfi_curve(params, grid, theta_kind)
-        return RatioResult(mean_ratio=1.0, n_samples=n_grid, dropped=0, t=grid,
+        return RatioResult(mean_ratio=1.0, dropped=0, t=grid,
                            qfi_nh=f, qfi_h=f.copy(), ratio=np.ones_like(grid))
 
     params_h = replace(params, anisotropy_mode=AnisotropyMode.HERMITIAN)
@@ -230,12 +229,11 @@ def qfi_ratio_time_avg(params: ModelParams, theta_kind: ThetaKind,
     valid = f_h > 1e-30
     dropped = int(np.count_nonzero(~valid))
     if np.count_nonzero(valid) < 2:
-        raise UnderflowError("benchmark QFI vanished on the whole averaging grid")
+        raise NumericalError("benchmark QFI vanished on the whole averaging grid")
     tv = grid[valid]
     ratio = f_nh[valid] / f_h[valid]
     # trapezoid rule, in the operation order of scipy's trapezoid()
     area = np.sum(np.diff(tv) * (ratio[1:] + ratio[:-1]) / 2.0)
     mean = float(area / (tv[-1] - tv[0]))
-    return RatioResult(mean_ratio=mean, n_samples=int(np.count_nonzero(valid)),
-                       dropped=dropped, t=tv, qfi_nh=f_nh[valid], qfi_h=f_h[valid],
-                       ratio=ratio)
+    return RatioResult(mean_ratio=mean, dropped=dropped, t=tv, qfi_nh=f_nh[valid],
+                       qfi_h=f_h[valid], ratio=ratio)

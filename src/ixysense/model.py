@@ -76,9 +76,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Kac factor and the normalized weights J_r, r = 1..Z."""
+    """The normalized weights J_r, r = 1..Z."""
 
-    kac: float
     weights: np.ndarray
 
 
@@ -93,10 +92,8 @@ def kac_factor(alpha: float, Z: int) -> float:
 
 def coupling_profile(alpha: float, Z: int) -> CouplingProfile:
     """Normalized coupling weights J_r = r^(-alpha) / K(alpha)."""
-    kac = kac_factor(alpha, Z)
     r = np.arange(1, Z + 1, dtype=float)
-    weights = r ** (-alpha) / kac
-    return CouplingProfile(kac=kac, weights=weights)
+    return CouplingProfile(weights=r ** (-alpha) / kac_factor(alpha, Z))
 
 
 def _odd_angles(m: int) -> np.ndarray:

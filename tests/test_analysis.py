@@ -25,7 +25,7 @@ from ixysense.analysis import (
     sweep_stationary_scaling,
     sweep_time_scaling,
 )
-from ixysense.errors import FitError, NumericalError
+from ixysense.errors import NumericalError
 from ixysense.metrology import dynamical_qfi, stationary_qfi
 from ixysense.model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
                             coupling_profile, momentum_coupling)
@@ -33,7 +33,7 @@ from ixysense.model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
 
 def test_fit_power_law_exact():
     xs = np.geomspace(1.0, 100.0, 12)
-    fit = fit_power_law(xs, 3.7 * xs ** 2.5)
+    fit = fit_power_law(xs, 3.7 * xs ** 2.5, (1.0, 100.0))
     assert fit.slope == pytest.approx(2.5, abs=1e-12)
     assert 10 ** fit.intercept == pytest.approx(3.7, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -54,20 +54,20 @@ def test_fit_power_law_window_and_exclusions():
     assert fit.n_excluded == 5
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.window == (1.0, 16.0)
-    # without a window, non-finite abscissas are dropped too
+    # with an unbounded window, non-finite abscissas are dropped too
     xs[6:] = (math.nan, math.inf, 7.0)
-    fit = fit_power_law(xs, ys)
+    fit = fit_power_law(xs, ys, window=(0.0, math.inf))
     assert fit.n_points == 5  # 0.5,1,2,4,8
     assert fit.n_excluded == 4
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.window == (0.5, pytest.approx(8.0))
+    assert fit.window == (0.0, math.inf)
 
 
 def test_fit_power_law_too_few_points():
-    with pytest.raises(FitError):
-        fit_power_law([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(FitError):
-        fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(NumericalError, match="need >= 3 usable points .* got 2"):
+        fit_power_law([1.0, 2.0], [1.0, 2.0], (1.0, 2.0))
+    with pytest.raises(NumericalError, match="all abscissas coincide"):
+        fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], (1.0, 1.0))
 
 
 def test_find_exceptional_point_closed_form():

@@ -20,21 +20,20 @@ from ixysense.model import AnisotropyMode, ModelParams
 
 def _block(a, b, hermitian=False):
     x = a * a + b * b if hermitian else a * a - b * b
-    return ModeBlock(p=1, phi=0.3, a=a, b=b, eps_sq=x, j_real=0.0, j_imag=0.0,
-                     hermitian=hermitian)
+    return ModeBlock(p=1, a=a, b=b, eps_sq=x, j_imag=0.0, hermitian=hermitian)
 
 
 def test_block_arrays_matches_build_blocks():
     p = ModelParams(N=16, Z=3, alpha=1.2, gamma=0.4, h=-0.9)
-    phi, jr, ji, a, b, eps_sq = block_arrays(p)
+    _, _, ji, a, b, eps_sq = block_arrays(p)
     blocks = build_blocks(p)
     assert len(blocks) == 8
     for i, blk in enumerate(blocks):
         assert blk.p == i + 1
-        assert blk.phi == phi[i]
         assert blk.a == a[i]
         assert blk.b == b[i]
         assert blk.eps_sq == eps_sq[i]
+        assert blk.j_imag == ji[i]
 
 
 @pytest.mark.parametrize("hermitian", [False, True])

@@ -27,8 +27,7 @@ from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
 
 def _block(a, b, hermitian=False):
     x = a * a + b * b if hermitian else a * a - b * b
-    return ModeBlock(p=1, phi=0.3, a=a, b=b, eps_sq=x, j_real=0.0, j_imag=0.0,
-                     hermitian=hermitian)
+    return ModeBlock(p=1, a=a, b=b, eps_sq=x, j_imag=0.0, hermitian=hermitian)
 
 
 def _rand_blocks(rng, n, hermitian=False):

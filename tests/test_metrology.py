@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from ixysense.blocks import block_arrays
 from ixysense import metrology
 from ixysense.dynamics import _cell, evolve_mode_derivative, mode_columns, trajectory_arrays
-from ixysense.errors import NumericalError, UnderflowError
+from ixysense.errors import NumericalError
 from ixysense.metrology import (
     dynamical_qfi,
     mode_qfi,
@@ -74,7 +74,7 @@ def test_mode_qfi_gauge_invariance():
 
 
 def test_mode_qfi_zero_norm_raises():
-    with pytest.raises(UnderflowError):
+    with pytest.raises(NumericalError, match="state norm underflow in mode_qfi"):
         mode_qfi([0.0, 0.0], [1.0, 0.0])
 
 
@@ -303,6 +303,24 @@ def test_leading_zero_time_keeps_the_window_mask():
     assert np.array_equal(near, [[True], [False]])
 
 
+@pytest.mark.parametrize("theta", list(ThetaKind))
+@pytest.mark.parametrize("z,alpha,h", [(4, 0.8, -0.7), (4, 1.5, -3.0)])
+def test_hermitian_qfi_grows_as_its_late_time_limit(z, alpha, h, theta):
+    # A Hermitian block evolves the vacuum with a phase omega t, omega^2 = x =
+    # a^2 + b^2, so d/dtheta carries a secular t x'/(2x) (-i M) psi and
+    # F(t)/t^2 -> A = sum x'^2 Var(M) / x^2 with Var(M) = x - a^2 = b^2; the
+    # O(1/t) remainder oscillates and averages out over the grid.  Measured
+    # worst: 1.9e-9 (theta = gamma at h = -3.0).
+    params = ModelParams(N=1024, Z=z, alpha=alpha, gamma=0.3, h=h,
+                         anisotropy_mode=AnisotropyMode.HERMITIAN)
+    _, _, j_imag, a, b, _ = block_arrays(params)
+    x = a * a + b * b
+    x_prime = 2.0 * a if theta is ThetaKind.FIELD_H else 2.0 * b * j_imag
+    limit = math.fsum(x_prime * x_prime * b * b / (x * x))
+    t = np.linspace(1e7, 1e7 + 1e3, 1001)
+    assert np.mean(qfi_curve(params, t, theta) / t ** 2) == pytest.approx(limit, rel=1e-8)
+
+
 def test_qfi_curve_memory_bounded():
     # beyond the O(N) block arrays and mode columns the working set is
     # O(CHUNK_CELLS), not O(N/2 x T).  With 300 times the traced peak was
@@ -387,7 +405,7 @@ def test_ratio_gamma_zero_is_identically_one():
 def test_ratio_arrays_consistent():
     params = ModelParams(N=64, Z=2, alpha=1.5, gamma=0.3, h=-1.5)
     r = qfi_ratio_time_avg(params, ThetaKind.FIELD_H, t0=5.0, t1=25.0, n_grid=51)
-    assert r.n_samples + r.dropped == 51
+    assert r.t.size + r.dropped == 51
     assert_allclose(r.ratio, r.qfi_nh / r.qfi_h, rtol=1e-14)
     assert r.mean_ratio > 0
     assert math.isfinite(r.mean_ratio)

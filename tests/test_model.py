@@ -40,7 +40,6 @@ def test_kac_factor_validation():
 def test_coupling_profile_frozen_weights():
     prof = coupling_profile(1.0, 2)
     assert_allclose(prof.weights, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
-    assert_allclose(prof.kac, 1.5, rtol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
