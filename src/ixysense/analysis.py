@@ -6,6 +6,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,10 +113,79 @@ def run_cells(fn, cells, threads: int = 1) -> list:
         return list(pool.map(fn, cells))
 
 
-def minimize_scalar(fun, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on the first call, not with the package."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-    return scipy_minimize_scalar(fun, **kwargs)
+class Polish(NamedTuple):
+    """Minimizer, minimum and evaluation count of a bounded scalar search."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+def minimize_scalar(fun, bounds, xatol: float, maxiter: int) -> Polish:
+    """Minimize fun on bounds = (a, b) by Brent's bounded method.
+
+    A port of fminbound (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5) as scipy.optimize.minimize_scalar runs it
+    with method="bounded": its constants and operation order, so it takes
+    the same iterates to the bit.  It stops once the bracket around the
+    best point is within about xatol, or after maxiter evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    # xf, nfc and fulc (scipy's names) are the best, second and third points
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = ffulc = fnfc = fun(xf)
+    nfev = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:  # fit a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabolic:
+            rat = (p + 0.0) / q
+            if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                rat = tol1 if xm >= xf else -tol1
+        else:  # golden section of the larger side
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        # a step of at least tol1; its sign is +1 at rat = -0.0 too, not copysign's
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = fun(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxiter:
+            break
+    return Polish(xf, fx, nfev)
 
 
 def find_exceptional_point(params: ModelParams) -> EPResult:
@@ -170,11 +240,11 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
         a, ga, gb = np.concatenate((a, idx)), np.concatenate((ga, gi)), np.concatenate((gi, gb))
     phi_k = float(angles[np.argmax(gi)])
     step = math.pi / EP_SCAN_ANGLES
-    res = minimize_scalar(lambda phi: -g(phi), method="bounded",
+    res = minimize_scalar(lambda phi: -g(phi),
                           bounds=(max(phi_k - step, 1e-300), min(phi_k + step, math.pi)),
-                          options={"xatol": 1e-13, "maxiter": 300})
+                          xatol=1e-13, maxiter=300)
     # res.fun is -g at the polished angle; keep the best grid value if it is higher
-    return EPResult(h_e=min(-best, float(res.fun)), iterations=int(res.nit))
+    return EPResult(h_e=min(-best, float(res.fun)), iterations=res.nfev)
 
 
 def fit_power_law(x, y, window: tuple[float, float]) -> PowerFit:

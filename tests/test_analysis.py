@@ -146,10 +146,10 @@ def test_ep_scan_bins_sit_at_their_labelled_angles():
         assert abs(scan[k] - momentum_coupling(profile, float(angles[k]))) < 1e-10
 
 
-def _full_scan_edge(params):
-    """Reference locator, returning (h_e, max g on its grid): g on all
-    EP_SCAN_ANGLES odd angles (one FFT), then the bounded polish within one
-    grid step of the argmax."""
+def _full_scan_polish(params):
+    """The reference locator's polish inputs: -g and the bounds one grid step
+    either side of the argmax of g on all EP_SCAN_ANGLES odd angles (one
+    FFT), and that grid maximum."""
     gamma = abs(params.gamma)
     profile = coupling_profile(params.alpha, params.Z)
     angles = _odd_angles(EP_SCAN_ANGLES)
@@ -162,10 +162,17 @@ def _full_scan_edge(params):
         j = momentum_coupling(profile, phi)
         return -(j.real + gamma * abs(j.imag))
 
+    bounds = (max(angles[k] - step, 1e-300), min(angles[k] + step, math.pi))
+    return minus_g, bounds, float(g_scan[k])
+
+
+def _full_scan_edge(params):
+    """Reference locator, returning (h_e, max g on its grid): the full scan,
+    then scipy's bounded polish."""
+    minus_g, bounds, g_max = _full_scan_polish(params)
     res = scipy_minimize_scalar(
-        minus_g, method="bounded", options={"xatol": 1e-13, "maxiter": 300},
-        bounds=(max(angles[k] - step, 1e-300), min(angles[k] + step, math.pi)))
-    return min(-float(g_scan[k]), float(res.fun)), float(g_scan[k])
+        minus_g, method="bounded", options={"xatol": 1e-13, "maxiter": 300}, bounds=bounds)
+    return min(-g_max, float(res.fun)), g_max
 
 
 def _assert_matches_full_scan(params, atol=EP_REFERENCE_ATOL):
@@ -178,18 +185,47 @@ def _assert_matches_full_scan(params, atol=EP_REFERENCE_ATOL):
     assert he <= -g_max + atol
 
 
-def test_find_exceptional_point_matches_the_full_scan():
+def _full_scan_cases():
+    """(Z, alpha, gamma): 24 random cells, and alpha = 0 Dirichlet kernels."""
     rng = np.random.default_rng(21)
     cases = [(int(rng.integers(1, 201)), float(rng.uniform(0.0, 3.0)),
               float(rng.uniform(0.05, 2.0))) for _ in range(24)]
     # alpha = 0 is a Dirichlet kernel: many near-equal side lobes
-    cases += [(Z, 0.0, gamma) for Z in (64, 512) for gamma in (0.1, 0.9, 1.7)]
+    return cases + [(Z, 0.0, gamma) for Z in (64, 512) for gamma in (0.1, 0.9, 1.7)]
+
+
+def test_find_exceptional_point_matches_the_full_scan():
+    cases = _full_scan_cases()
     # two near-equal maxima, the best coarse angle in the lower one's basin:
     # a search that drops every cell below the best value seen misses these
     # by 1e-4 and 2e-3
     cases += [(11, 2.0, 1.980451127819549), (11, 1.75, 3.08922305764411)]
     for Z, alpha, gamma in cases:
         _assert_matches_full_scan(ModelParams(N=2 * Z + 2, Z=Z, alpha=alpha, gamma=gamma, h=-1.0))
+
+
+def _assert_polish_matches_scipy(fun, bounds, xatol=1e-13, maxiter=300):
+    ours = analysis.minimize_scalar(fun, bounds=bounds, xatol=xatol, maxiter=maxiter)
+    ref = scipy_minimize_scalar(fun, method="bounded", bounds=bounds,
+                                options={"xatol": xatol, "maxiter": maxiter})
+    assert float(ours.x).hex() == float(ref.x).hex()
+    assert float(ours.fun).hex() == float(ref.fun).hex()
+    assert ours.nfev == ref.nfev == ref.nit
+
+
+def test_minimize_scalar_takes_scipys_bounded_iterates():
+    # the polish is a port of scipy's bounded Brent method: the same x, minimum
+    # and evaluation count, to the bit, on the full-scan cells' -g ...
+    for Z, alpha, gamma in _full_scan_cases():
+        minus_g, bounds, _ = _full_scan_polish(
+            ModelParams(N=2 * Z + 2, Z=Z, alpha=alpha, gamma=gamma, h=-1.0))
+        _assert_polish_matches_scipy(minus_g, bounds)
+    # ... a minimum at either bound, a kink, a constant, and the maxiter cap
+    _assert_polish_matches_scipy(lambda x: x, (0.5, 2.0))
+    _assert_polish_matches_scipy(lambda x: -x, (0.5, 2.0))
+    _assert_polish_matches_scipy(lambda x: abs(math.sin(x)), (-1.0, 2.5))
+    _assert_polish_matches_scipy(lambda x: 1.0, (0.0, 1.0))
+    _assert_polish_matches_scipy(lambda x: (x - 0.3) ** 2, (-1.0, 1.0), xatol=1e-5, maxiter=5)
 
 
 def test_find_exceptional_point_edge_cells_and_z_at_half_n():

@@ -340,9 +340,8 @@ _SCIPY_LOADED = ("import sys\n"
                  "                  if m == 'scipy' or m.startswith('scipy.'))\n")
 
 
-def test_cli_import_skips_scipy_integrate():
-    # no scipy module at all: only the dense oracle and the exceptional-point
-    # polish load it, on their first call
+def test_cli_import_loads_no_scipy():
+    # no scipy module at all: only the dense oracle loads it, on its first call
     code = _SCIPY_LOADED + ("import ixysense; print(scipy_loaded())\n"
                             "import ixysense.cli; print(scipy_loaded())\n")
     assert _fresh_python(code).splitlines() == ["[]", "[]"]
@@ -376,18 +375,19 @@ SCIPY_FREE_RUNS = (
     "size-scaling --set N_list=[16,32,64] --set t_eval=5.0",
     "stationary-scaling --set N_list=[16,32,64]",
     "ratio --set N=16 --set n_grid=11",
+    "exceptional-point",
+    "ep-table",
+    "stationary-scaling --set anchor=exceptional-point --set N_list=[16,32,64]",
 )
 
 
-def test_only_the_oracle_and_the_exceptional_point_load_scipy(tmp_path):
+def test_only_the_oracle_loads_scipy(tmp_path):
     *free, oracle = _cold_runs(
-        tmp_path / "a", *SCIPY_FREE_RUNS,
+        tmp_path, *SCIPY_FREE_RUNS,
         "oracle-check --set N_list=[4] --set t_list=[0.5]")
     assert free == [[0, []]] * len(SCIPY_FREE_RUNS)
     assert oracle[0] == 0
     assert "scipy.linalg" in oracle[1] and "scipy.optimize" not in oracle[1]
-    [(code, _)] = _cold_runs(tmp_path / "b", "exceptional-point")
-    assert code == 0
 
 
 @pytest.mark.parametrize("experiment,override,named", [

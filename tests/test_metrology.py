@@ -321,6 +321,40 @@ def test_hermitian_qfi_grows_as_its_late_time_limit(z, alpha, h, theta):
     assert np.mean(qfi_curve(params, t, theta) / t ** 2) == pytest.approx(limit, rel=1e-8)
 
 
+@pytest.mark.parametrize("theta", list(ThetaKind))
+@pytest.mark.parametrize("t", [1e5, 1e7])
+def test_unbroken_modes_approach_their_late_time_limits(t, theta):
+    # An unbroken non-Hermitian block (x = a^2 - b^2 > 0, omega = sqrt x) has
+    # F = 4 (cr^2 + ci^2) / n^2 with ci = -x' b t / (2x) + Q, where Q and cr
+    # stay bounded, so F -> L = x'^2 b^2 t^2 / (x^2 n^2), n = cos^2 psi +
+    # kappa sin^2 psi, psi = omega t, kappa = (a^2 + b^2) / x.  theta = h:
+    # F / L - 1 = -sin(2 psi) / (omega t) + O(1 / t^2).  theta = gamma: L
+    # vanishes with b while Q does not, so the gate is absolute, linear in t:
+    # |F - L| <= (a J^I / x)^2 (4 + a^2 / x + 4 b^2 t / omega).  Both hold
+    # with k = 1 up to O(1 / t^2) and rounding; measured worst k over
+    # criterion 3's cells: 1.0000065 (theta = h), 0.9984 (theta = gamma).
+    k = 1.001
+    times = np.array([t])
+    for z, alpha, h in ((1, 1.5, -0.7), (4, 0.8, -0.7), (512, 1.5, -0.7),
+                        (1, 1.5, -1.5), (2, 1.0, -1.5), (4, 1.5, -3.0)):
+        _, _, j_imag, a, b, x = block_arrays(
+            ModelParams(N=1024, Z=z, alpha=alpha, gamma=0.3, h=h))
+        up = x > 0.0
+        j_imag, a, b, x = j_imag[up], a[up], b[up], x[up]
+        n, cr, ci = trajectory_arrays(mode_columns(a, b, j_imag, x, False, times, theta), times)
+        f = 4.0 * (cr * cr + ci * ci)[:, 0] / (n * n)[:, 0]
+        omega = np.sqrt(x)
+        psi = omega * t
+        norm = np.cos(psi) ** 2 + (a * a + b * b) / x * np.sin(psi) ** 2
+        x_prime = 2.0 * a if theta is ThetaKind.FIELD_H else -2.0 * b * j_imag
+        limit = (x_prime * b * t / (x * norm)) ** 2
+        if theta is ThetaKind.FIELD_H:
+            assert np.all(np.abs(f / limit - 1.0) <= k / (omega * t))
+        else:
+            bound = (a * j_imag / x) ** 2 * (4.0 + a * a / x + 4.0 * b * b * t / omega)
+            assert np.all(np.abs(f - limit) <= k * bound)
+
+
 def test_qfi_curve_memory_bounded():
     # beyond the O(N) block arrays and mode columns the working set is
     # O(CHUNK_CELLS), not O(N/2 x T).  With 300 times the traced peak was
