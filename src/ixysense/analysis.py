@@ -327,9 +327,9 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
                              threads: int = 1) -> StationaryScalingResult:
     """Stationary QFI size scaling at fields anchor + dh.
 
-    For each offset dh the stationary QFI is evaluated across N_list at
-    the fixed field anchor + dh and fitted to a power law in N.  The h
-    entry of params is ignored; the anchor supplies the field.
+    For each offset dh the stationary QFI across N_list at the field
+    anchor + dh (the h of params is ignored) is fitted to a power law in N.
+    The cells run size-major, so each N's J(phi) is evaluated once, then regroup by dh.
     """
     offsets = tuple(dh_list if dh_list is not None else STATIONARY_DH_LIST)
     sizes = np.array(N_list if N_list is not None else STATIONARY_N_LIST)
@@ -337,13 +337,13 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
     anchor_value = resolve_anchor(params, anchor)
 
     def cell(job):
-        dh, n = job
+        n, dh = job
         return stationary_qfi(replace(params, N=int(n), h=anchor_value + dh), theta_kind)
 
-    flat = run_cells(cell, [(dh, n) for dh in offsets for n in sizes], threads)
+    flat = run_cells(cell, [(n, dh) for n in sizes for dh in offsets], threads)
     rows = []
     for i, dh in enumerate(offsets):
-        samples = flat[i * sizes.size:(i + 1) * sizes.size]
+        samples = flat[i::len(offsets)]
         qfi = np.array([s.value for s in samples])
         rows.append(StationaryRow(
             dh=dh, N=sizes, qfi=qfi, fit=fit_power_law(sizes, qfi, window),

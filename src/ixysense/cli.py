@@ -111,11 +111,20 @@ def _time_window(value) -> tuple[float, float]:
     return lo, hi
 
 
+def _distinct(parse, name):
+    """parse a list, then reject a value given twice (-0.0 is 0.0)."""
+    def check(value) -> list:
+        items = parse(value)
+        if len(set(items)) < len(items):
+            raise ValueError(f"{name}={max(items, key=items.count)!r} more than once in {items}")
+        return items
+    return check
+
+
 def _fitted_sizes(value) -> list[int]:
-    sizes = _list(_size)(value)
-    if len(set(sizes)) < 3:
-        raise ValueError(
-            f"a power-law fit needs at least 3 distinct sizes, got {sizes}")
+    sizes = _distinct(_list(_size), "N")(value)
+    if len(sizes) < 3:
+        raise ValueError(f"a power-law fit needs at least 3 sizes, got {sizes}")
     return sizes
 
 
@@ -350,9 +359,6 @@ def _run_ep_table(params, cfg, writer, threads) -> int:
 def _run_qfi_dynamics(params, cfg, writer, threads) -> int:
     grid = _time_grid(cfg)
     zs = cfg["Z_list"] or [params.Z]
-    if len(set(zs)) < len(zs):  # checked before the first write
-        raise ConfigError(f"Z_list: each Z writes its own file, got Z="
-                          f"{max(zs, key=zs.count)} more than once in {zs}")
     models = [replace(params, Z=z) for z in zs]
     writer.derived["t_grid"] = [float(grid[0]), float(grid[-1]), len(grid)]
     for p in models:
@@ -473,7 +479,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     }, _run_ep_table),
     "qfi-dynamics": ({
         **_model(*_ALL_MODEL, "theta"),
-        "Z_list": (None, _optional(_list(_int))),
+        "Z_list": (None, _optional(_distinct(_list(_int), "Z"))),  # a file per Z
         "t_min": (0.02, _at_least(_float, 0.0)), "t_max": (1000.0, _float),
         "t_points": (300, _at_least(_int, 2)),
         "t_spacing": ("log", _choice(("log", "linear"))),
@@ -493,7 +499,7 @@ EXPERIMENTS: dict[str, tuple[dict, object]] = {
     "stationary-scaling": ({
         **_model("Z", "alpha", "gamma", "anisotropy", "theta"),
         "anchor": ("critical-point", _choice(ScalingAnchor)),
-        "dh_list": (list(STATIONARY_DH_LIST), _list(_float)),
+        "dh_list": (list(STATIONARY_DH_LIST), _distinct(_list(_float), "dh")),
         "N_list": (list(STATIONARY_N_LIST), _fitted_sizes),
     }, _run_stationary_scaling),
     "ratio": ({

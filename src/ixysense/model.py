@@ -127,15 +127,6 @@ def momentum_coupling(profile: CouplingProfile, phi):
     return complex(out[0]) if phi_arr.ndim == 0 else out.reshape(phi_arr.shape)
 
 
-def mode_angles(params: ModelParams) -> np.ndarray:
-    """Momentum grid phi_p = (2p - 1) pi / N, p = 1 .. N/2.
-
-    One block per (phi, -phi) pair, N fermionic modes in total; this is
-    the counting that matches the dense oracle.
-    """
-    return _odd_angles(params.N // 2)
-
-
 def critical_field_zero() -> float:
     """Field at which the dispersion gap closes at phi = 0.
 

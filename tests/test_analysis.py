@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
-from ixysense import analysis
+from ixysense import analysis, blocks
 from ixysense.analysis import (
     EP_SCAN_ANGLES,
     LONGTIME_GRID,
@@ -328,19 +328,23 @@ def test_sweep_size_scaling_threads_deterministic():
 
 
 def test_sweep_stationary_scaling_structure():
+    # cells run size-major, so J(phi) is evaluated once per size, and each
+    # row regroups exactly the per-cell values of its offset
     params = ModelParams(N=256, Z=1, alpha=1.0, gamma=0.3, h=-1.0)
+    blocks._coupling.cache_clear()
     res = sweep_stationary_scaling(params, ThetaKind.ANISOTROPY_GAMMA,
-                                   dh_list=(0.0, -0.3), N_list=(256, 512, 1024),
+                                   dh_list=(0.0, -0.3, 0.05), N_list=(256, 512, 1024),
                                    anchor=ScalingAnchor.CRITICAL_POINT)
+    assert blocks._coupling.cache_info().misses == 3
     assert res.anchor_value == -1.0
-    assert [r.dh for r in res.rows] == [0.0, -0.3]
+    assert [r.dh for r in res.rows] == [0.0, -0.3, 0.05]
     for row in res.rows:
         assert row.N.tolist() == [256, 512, 1024]
         assert math.isfinite(row.fit.slope)
-        assert row.straddled_modes >= 0
-        for value, n in zip(row.qfi, (256, 512, 1024)):
-            p = replace(params, N=n, h=-1.0 + row.dh)
-            assert value == stationary_qfi(p, ThetaKind.ANISOTROPY_GAMMA).value
+        samples = [stationary_qfi(replace(params, N=n, h=-1.0 + row.dh),
+                                  ThetaKind.ANISOTROPY_GAMMA) for n in (256, 512, 1024)]
+        assert row.qfi.tolist() == [s.value for s in samples]
+        assert row.straddled_modes == sum(s.meta["straddled_modes"] for s in samples)
 
 
 def test_run_cells_order_and_threads():

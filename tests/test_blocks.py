@@ -10,6 +10,7 @@ from ixysense.blocks import (
     TOL_PHASE,
     ModeBlock,
     PhaseLabel,
+    _coupling,
     block_arrays,
     build_blocks,
     classify_phase,
@@ -34,6 +35,21 @@ def test_block_arrays_matches_build_blocks():
         assert blk.b == b[i]
         assert blk.eps_sq == eps_sq[i]
         assert blk.j_imag == ji[i]
+
+
+def test_block_arrays_returns_arrays_the_caller_owns():
+    # the cached J(phi) is shared by every field and anisotropy of the chain;
+    # writing into one call's columns must not reach the next call
+    p = ModelParams(N=16, Z=3, alpha=1.2, gamma=0.4, h=-0.9)
+    first = block_arrays(p)
+    expected = [col.copy() for col in first]
+    for col in first:
+        col[:] = np.nan
+    for col, want in zip(block_arrays(p), expected):
+        assert_array_equal(col, want)
+    for cached in _coupling(p.N, p.Z, p.alpha):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 @pytest.mark.parametrize("hermitian", [False, True])

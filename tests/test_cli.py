@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ixysense
-from ixysense import dense, dynamics
+from ixysense import blocks, dense, dynamics
 from ixysense.analysis import ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
 from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
@@ -150,6 +150,10 @@ BOUND_ERRORS = [
 REPEAT_ERRORS = [
     ("qfi-dynamics", "Z_list=[2,2]"),
     ("qfi-dynamics", "Z_list=[1,3,1,1] N=64"),
+    ("stationary-scaling", "dh_list=[0.0,0.0]"),
+    ("stationary-scaling", "dh_list=[0.0,-0.0]"),
+    ("stationary-scaling", "N_list=[16,32,16,64]"),
+    ("size-scaling", "N_list=[16,16,32,64]"),
 ]
 
 # Flag values outside their bounds, rejected like a key's.
@@ -259,10 +263,17 @@ def test_dropped_keys_are_unknown(tmp_path, capsys, experiment, override):
         f"config error: unknown config key '{key}' for experiment '{experiment}'\n")
 
 
-def test_repeated_Z_is_named(tmp_path, capsys):
-    # a second Z=1 would overwrite qfi_dynamics_Z1.csv and list it twice
-    assert main(["qfi-dynamics", "--set", "Z_list=[1,3,1]", "--out", str(tmp_path / "o")]) == 2
-    assert "Z=1 more than once" in capsys.readouterr().err
+@pytest.mark.parametrize("experiment,override,named", [
+    ("qfi-dynamics", "Z_list=[1,3,1]", "Z=1"),
+    ("stationary-scaling", "dh_list=[-0.0,0.1,0.0]", "dh=-0.0"),
+    ("size-scaling", "N_list=[16,32,16,64]", "N=16"),
+])
+def test_repeated_entry_is_named(tmp_path, capsys, experiment, override, named):
+    # a second Z=1 would overwrite qfi_dynamics_Z1.csv and list it twice, a
+    # second dh would write two fits.json groups under one key, and a second
+    # N would count one point twice in the power-law fit
+    assert main([experiment, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    assert f"{named} more than once" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("out", ["f.txt", "f.txt/sub"])
@@ -648,6 +659,17 @@ def test_threads_do_not_change_results(tmp_path):
     a = (tmp_path / "a" / "size_scaling.csv").read_bytes()
     b = (tmp_path / "b" / "size_scaling.csv").read_bytes()
     assert a == b
+
+
+def test_threads_do_not_change_stationary_results_from_a_cold_coupling(tmp_path):
+    # pool threads share the one-entry J(phi) memo, each size's first cells
+    # missing it at once
+    for threads in ("2", "1"):
+        blocks._coupling.cache_clear()
+        assert main(["stationary-scaling", "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    for name in ("stationary_scaling.csv", "fits.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_threads_do_not_change_oracle_results_from_a_cold_term_table(tmp_path):

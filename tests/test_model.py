@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ixysense.blocks import block_arrays
 from ixysense.model import (
     ModelParams,
     _odd_angles,
@@ -14,7 +15,6 @@ from ixysense.model import (
     critical_field_pi,
     critical_field_zero,
     kac_factor,
-    mode_angles,
     momentum_coupling,
 )
 
@@ -130,9 +130,8 @@ GRID_J_ATOL = 1e-15
 def test_momentum_coupling_grid_matches_high_precision(N, Z, alpha):
     # exact angles: r phi_p = 2 pi k / (2N) with k = r (2p - 1) mod 2N,
     # so each term is a 2N-th root of unity, tabulated once at 30 digits
-    params = ModelParams(N=N, Z=Z, alpha=alpha, gamma=0.3, h=-0.7)
     prof = coupling_profile(alpha, Z)
-    got = momentum_coupling(prof, mode_angles(params))
+    got = momentum_coupling(prof, _odd_angles(N // 2))
     modes = np.unique(np.linspace(0, N // 2 - 1, 48).astype(int))
     r = np.arange(1, Z + 1)
     with mpmath.workdps(30):
@@ -148,12 +147,12 @@ def test_momentum_coupling_grid_matches_high_precision(N, Z, alpha):
 
 def test_mode_angles_full_range():
     p = ModelParams(N=8, Z=1, alpha=1.0, gamma=0.3, h=-0.7)
-    assert_allclose(mode_angles(p), np.array([1, 3, 5, 7]) * math.pi / 8.0, rtol=1e-15)
+    assert_allclose(block_arrays(p)[0], np.array([1, 3, 5, 7]) * math.pi / 8.0, rtol=1e-15)
 
 
 def test_mode_angles_inside_zone():
     p = ModelParams(N=1024, Z=4, alpha=1.5, gamma=0.3, h=-0.7)
-    phi = mode_angles(p)
+    phi = block_arrays(p)[0]
     assert len(phi) == 512
     assert phi[0] > 0.0 and phi[-1] < math.pi
     assert (np.diff(phi) > 0).all()
