@@ -13,6 +13,7 @@ import numpy as np
 from .errors import NumericalError
 from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
                     coupling_profile, critical_field_zero, momentum_coupling)
+from .blocks import _coupling
 from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
 
 # Time grids used throughout the scaling studies: the transient window
@@ -329,18 +330,19 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
 
     For each offset dh the stationary QFI across N_list at the field
     anchor + dh (the h of params is ignored) is fitted to a power law in N.
-    The cells run size-major, so each N's J(phi) is evaluated once, then regroup by dh.
+    The cells run size-major: each N's J(phi) fills the memo of block_arrays
+    before that N's offsets go to the pool, so it is evaluated once.  Then regroup by dh.
     """
     offsets = tuple(dh_list if dh_list is not None else STATIONARY_DH_LIST)
     sizes = np.array(N_list if N_list is not None else STATIONARY_N_LIST)
     window = (float(sizes.min()), float(sizes.max()))
     anchor_value = resolve_anchor(params, anchor)
 
-    def cell(job):
-        n, dh = job
-        return stationary_qfi(replace(params, N=int(n), h=anchor_value + dh), theta_kind)
-
-    flat = run_cells(cell, [(n, dh) for n in sizes for dh in offsets], threads)
+    flat = []
+    for n in sizes.tolist():
+        _coupling(n, params.Z, params.alpha)
+        flat += run_cells(lambda dh: stationary_qfi(
+            replace(params, N=n, h=anchor_value + dh), theta_kind), offsets, threads)
     rows = []
     for i, dh in enumerate(offsets):
         samples = flat[i::len(offsets)]

@@ -12,12 +12,12 @@ The array path needs only C^2, S^2 and C S, which are linear in
 cos 2 psi and sin 2 psi (psi = sqrt(x) t): the bare tangent T = tan psi
 of each cell (tanh |eps| t for x < 0) fixes them up to a common factor
 that cancels in the Fisher information, so nothing there grows like
-exp(|eps| t).  mode_columns forms a curve's per-mode columns once, with
-every factor of 1 / sqrt|x| folded into them (the few rows that can meet
-the DSERIES_Z window divide T by sqrt|x| per cell instead), and
-trajectory_arrays evaluates one chunk of them against a row of the
-curve's times: one tangent and a few multiplies per cell, for either
-parameter.
+exp(|eps| t).  mode_columns sorts a curve's modes into runs of one kind
+and forms their columns once, with every factor of 1 / sqrt|x| folded
+into them (the few rows that can meet the DSERIES_Z window divide T by
+sqrt|x| per cell instead), and trajectory_arrays evaluates a chunk of one
+run against a column of the curve's times: one tangent and a few
+multiplies per cell, for either parameter.
 
 The scalar views (propagator, evolve_mode, evolve_mode_derivative) need
 the true amplitudes.  _cell gives C and S of one (x, t) from libm: cos
@@ -133,27 +133,18 @@ def _theta_rates(a, b, j_imag, hermitian, theta_kind):
     raise ValueError(f"unknown theta_kind: {theta_kind!r}")
 
 
-def _tangents(r, neg, t):
-    """T, S = T^2 and d = 1 +- S (the sign of x) from r = sqrt|x|, x < 0 and t.
+def _tangents(r, sign, t):
+    """T, S = T^2 and d = 1 + sign S of a run whose x all have one sign.
 
-    Each row takes one branch.  x >= 0: one tan pass, T = tan(r t) and
-    d = 1 + S = sec^2.  x < 0: with psi = |eps| t = r t,
-    e = expm1(-2 psi) and g = exp(-2 psi),
+    r = sqrt|x| is a row of modes and t a column of times.  x > 0: one tan
+    pass, T = tan(r t) and d = 1 + S = sec^2.  x < 0: with
+    psi = |eps| t = r t, e = expm1(-2 psi) and g = exp(-2 psi),
 
         T = tanh psi = -e / (1 + g),   d = sech^2 psi = 4 g / (1 + g)^2,
 
-    neither of which cancels or overflows at any |eps| t.  The caller
-    sets x = 0 rows (r = 1).  A chunk with both signs is split by rows.
+    neither of which cancels or overflows at any |eps| t.  x = 0: T = t, d = 1.
     """
-    broken = np.count_nonzero(neg)
-    if 0 < broken < neg.size:
-        tan = np.empty((r.size, t.size))
-        sq = np.empty(tan.shape)
-        d = np.empty(tan.shape)
-        for rows in (~neg[:, 0], neg[:, 0]):
-            tan[rows], sq[rows], d[rows] = _tangents(r[rows], neg[rows], t)
-        return tan, sq, d
-    if broken:
+    if sign < 0:
         e = np.multiply(-2.0 * r, t)
         d = np.exp(e)
         tan = np.expm1(e, out=e)
@@ -164,6 +155,8 @@ def _tangents(r, neg, t):
         d *= 4.0
         return tan, np.multiply(tan, tan), d
     tan = np.multiply(r, t)
+    if sign == 0:
+        return tan, np.multiply(tan, tan), np.ones(tan.shape)
     np.tan(tan, out=tan)
     sq = np.multiply(tan, tan)
     return tan, sq, np.add(sq, 1.0)
@@ -172,13 +165,16 @@ def _tangents(r, neg, t):
 def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     """The per-mode columns of trajectory_arrays for one curve at the times t.
 
-    a, b, j_imag and x hold one value per mode, each reshaped into a
-    column, and t the curve's times.  The columns, each (modes, 1), are
-    x, r = sqrt|x|, h / x, h = (dx/dtheta) m / 2,
-    kappa = (a^2 + m^2) / |x|, rho = (a v + m u) / |x|,
-    beta = (h / x - v) / r, v / r (zeros for theta = h), x < 0 and the
-    near rows: the modes that can enter the DSERIES_Z window at a
-    nonzero time in t, and all x = 0 rows.
+    a, b, j_imag and x hold one value per mode, and t the curve's times.
+    A stable partition of a, b, j_imag and x, before any column is built,
+    sorts the modes into runs of one kind: unbroken (x > 0), broken
+    (x < 0), then the near rows, which can enter the DSERIES_Z window at
+    a nonzero time in t, as unbroken, x = 0 and broken runs.  Returns
+    (order, runs): sorted mode i is input mode order[i], and each nonempty
+    run is (sign of x, near, x, r, h / x, h, kappa, rho, beta, v / r),
+    columns over its slice of the sorted modes: r = sqrt|x|,
+    h = (dx/dtheta) m / 2, kappa = (a^2 + m^2) / |x|,
+    rho = (a v + m u) / |x| and beta = (h / x - v) / r (v = 0 for theta = h).
 
     A chunk multiplies kappa and rho by T^2 and beta and v / r by T,
     which gives (a^2 + m^2) tau^2, (a v + m u) tau^2, (h / x - v) tau
@@ -190,34 +186,42 @@ def mode_columns(a, b, j_imag, x, hermitian, t, theta_kind):
     No other row's columns overflow where x = a^2 -+ b^2 as block_arrays
     rounds it, since |x| is then 0 or about eps (a^2 + b^2) or more.
     """
-    a, b, j_imag, x = (np.asarray(k, dtype=float).reshape(-1, 1) for k in (a, b, j_imag, x))
+    a, b, j_imag, x = (np.asarray(k, dtype=float).reshape(-1) for k in (a, b, j_imag, x))
     t = np.asarray(t, dtype=float)
-    m = -b if hermitian else b  # lower-left block entry M_10
-    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
-    h = 0.5 * xp * m
-    zero = x == 0.0
     t_min = np.abs(t).min(initial=np.inf, where=t != 0.0)
     # |x t t| does not decrease with |t| in floating point either, so a mode
     # enters the window at a nonzero time in t only if it does at t_min; an
     # infinite z, or 0 * inf with no nonzero time, compares as large
     with np.errstate(over="ignore", invalid="ignore"):
-        near = zero | (np.abs(x * t_min * t_min) < DSERIES_Z)
-    x1 = np.where(zero, 1.0, x)
+        near = (x == 0.0) | (np.abs(x * t_min * t_min) < DSERIES_Z)
+    # run k holds the rows of sign 1 - k % 3 (a NaN x as x > 0), near for k >= 3
+    key = near * np.int8(3) + (x <= 0.0) + (x < 0.0)
+    order = np.argsort(key, kind="stable")
+    ends = np.bincount(key, minlength=6).cumsum().tolist()
+    a, b, j_imag, x = (k[order] for k in (a, b, j_imag, x))
+    m = -b if hermitian else b  # lower-left block entry M_10
+    xp, u, v = _theta_rates(a, b, j_imag, hermitian, theta_kind)
+    h = 0.5 * xp * m
+    ax = np.abs(x)
+    ax[ends[2]:] = 1.0  # the near rows, in tau form, divide by 1
+    kappa, rho = (a * a + m * m) / ax, (a * v + m * u) / ax
+    del a, b, j_imag, m, xp  # freed before the last columns, which set the memory peak
+    x1 = np.where(x == 0.0, 1.0, x)
     hx = h / x1
-    ax = np.abs(x1, out=x1)
-    r = np.sqrt(ax)
-    ax[near] = 1.0  # the near rows, in tau form, divide by 1
-    rt = np.where(near, 1.0, r)
-    kappa, rho, beta = (a * a + m * m) / ax, (a * v + m * u) / ax, (hx - v) / rt
-    return x, r, hx, h, kappa, rho, beta, v / rt, x < 0.0, near
+    r = np.sqrt(np.abs(x1, out=x1))
+    rt = np.sqrt(ax, out=ax)
+    columns = x, r, hx, h, kappa, rho, (hx - v) / rt, v / rt
+    runs = [(1 - k % 3, k >= 3, *[c[lo:hi] for c in columns])
+            for k, (lo, hi) in enumerate(zip([0] + ends, ends)) if lo < hi]
+    return order, runs
 
 
-def trajectory_arrays(columns, t, modes=slice(None)):
-    """Norm and 2x2 cross term of each evolved block on a (modes x times) grid.
+def trajectory_arrays(run, t, modes=slice(None)):
+    """Norm and 2x2 cross term of each evolved block on a (times x modes) grid.
 
-    columns come from mode_columns at times that include t, and modes
-    picks a run of them (all by default); t is reshaped into a row.  The
-    results are (modes, times) arrays.
+    run is one run of mode_columns at times that include t, modes a slice
+    of its modes (all by default), and t is reshaped into a column.  The
+    results are C-ordered (times, modes) arrays: each pass runs along modes.
 
     The evolved amplitudes phi = U(t)(1, 0) = (C + i a S, -i m S), with
     m = M_10 (b non-Hermitian, -b Hermitian), have the theta-derivative
@@ -245,35 +249,33 @@ def trajectory_arrays(columns, t, modes=slice(None)):
 
     as d W = (tau - t d) / (2 x) and h = (dx/dtheta) m / 2.  Inside
     DSERIES_Z, ci is d h times the series of 2 W, less v tau.  The near
-    rows of mode_columns, the only ones that can meet the window, carry
+    runs of mode_columns, the only ones that can meet the window, carry
     tau in place of T, with tau = t and d = 1 at x = 0: one pass over
     them forms tau and the window's cells.  d cancels in the per-mode QFI
     4 (cr^2 + ci^2) / n^2, so no cell is rescaled.
     """
-    x, r, hx, h, kappa, rho, beta, vr, neg, near = (c[modes] for c in columns)
-    t = np.asarray(t, dtype=float).reshape(1, -1)
-    tan, sq, d = _tangents(r, neg, t)
-    rows = np.flatnonzero(near)
-    if rows.size:  # x = 0 rows are among these, with tau = t and d = 1
-        tan[rows] /= r[rows]
-        zero = rows[x[rows, 0] == 0.0]
-        tan[zero], d[zero] = t, 1.0
-        sq[rows] = np.square(tan[rows])
+    sign, near, *columns = run
+    x, r, hx, h, kappa, rho, beta, vr = [c[modes] for c in columns]
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    tan, sq, d = _tangents(r, sign, t)
+    if near:
+        tan /= r
+        np.multiply(tan, tan, out=sq)
         with np.errstate(over="ignore"):  # an infinite z lies outside the window
-            z = x[rows] * t * t
-        k, j = np.nonzero(np.abs(z) < DSERIES_Z)
-        i, z, tz = rows[k], z[k, j], t[0, j]
+            z = x * t * t
+        j, k = np.nonzero(np.abs(z) < DSERIES_Z)
+        z, tz = z[j, k], t[j, 0]
         # h t^3 before the series: t^3 alone overflows once t passes 5.6e102
-        w = h[i, 0] * tz * tz * tz * ((-2.0 / 3.0) * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
-            1.0 - z / 18.0)))) * d[i, j] - tan[i, j] * vr[i, 0]
+        w = h[k] * tz * tz * tz * ((-2.0 / 3.0) * (1.0 - z / 5.0 * (1.0 - z / 10.5 * (
+            1.0 - z / 18.0)))) * d[j, k] - tan[j, k] * vr[k]
     ci = np.multiply(t, d)
     ci *= hx  # x = 0 rows lie wholly in the window
     n = np.multiply(sq, kappa, out=d)
     n += 1.0
     cr = np.multiply(sq, rho, out=sq)
     np.subtract(np.multiply(tan, beta, out=tan), ci, out=ci)
-    if rows.size:
-        ci[i, j] = w
+    if near:
+        ci[j, k] = w
     return n, cr, ci
 
 

@@ -80,22 +80,19 @@ def mode_qfi(phi, dphi) -> float:
 def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
     """Dynamical QFI at each time in t_grid, streamed over mode x time chunks.
 
-    The per-mode columns are formed once per curve (mode_columns), and
-    each chunk is one trajectory_arrays call on about CHUNK_CELLS mode x
-    time cells of them: a run of modes by the whole grid, or, for a grid
-    of more than CHUNK_CELLS times, one mode by a block of CHUNK_CELLS
-    times.  The working memory is then one chunk beyond the O(N) columns
-    and the O(T) totals, whatever N and T.  The per-mode values
-    (cr^2 + ci^2) / n^2, a quarter of the QFI, are formed in place over
-    the chunk's trajectory_arrays output.  A block's running totals are
-    added into the first row of the next chunk before that chunk is
-    reduced along the mode axis, and scaled by 4 at the end.  numpy
-    reduces a C-ordered array over its leading axis row by row, so with
-    two or more times the totals are a sequential sum in mode order
-    whatever the chunk size.  (With a single time a chunk is one column,
-    which numpy sums pairwise; one chunk then holds up to CHUNK_CELLS =
-    16384 modes.  The default experiments evaluate at most 2048 modes
-    (N = 4096), one chunk each.)
+    The per-mode columns are formed once per curve, in runs of modes of
+    one kind (mode_columns), and each run is walked in time-major chunks
+    of L = min(run, CHUNK_CELLS) modes by max(1, CHUNK_CELLS // L) times,
+    one trajectory_arrays call each: the working memory is one chunk
+    beyond the O(N) columns and the O(T) totals, whatever N and T.  The
+    per-mode values (cr^2 + ci^2) / n^2, a quarter of the QFI, are formed
+    in place over the chunk, summed pairwise along its contiguous mode
+    axis by numpy, added into the per-time totals in run and mode order,
+    and scaled by 4 at the end.  So the bits of a total do not depend on
+    how its times are blocked, and its relative rounding error is at most
+    about (log2(CHUNK_CELLS) + 16 + N / (2 CHUNK_CELLS)) eps, as every
+    per-mode value is >= 0, not N / 2 eps as for a sequential sum (Higham,
+    SIAM J. Sci. Comput. 14, 783 (1993)).
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.ndim > 1:
@@ -104,25 +101,24 @@ def qfi_curve(params: ModelParams, t_grid, theta_kind: ThetaKind) -> np.ndarray:
         raise ValueError("evolution times must be finite")
     if (t_grid < 0).any():
         raise ValueError("evolution times must be >= 0")
-    _, _, j_imag, a, b, eps_sq = block_arrays(params)
+    j_imag, a, b, eps_sq = block_arrays(params)[2:]
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    rows = max(1, CHUNK_CELLS // max(t_grid.size, 1))
-    totals = np.empty(t_grid.size)
+    totals = np.zeros(t_grid.size)
     with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked below
-        columns = mode_columns(a, b, j_imag, eps_sq, hermitian, t_grid, theta_kind)
-        for t0 in range(0, t_grid.size, CHUNK_CELLS):
-            block = slice(t0, t0 + CHUNK_CELLS)
-            for lo in range(0, eps_sq.size, rows):
-                n, cr, ci = trajectory_arrays(columns, t_grid[block], slice(lo, lo + rows))
-                # n = 1 + (a^2 + m^2) tau^2 >= 1 in every cell, so the
-                # division below never meets n ~ 0
-                # per-mode QFI over 4, (cr^2 + ci^2) / n^2, on the chunk's own arrays
-                per_mode = np.multiply(cr, cr, out=cr)
-                per_mode += np.multiply(ci, ci, out=ci)
-                per_mode /= np.multiply(n, n, out=n)
-                if lo:
-                    per_mode[0] += totals[block]  # the sum goes on in mode order
-                totals[block] = np.add.reduce(per_mode, axis=0)
+        for run in mode_columns(a, b, j_imag, eps_sq, hermitian, t_grid, theta_kind)[1]:
+            width = min(run[-1].size, CHUNK_CELLS)
+            steps = max(1, CHUNK_CELLS // width)
+            for lo in range(0, run[-1].size, width):
+                for t0 in range(0, t_grid.size, steps):
+                    block = slice(t0, t0 + steps)
+                    n, cr, ci = trajectory_arrays(run, t_grid[block], slice(lo, lo + width))
+                    # n = 1 + (a^2 + m^2) tau^2 >= 1 in every cell, so the
+                    # division below never meets n ~ 0
+                    # per-mode QFI over 4, (cr^2 + ci^2) / n^2, on the chunk's own arrays
+                    per_mode = np.multiply(cr, cr, out=cr)
+                    per_mode += np.multiply(ci, ci, out=ci)
+                    per_mode /= np.multiply(n, n, out=n)
+                    totals[block] += np.add.reduce(per_mode, axis=1)
     totals *= 4.0
     bad = ~np.isfinite(totals)
     if bad.any():

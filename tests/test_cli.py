@@ -13,11 +13,11 @@ import pytest
 
 import ixysense
 from ixysense import blocks, dense, dynamics
-from ixysense.analysis import ScalingAnchor
+from ixysense.analysis import STATIONARY_N_LIST, ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
 from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
 from ixysense.errors import ConfigError
-from ixysense.model import ModelParams, ThetaKind
+from ixysense.model import ModelParams, ThetaKind, momentum_coupling
 
 
 def _read_csv(path):
@@ -661,13 +661,23 @@ def test_threads_do_not_change_results(tmp_path):
     assert a == b
 
 
-def test_threads_do_not_change_stationary_results_from_a_cold_coupling(tmp_path):
-    # pool threads share the one-entry J(phi) memo, each size's first cells
-    # missing it at once
+def test_threads_do_not_change_stationary_results_from_a_cold_coupling(tmp_path, monkeypatch):
+    # pool threads share the one-entry J(phi) memo, which holds each size
+    # before its cells start, so at any --threads J is evaluated once per
+    # size (the critical-point anchor evaluates none of its own)
+    grid = []
+
+    def counted(*args):
+        grid.append(args)
+        return momentum_coupling(*args)
+
+    monkeypatch.setattr(blocks, "momentum_coupling", counted)
     for threads in ("2", "1"):
         blocks._coupling.cache_clear()
+        grid.clear()
         assert main(["stationary-scaling", "--out", str(tmp_path / threads),
                      "--threads", threads]) == 0
+        assert len(grid) == len(STATIONARY_N_LIST)
     for name in ("stationary_scaling.csv", "fits.json"):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 

@@ -30,6 +30,19 @@ def _block(a, b, hermitian=False):
     return ModeBlock(p=1, a=a, b=b, eps_sq=x, j_imag=0.0, hermitian=hermitian)
 
 
+def _grid(a, b, ji, x, hermitian, t, theta):
+    """n, cr and ci of every mode on the (modes x times) grid, in input order.
+
+    One trajectory_arrays call per run of mode_columns, each (times x
+    sorted modes), put back into the order of a, b, ji and x.
+    """
+    order, runs = mode_columns(a, b, ji, x, hermitian, t, theta)
+    q = np.concatenate([trajectory_arrays(run, t) for run in runs], axis=2)
+    out = np.empty_like(q)
+    out[:, :, order] = q
+    return out.transpose(0, 2, 1)
+
+
 def _rand_blocks(rng, n, hermitian=False):
     out = []
     for _ in range(n):
@@ -251,13 +264,19 @@ def test_cell_keeps_the_replaced_grid_values_at_extreme_x_and_t():
     assert sum(math.isnan(w[0]) for w in _REPLACED_KERNEL_CELLS.values()) == 1
 
 
-def test_trajectory_arrays_returns_modes_by_times():
-    # modes form a column and times a row, a scalar time included
+def test_trajectory_arrays_returns_times_by_modes():
+    # one run of each sign, unbroken rows first; times form a column and a
+    # run's modes a contiguous row, a scalar time included
     x = np.array([0.5, -0.2, 1.0])
-    for t, shape in ((np.array([0.1, 0.2]), (3, 2)), (0.1, (3, 1))):
+    for t, times in ((np.array([0.1, 0.2]), 2), (0.1, 1)):
         for theta in ThetaKind:
-            q = trajectory_arrays(mode_columns(x, x, x, x, False, t, theta), t)
-            assert [v.shape for v in q] == [shape] * 3
+            order, runs = mode_columns(x, x, x, x, False, t, theta)
+            assert order.tolist() == [0, 2, 1]
+            assert [run[:2] for run in runs] == [(1, False), (-1, False)]
+            for run, modes in zip(runs, (2, 1)):
+                q = trajectory_arrays(run, t)
+                assert [v.shape for v in q] == [(times, modes)] * 3
+                assert all(v.flags.c_contiguous for v in q)
 
 
 # Relative gate of a broken block's propagator entries against 40-digit
@@ -357,7 +376,7 @@ def test_trajectory_arrays_matches_scalar_path():
         hermitian = mode is AnisotropyMode.HERMITIAN
         assert (x < 0).any() != hermitian
         for theta in ThetaKind:
-            n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, 1.3, theta), 1.3)
+            n, cr, ci = _grid(a, b, ji, x, hermitian, 1.3, theta)
             for i, blk in enumerate(blocks):
                 traj = evolve_mode_derivative(params, blk.p, 1.3, theta)
                 (amp0, amp2), (d0, d1) = traj.state.vector(), traj.dstate
@@ -420,7 +439,7 @@ def test_cell_qfi_matches_mpmath(theta, mode):
     hermitian = mode is AnisotropyMode.HERMITIAN
     edge = np.sqrt(DSERIES_Z / np.abs(x[:4]))
     t = np.concatenate([np.geomspace(0.01, 2000.0, 32), 0.99 * edge, 1.01 * edge])
-    n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, t, theta), t)
+    n, cr, ci = _grid(a, b, ji, x, hermitian, t, theta)
     got = 4.0 * (cr * cr + ci * ci) / (n * n)
     z = np.abs(x[:, None] * t * t)
     growth = np.sqrt(np.maximum(-x, 0.0))[:, None] * t  # |eps| t of broken cells
@@ -442,17 +461,18 @@ def test_cell_qfi_matches_mpmath(theta, mode):
     assert len(pole) >= 3 and (len(huge) >= 2) != hermitian
     for i, ti in pole + huge:
         row = (a[i:i + 1], b[i:i + 1], ji[i:i + 1], x[i:i + 1])
-        n, cr, ci = trajectory_arrays(mode_columns(*row, hermitian, ti, theta), ti)
+        n, cr, ci = _grid(*row, hermitian, ti, theta)
         got = 4.0 * (cr * cr + ci * ci) / (n * n)
         want = _mp_qfi_grid(*row, hermitian, ti, theta)
         assert np.isfinite(got).all() and (np.abs(got - want) <= CELL_QFI_RTOL * want).all()
 
 
 def test_trajectory_arrays_mixed_chunk_stays_finite():
-    # rows with x > 0, x < 0 and x = 0 in one chunk, at t = 0 and out to a
+    # rows with x > 0, x < 0 and x = 0 in one curve, at t = 0 and out to a
     # broken cell at |eps| t = 1e4, where cosh and sinh overflow double:
     # every n >= 1 and every result finite, with no warning (pytest turns
-    # warnings into errors)
+    # warnings into errors).  At t = 1e-3 the rows with |x| < 1 can enter
+    # the DSERIES_Z window, so the curve holds all five kinds of run.
     a = np.array([1.2, 0.3, 0.5, 0.0, -0.7])
     b = np.array([0.4, 1.1, 0.5, 0.9, 0.2])
     ji = np.array([0.3, -0.8, 0.6, 0.9, -0.1])
@@ -460,7 +480,10 @@ def test_trajectory_arrays_mixed_chunk_stays_finite():
     assert x[2] == 0.0 and (x < 0).sum() == 2 and (x > 0).sum() == 2
     t = np.array([0.0, 1e-3, 2.5, 40.0, 1e4 / math.sqrt(-x[1])])
     for theta in ThetaKind:
-        n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, False, t, theta), t)
+        runs = mode_columns(a, b, ji, x, False, t, theta)[1]
+        assert [run[:2] for run in runs] == [
+            (1, False), (-1, False), (1, True), (0, True), (-1, True)]
+        n, cr, ci = _grid(a, b, ji, x, False, t, theta)
         assert np.isfinite(n).all() and np.isfinite(cr).all() and np.isfinite(ci).all()
         assert (n >= 1.0).all()
         assert (n[:, 0] == 1.0).all() and (cr[:, 0] == 0.0).all() and (ci[:, 0] == 0.0).all()
@@ -495,7 +518,7 @@ def test_trajectory_arrays_tiny_x_rows(theta, hermitian):
     b = np.where(x < 0, 1.25, 0.75) * s
     ji = np.full(x.size, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        n, cr, ci = trajectory_arrays(mode_columns(a, b, ji, x, hermitian, t, theta), t)
+        n, cr, ci = _grid(a, b, ji, x, hermitian, t, theta)
         got = 4.0 * (cr * cr + ci * ci) / (n * n)
     finite = np.isfinite(n) & np.isfinite(cr) & np.isfinite(ci)
     assert finite[np.abs(x) >= 1e-300].all()
@@ -515,8 +538,7 @@ def test_trajectory_arrays_tiny_x_rows(theta, hermitian):
     # finite while h t^3 can, here up to t = 1.4e99
     late = t[t < 1e100]
     with np.errstate(over="ignore", invalid="ignore"):  # h / x overflows; the window holds
-        q = trajectory_arrays(mode_columns(
-            np.full(x.size, 1.25), np.full(x.size, 0.75), ji, x, hermitian, late, theta), late)
+        q = _grid(np.full(x.size, 1.25), np.full(x.size, 0.75), ji, x, hermitian, late, theta)
     assert all(np.isfinite(v).all() for v in q)
 
 

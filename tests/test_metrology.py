@@ -153,13 +153,22 @@ def _mode_columns(params):
     return a, b, j_imag, eps_sq
 
 
-def _full_grid_qfi_curve(params, t_grid, theta_kind):
-    """The whole (modes x times) grid in one trajectory_arrays call."""
+def _full_grid_per_mode(params, t_grid, theta_kind):
+    """Per-mode QFI of each run of mode_columns over the whole grid, one
+    trajectory_arrays call per run, as (times x modes) arrays in run order."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    n, cr, ci = trajectory_arrays(
-        mode_columns(*_mode_columns(params), hermitian, t_grid, theta_kind), t_grid)
-    return np.add.reduce(4.0 * (cr * cr + ci * ci) / (n * n), axis=0)
+    runs = mode_columns(*_mode_columns(params), hermitian, t_grid, theta_kind)[1]
+    return [4.0 * (cr * cr + ci * ci) / (n * n)
+            for n, cr, ci in (trajectory_arrays(run, t_grid) for run in runs)]
+
+
+def _full_grid_qfi_curve(params, t_grid, theta_kind):
+    """Each run's full-grid per-mode QFI summed along its mode axis, in run order."""
+    total = np.zeros(np.size(t_grid))
+    for per_mode in _full_grid_per_mode(params, t_grid, theta_kind):
+        total += np.add.reduce(per_mode, axis=1)
+    return total
 
 
 def _reference_qfi_curve(params, t_grid, theta_kind):
@@ -234,50 +243,85 @@ def test_qfi_curve_matches_complex_reference(theta, mode):
 
 @pytest.mark.parametrize("mode", list(AnisotropyMode))
 @pytest.mark.parametrize("theta", list(ThetaKind))
+# chunks: the trajectory_arrays calls of the first field's curve, non-Hermitian
+# and Hermitian.  With t = 1e-9 in the grid every mode is a near row.
 @pytest.mark.parametrize("n,times,budget,chunks,fields", [
-    (2000, _STREAM_TIMES, None, 19, _FIELDS),          # 1000 modes, 54 a chunk
-    (2000, _SHUFFLED_TIMES, None, 19, _FIELDS),        # the same times, shuffled
-    (2000, [200.0], None, 1, _FIELDS),                 # one time: one chunk
-    (64, _STREAM_TIMES[::3], 64, 64, _FIELDS),         # 100 times > budget: one mode by 64 + 36
-    (16, _STREAM_TIMES[:129], 64, 24, _FIELDS),        # 129 times: blocks of 64, 64 and 1
+    (2000, _STREAM_TIMES, 2 ** 14, (19, 19), _FIELDS),    # runs of 859 and 141 by 19 and 116
+    (2000, _SHUFFLED_TIMES, 2 ** 14, (19, 19), _FIELDS),  # the same times, shuffled
+    (2000, [200.0], 2 ** 14, (2, 1), _FIELDS),            # one time: one chunk a run
+    (64, _STREAM_TIMES[::3], 64, (54, 59), _FIELDS),      # runs of 5-32 modes by 2-12 times
+    (16, _STREAM_TIMES[:129], 64, (18, 17), _FIELDS),     # 129 times in blocks of 8-64
     # every mode can enter the DSERIES_Z window at t = 1e-9, but only
-    # cells of the first block of 64 times do
-    (16, _STREAM_TIMES[1:129], 64, 16, _FIELDS),
-    (2000, _STREAM_TIMES[4:], None, 19, _EP_FIELDS),   # x < 0, x ~ 0 and x > 0 in one chunk
-], ids=["chunks", "shuffled", "one-time", "one-mode-chunks", "time-blocks",
+    # cells of the first few blocks of times do
+    (16, _STREAM_TIMES[1:129], 64, (17, 16), _FIELDS),
+    (2000, _STREAM_TIMES[4:], 2 ** 14, (21, 19), _EP_FIELDS),  # x < 0, x ~ 0 and x > 0
+], ids=["chunks", "shuffled", "one-time", "run-chunks", "time-blocks",
         "window-first-block", "mixed-sign"])
 def test_qfi_curve_matches_full_grid_reference(monkeypatch, n, times, budget, chunks, fields,
                                                theta, mode):
-    # streaming over mode x time chunks gives the full-grid totals bit for
-    # bit, from per-mode columns built once per curve
-    if budget is not None:
-        monkeypatch.setattr(metrology, "CHUNK_CELLS", budget)
+    # each run is walked in chunks of L = min(run, budget) modes by
+    # max(1, budget // L) times.  Every run here fits in one chunk's modes,
+    # so however its times are blocked the totals are the full-grid totals
+    # bit for bit, from per-mode columns built once per curve
+    monkeypatch.setattr(metrology, "CHUNK_CELLS", budget)
     calls, built = [], []
 
     def counted(*args):
         r = trajectory_arrays(*args)
-        calls.append(r[0].size)
+        calls.append(r[0].shape)
         return r
 
     def counted_columns(*args):
-        built.append(args)
-        return mode_columns(*args)
+        built.append(mode_columns(*args))
+        return built[-1]
 
     monkeypatch.setattr(metrology, "trajectory_arrays", counted)
     monkeypatch.setattr(metrology, "mode_columns", counted_columns)
-    for h in fields:
+    for k, h in enumerate(fields):
         params = ModelParams(N=n, Z=3, alpha=1.5, gamma=0.4, h=h, anisotropy_mode=mode)
         calls.clear()
         built.clear()
         got = qfi_curve(params, times, theta)
-        assert len(calls) == chunks and len(built) == 1
-        assert sum(calls) == n // 2 * len(times)
+        assert len(built) == 1
+        sizes = [run[-1].size for run in built[0][1]]
+        assert sum(sizes) == n // 2 and max(sizes) <= budget
+        walk = []
+        for size in sizes:
+            steps = max(1, budget // size)
+            walk += [(len(times[t0:t0 + steps]), size) for t0 in range(0, len(times), steps)]
+        assert calls == walk
+        assert k or len(calls) == chunks[mode is AnisotropyMode.HERMITIAN]
         assert np.array_equal(got, _full_grid_qfi_curve(params, times, theta))
 
 
+# Relative gate of qfi_curve against math.fsum of the same per-mode values:
+# 3.8e-16 worst measured on the cells below (4.0e-16 with 300 times); a
+# sequential sum in mode order measured 9.6e-15 to 1.8e-14 here.
+PAIRWISE_SUM_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("theta", list(ThetaKind))
+@pytest.mark.parametrize("h", [-1.5, -0.8])
+def test_qfi_curve_sums_the_modes_to_fsum(h, theta):
+    # at N = 65536 the unbroken run is longer than one chunk; h = -0.8 is
+    # broken, with near rows from t = 0.01 on
+    params = ModelParams(N=65536, Z=3, alpha=1.5, gamma=0.4, h=h)
+    times = np.geomspace(0.01, 1000.0, 8)
+    per_mode = _full_grid_per_mode(params, times, theta)
+    sizes = [q.shape[1] for q in per_mode]
+    assert max(sizes) > metrology.CHUNK_CELLS and sum(sizes) == 32768
+    assert (len(per_mode) == 4) == (h == -0.8)
+    exact = np.array([math.fsum(row) for row in np.concatenate(per_mode, axis=1)])
+    assert (np.abs(qfi_curve(params, times, theta) - exact) <= PAIRWISE_SUM_RTOL * exact).all()
+
+
 def _window_modes(params, t):
-    """The near column of mode_columns: the modes that can enter the DSERIES_Z window in t."""
-    return mode_columns(*_mode_columns(params), False, t, ThetaKind.FIELD_H)[9][:, 0]
+    """The modes of the near runs of mode_columns, in block order: those
+    that can enter the DSERIES_Z window in t."""
+    order, runs = mode_columns(*_mode_columns(params), False, t, ThetaKind.FIELD_H)
+    near = np.empty(order.size, dtype=bool)
+    near[order] = np.concatenate([np.full(run[-1].size, run[1]) for run in runs])
+    return near
 
 
 def test_leading_zero_time_keeps_the_window_mask():
@@ -298,9 +342,10 @@ def test_leading_zero_time_keeps_the_window_mask():
             assert got[0] == 0.0 and np.array_equal(got[1:], qfi_curve(params, grid, theta))
     assert (x == 0.0).any()
     # at t = 0 alone only the x = 0 row is a window row
-    near = mode_columns(0.0, 0.0, 0.0, np.array([0.0, 1.0]), False, np.zeros(2),
-                        ThetaKind.FIELD_H)[9]
-    assert np.array_equal(near, [[True], [False]])
+    zeros = np.zeros(2)
+    order, runs = mode_columns(zeros, zeros, zeros, np.array([0.0, 1.0]), False, zeros,
+                               ThetaKind.FIELD_H)
+    assert order.tolist() == [1, 0] and [run[:2] for run in runs] == [(1, False), (0, True)]
 
 
 @pytest.mark.parametrize("theta", list(ThetaKind))
@@ -341,8 +386,10 @@ def test_unbroken_modes_approach_their_late_time_limits(t, theta):
             ModelParams(N=1024, Z=z, alpha=alpha, gamma=0.3, h=h))
         up = x > 0.0
         j_imag, a, b, x = j_imag[up], a[up], b[up], x[up]
-        n, cr, ci = trajectory_arrays(mode_columns(a, b, j_imag, x, False, times, theta), times)
-        f = 4.0 * (cr * cr + ci * ci)[:, 0] / (n * n)[:, 0]
+        order, (run,) = mode_columns(a, b, j_imag, x, False, times, theta)
+        assert np.array_equal(order, np.arange(x.size))  # one unbroken run, in block order
+        n, cr, ci = trajectory_arrays(run, times)  # one row: the time
+        f = 4.0 * (cr * cr + ci * ci)[0] / (n * n)[0]
         omega = np.sqrt(x)
         psi = omega * t
         norm = np.cos(psi) ** 2 + (a * a + b * b) / x * np.sin(psi) ** 2
@@ -358,9 +405,9 @@ def test_unbroken_modes_approach_their_late_time_limits(t, theta):
 def test_qfi_curve_memory_bounded():
     # beyond the O(N) block arrays and mode columns the working set is
     # O(CHUNK_CELLS), not O(N/2 x T).  With 300 times the traced peak was
-    # 2.0 MiB at N=2^14 and 4.0 MiB at N=2^16, where those arrays set it;
-    # one pass over the full grid peaks at 1.26 GB at N=2^16, about 4 kB
-    # per mode.
+    # 2.1 MiB at N=2^14 and 4.8 MiB at N=2^16, where those arrays and the
+    # J(phi) memo set it; one pass over the full grid peaks at 1.26 GB at
+    # N=2^16, about 4 kB per mode.
     grid = np.geomspace(0.02, 1000.0, 300)
     sizes = (2 ** 14, 2 ** 16)
     peaks = []
@@ -373,7 +420,7 @@ def test_qfi_curve_memory_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 8 * 2 ** 20
-    # 85 B per added mode measured: the block and mode columns, not a row of times
+    # 116 B per added mode measured: the memo, block and mode columns, not a row of times
     assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) // 2) < 128
 
 
