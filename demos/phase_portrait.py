@@ -35,11 +35,11 @@ def main() -> None:
 
     print()
     print("lower dome edge h_e = -max_phi (J^R + |gamma J^I|)")
-    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'polish its':>11}")
+    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'polish evals':>12}")
     for z, alpha in RANGES:
         params = ModelParams(N=N, Z=z, alpha=alpha, gamma=GAMMA, h=-1.0)
         res = find_exceptional_point(params)
-        print(f"({z}, {alpha:<4})   {res.h_e:>14.9f} {res.iterations:>11d}")
+        print(f"({z}, {alpha:<4})   {res.h_e:>14.9f} {res.iterations:>12d}")
 
     closed = -math.sqrt(1.0 + GAMMA**2)
     res = find_exceptional_point(

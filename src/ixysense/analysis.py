@@ -37,8 +37,8 @@ STATIONARY_DH_LIST = (0.0, -1e-4, -1e-3, -1e-2, -1e-1)
 # The finest odd-angle grid of the exceptional-point search, the positive-half
 # mode count of a 2^17-site chain.  It sets the polish cell, pi / EP_SCAN_ANGLES
 # either side of the grid's best angle, and caps the coarse grid, so no search
-# costs more than one scan of this many angles.  The polish is a bounded scalar
-# maximization, so the boundary comes out free of the O((2 pi / N)^2) grid
+# costs more than one scan of this many angles.  The polish searches continuous
+# angles, so the boundary comes out free of the O((2 pi / N)^2) grid
 # shift that the discrete classification of any single finite chain carries.
 EP_SCAN_ANGLES = 1 << 16
 
@@ -50,7 +50,8 @@ class ScalingAnchor(Enum):
 
 @dataclass(frozen=True)
 class EPResult:
-    """Lower edge of the broken dome, and the iterations of its polish."""
+    """Lower edge of the broken dome, and the evaluations of its polish: 45
+    for a full bracket, fewer only where it is clipped at phi = pi or near 0."""
 
     h_e: float
     iterations: int
@@ -123,70 +124,29 @@ class Polish(NamedTuple):
 
 
 def minimize_scalar(fun, bounds, xatol: float, maxiter: int) -> Polish:
-    """Minimize fun on bounds = (a, b) by Brent's bounded method.
+    """Minimize a unimodal fun on bounds = (a, b) by golden-section search.
 
-    A port of fminbound (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5) as scipy.optimize.minimize_scalar runs it
-    with method="bounded": its constants and operation order, so it takes
-    the same iterates to the bit.  It stops once the bracket around the
-    best point is within about xatol, or after maxiter evaluations.
+    Two interior points split the bracket in the golden ratio G; each further
+    evaluation drops the side beyond the worse one, so the bracket shrinks
+    by 1/G (Kiefer, Proc. AMS 4, 502 (1953)).  It stops once the bracket is
+    no wider than xatol, after 2 + ceil(log((b - a) / xatol) / log G)
+    evaluations, or after maxiter, and returns the better interior point.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = bounds
-    # xf, nfc and fulc (scipy's names) are the best, second and third points
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = ffulc = fnfc = fun(xf)
-    nfev = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:  # fit a parabola through the three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
-        if parabolic:
-            rat = (p + 0.0) / q
-            if xf + rat - a < tol2 or b - (xf + rat) < tol2:
-                rat = tol1 if xm >= xf else -tol1
-        else:  # golden section of the larger side
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        # a step of at least tol1; its sign is +1 at rat = -0.0 too, not copysign's
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = fun(x)
-        nfev += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd, nfev = fun(c), fun(d), 2
+    while b - a > xatol and nfev < maxiter:
+        if fc <= fd:  # a minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= maxiter:
-            break
-    return Polish(xf, fx, nfev)
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+        nfev += 1
+    return Polish(c, fc, nfev) if fc <= fd else Polish(d, fd, nfev)
 
 
 def find_exceptional_point(params: ModelParams) -> EPResult:
@@ -201,8 +161,8 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
     overflows); g is even about 0 and pi, so each edge half-cell reflects
     into a full cell with equal ends.  Cells bounded below the best g seen
     are dropped, the rest halved until the midpoints are the odd angles of
-    EP_SCAN_ANGLES.  A bounded scalar maximization within a step of the
-    best of these gives h_e free of any finite chain's grid shift.
+    EP_SCAN_ANGLES.  A golden-section search within a step of the best of
+    these gives h_e free of any finite chain's grid shift.
     """
     gamma = abs(params.gamma)
     if params.anisotropy_mode is AnisotropyMode.HERMITIAN or gamma == 0.0:
