@@ -148,11 +148,13 @@ def classify_phase(blocks: list[ModeBlock]) -> SpectrumClassification:
     return replace(cls, argmin_mode=blocks[cls.argmin_mode - 1].p)
 
 
-def probe_vectors(a, b, hermitian: bool):
+def probe_vectors(a, b, hermitian: bool, pivot=None):
     """Batched reference eigenvectors for blocks given by arrays a, b.
 
-    Returns (V, defective): V has shape (m, 2), each row normalized and
-    gauge-fixed so its largest-magnitude component is real positive.
+    Returns (V, defective): V has shape (m, 2), each row of unit norm and
+    gauge-fixed so its pivot component is real and >= 0.  The pivot is the
+    row's largest-magnitude component, or the one that the array `pivot`
+    (0 or 1 per row) names, wherever that one's square is a normal double.
     With m = M_10 (b non-Hermitian, -b Hermitian) the block has
     eigenvalues +-sqrt(x), x = a^2 - m b.  The reference eigenvalue is
     lam = -sqrt(x) (lowest real part) when x > 0, and +i sqrt(|x|)
@@ -161,32 +163,43 @@ def probe_vectors(a, b, hermitian: bool):
     kept, which avoids cancellation.  Non-Hermitian rows within
     TOL_PHASE of coalescence take lam = 0, which yields the merging
     eigendirection (b, -a), and are flagged; vanishing blocks fall back
-    to the vacuum basis vector, also flagged.
+    to the vacuum basis vector, also flagged.  The arithmetic is real:
+    lam is carried as its real and imaginary parts, and only the second
+    component of the kept row can be complex.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     m = -b if hermitian else b
     x = a * a - m * b
-    root = np.sqrt(np.abs(x))
-    lam = np.where(x > 0, -root, 1j * root)
-    defective = (np.abs(x) <= TOL_PHASE) & (not hermitian)
-    lam[defective] = 0.0
+    abs_x = np.abs(x)
+    defective = (abs_x <= TOL_PHASE) & (not hermitian)
+    minus_root = np.where(defective, 0.0, -np.sqrt(abs_x))
+    unbroken = x > (0.0 if hermitian else TOL_PHASE)
+    lam_re = np.where(unbroken, minus_root, 0.0)
 
-    u0, u1 = b, -(a + lam)
-    w0, w1 = a - lam, -m
-    keep_u = u0 * u0 + np.abs(u1) ** 2 >= np.abs(w0) ** 2 + w1 * w1
-    v = np.stack([np.where(keep_u, u0, w0), np.where(keep_u, u1, w1)], axis=1)
-
+    # |(b, -(a + lam))|^2 - |(a - lam, -m)|^2 = -4 a Re lam, so the second
+    # row is the longer one exactly where lam < 0 and a > 0
+    use_w = unbroken & (a > 0.0)
+    v0 = np.where(use_w, a - lam_re, b)
+    v1r = np.where(use_w, -m, -(a + lam_re))
+    v1i = np.where(unbroken, 0.0, minus_root)
     degenerate = (a == 0.0) & (b == 0.0)
-    v[degenerate] = (1.0, 0.0)
+    v0[degenerate] = 1.0
     defective |= degenerate
 
-    # gauge: largest-magnitude component real positive, unit norm
-    mags = np.abs(v)
-    piv = np.take_along_axis(v, np.argmax(mags, axis=1)[:, None], axis=1)[:, 0]
-    safe = np.abs(piv) > 0
-    phase = np.ones(len(a), dtype=complex)
-    phase[safe] = np.conj(piv[safe]) / np.abs(piv[safe])
-    v *= phase[:, None]
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return v, defective
+    # gauge: v conj(p) / (|p| |v|) with p the pivot component, which maps
+    # p to |p| / |v| with an imaginary part of exactly 0
+    n0 = v0 * v0
+    n1 = v1r * v1r + v1i * v1i
+    on_v1 = n1 > n0
+    if pivot is not None:
+        pivot = np.asarray(pivot, dtype=bool)
+        on_v1 = np.where(np.where(pivot, n1, n0) >= np.finfo(float).tiny, pivot, on_v1)
+    p_re, p_im = np.where(on_v1, v1r, v0), np.where(on_v1, v1i, 0.0)
+    scale = 1.0 / (np.sqrt(np.where(on_v1, n1, n0)) * np.sqrt(n0 + n1))
+    v = np.empty((len(a), 4))
+    np.multiply(v0 * p_re, scale, out=v[:, 0])
+    np.multiply(v0 * p_im, -scale, out=v[:, 1])
+    np.multiply(v1r * p_re + v1i * p_im, scale, out=v[:, 2])
+    np.multiply(v1i * p_re - v1r * p_im, scale, out=v[:, 3])
+    return v.view(complex), defective

@@ -16,9 +16,11 @@ negative.
 
 Dynamical probe:  evolve the pair vacuum with each block propagator and
 differentiate analytically.  Stationary probe:  reference eigenvector
-per block, differentiated by gauge-fixed central differences with one
-Richardson refinement (the analytic eigenvector derivative is singular
-at exceptional points, which the stationary scans deliberately approach).
+per block (blocks.probe_vectors), gauged at each of five stencil points
+onto the center vector's largest component and differentiated by central
+differences with one Richardson refinement (the analytic eigenvector
+derivative is singular at exceptional points, which the stationary scans
+deliberately approach).
 """
 
 from __future__ import annotations
@@ -133,50 +135,35 @@ def dynamical_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> QfiSa
     return QfiSample(value=float(qfi_curve(params, [t], theta_kind)[0]))
 
 
-def _probe_set(params: ModelParams):
-    """Probe vectors plus eps_sq for every block of one parameter point."""
-    _, _, _, a, b, eps_sq = block_arrays(params)
-    hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
-    v, defective = probe_vectors(a, b, hermitian)
-    return v, eps_sq, defective
-
-
-def _regauge(v: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-    """Rotate each row's phase so its pivot component is real positive.
-
-    Rows whose pivot component vanished (an eigenvector flipped
-    orientation entirely between stencil points) keep their own gauge.
-    """
-    piv = np.take_along_axis(v, pivot[:, None], axis=1)[:, 0]
-    mag = np.abs(piv)
-    phase = np.where(mag > 0, np.conj(piv) / np.where(mag > 0, mag, 1.0), 1.0)
-    return v * phase[:, None]
-
-
 def stationary_qfi(params: ModelParams, theta_kind: ThetaKind) -> QfiSample:
     """Fisher information of the stationary reference probe.
 
     Per-mode eigenvector derivatives use gauge-fixed central differences
-    with one Richardson refinement (steps s and s/2, s = 1e-6 max(1, |theta|));
-    all stencil states are re-gauged against the center state's largest
-    component before differencing.  Modes whose eps_sq changes sign
-    inside the stencil straddle an exceptional point; the count is
-    reported in meta["straddled_modes"] and the value is still returned.
+    with one Richardson refinement (steps s and s/2, s = 1e-6 max(1, |theta|)).
+    Each of the five stencil points makes one block_arrays and one
+    probe_vectors call, which gauges the four off-center points onto the
+    center vector's largest component (the pivot): the differenced
+    function is the unit eigenvector whose pivot component is real
+    positive.  The center vector's own phase drops out of the per-mode
+    QFI.  Modes whose eps_sq changes sign inside the stencil straddle an
+    exceptional point; the count is reported in meta["straddled_modes"]
+    and the value is still returned.
     """
     theta0 = getattr(params, theta_kind.value)  # ThetaKind values name the fields
     step = 1e-6 * max(1.0, abs(theta0))
+    hermitian = params.anisotropy_mode is AnisotropyMode.HERMITIAN
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: checked below
-        v0, eps0, defect0 = _probe_set(params)
+        a, b = block_arrays(params)[3:5]
+        v0, defect0 = probe_vectors(a, b, hermitian)
         pivot = np.argmax(np.abs(v0), axis=1)
-        v0 = _regauge(v0, pivot)
 
         stencil = {}
         eps_edge = {}
         for offs in (-step, -0.5 * step, 0.5 * step, step):
-            v, eps, _ = _probe_set(replace(params, **{theta_kind.value: theta0 + offs}))
-            stencil[offs] = _regauge(v, pivot)
-            eps_edge[offs] = eps
+            a, b, eps_edge[offs] = block_arrays(
+                replace(params, **{theta_kind.value: theta0 + offs}))[3:]
+            stencil[offs] = probe_vectors(a, b, hermitian, pivot)[0]
 
         d_full = (stencil[step] - stencil[-step]) / (2.0 * step)
         d_half = (stencil[0.5 * step] - stencil[-0.5 * step]) / step

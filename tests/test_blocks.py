@@ -193,6 +193,49 @@ def test_probe_vector_gauge_and_norm():
         assert ok.any()
 
 
+def _pivot_rows(rng):
+    """Rows of every kind the pivot gauge meets, as (a, b)."""
+    a = rng.uniform(-2, 2, size=300)               # random
+    b = rng.uniform(-2, 2, size=300)
+    tie = rng.uniform(-2, 2, size=20)               # broken, components tie
+    edge = rng.uniform(-2, 2, size=20)              # coalesced, on and near
+    near = np.sqrt(edge * edge - 0.5 * TOL_PHASE * rng.uniform(-1, 1, size=20))
+    a = np.concatenate([a, np.zeros(20), edge, -edge, edge,
+                        [0.0, 0.0, 1.0, -1.0, 0.5, 0.5]])
+    # vanishing rows, then rows with one component 0 or too small to square
+    b = np.concatenate([b, tie, edge, edge, np.copysign(near, edge),
+                        [0.0, 0.0, 0.0, 0.0, 1e-160, 1e-300]])
+    return a, b
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("choice", ["zeros", "ones", "random"])
+def test_probe_vector_pivot_gauge(hermitian, choice):
+    # the gauge goes onto the requested component, or onto the row's own
+    # largest one where the requested component vanished; the ray and
+    # the defective flags are those of the default call
+    rng = np.random.default_rng(20261020)
+    a, b = _pivot_rows(rng)
+    pivot = {"zeros": np.zeros(len(a), dtype=int), "ones": np.ones(len(a), dtype=int),
+             "random": rng.integers(0, 2, size=len(a))}[choice]
+    v, defective = probe_vectors(a, b, hermitian, pivot)
+    v_own, d_own = probe_vectors(a, b, hermitian)
+    _, d_ref = _reference_probe_vectors(a, b, hermitian)
+    assert_array_equal(defective, d_ref)
+    assert_array_equal(d_own, d_ref)
+    assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-15)
+    rows = np.arange(len(a))
+    vanished = np.abs(v_own[rows, pivot]) < 1e-150
+    assert vanished.any()
+    used = np.where(vanished, np.argmax(np.abs(v_own), axis=1), pivot)
+    assert (v[rows, used].imag == 0).all()
+    assert (v[rows, used].real >= 0).all()
+    assert_array_equal(v[vanished], v_own[vanished])
+    overlap = np.sum(np.conj(v_own) * v, axis=1)
+    aligned = v_own * (overlap / np.abs(overlap))[:, None]
+    assert np.abs(v - aligned).max() <= 1e-15
+
+
 def test_probe_vector_coalescence_flagged():
     # a = b sits exactly on the exceptional manifold: the merging
     # eigendirection (b, -a)/sqrt(a^2+b^2) comes back flagged

@@ -503,6 +503,51 @@ def test_stationary_qfi_matches_closed_form(z, alpha, gamma, h, theta):
     assert sample.value == pytest.approx(exact, rel=2e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [ThetaKind.FIELD_H, ThetaKind.ANISOTROPY_GAMMA])
+@pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+@pytest.mark.parametrize("z,alpha,gamma,h", [
+    (2, 1.0, 0.5, -1.5),    # unbroken, smallest |x| 0.25
+    (4, 0.8, 0.5, -1.2),    # unbroken, smallest |x| 0.04
+    (2, 2.5, 0.5, -1.0),    # criterion 7's critical cell: x and its
+                            # theta-derivative vanish together at phi = 0
+])
+def test_stationary_qfi_matches_closed_form_at_run_sizes(z, alpha, gamma, h, n, theta):
+    # the sizes that stationary-scaling runs; broken cells are left out, as
+    # at these N some mode sits next to the zero of x and the stencil's
+    # truncation error there, not its rounding, sets the difference
+    params = ModelParams(N=n, Z=z, alpha=alpha, gamma=gamma, h=h)
+    sample = stationary_qfi(params, theta)
+    assert sample.meta["straddled_modes"] == 0
+    assert sample.meta["defective_modes"] == 0
+    # worst measured 4.4e-10 (Z = 4, theta = h)
+    assert sample.value == pytest.approx(stationary_closed_form(params, theta), rel=1e-9)
+
+
+def test_stationary_qfi_stencil_shape(monkeypatch):
+    # five stencil points, each one block_arrays and one probe_vectors call
+    # that returns (m, 2) vectors: the shape perfbench's tracer counts
+    block_arrays_, probe_vectors_ = metrology.block_arrays, metrology.probe_vectors
+    arrays, vectors = [], []
+
+    def counted_block_arrays(params):
+        arrays.append(params)
+        return block_arrays_(params)
+
+    def counted_probe_vectors(*args):
+        v, defective = probe_vectors_(*args)
+        vectors.append((v.shape, v.dtype, defective.shape))
+        return v, defective
+
+    monkeypatch.setattr(metrology, "block_arrays", counted_block_arrays)
+    monkeypatch.setattr(metrology, "probe_vectors", counted_probe_vectors)
+    for theta in ThetaKind:
+        arrays.clear()
+        vectors.clear()
+        stationary_qfi(ModelParams(N=64, Z=2, alpha=1.0, gamma=0.3, h=-1.5), theta)
+        assert len(arrays) == 5
+        assert vectors == [((32, 2), np.complex128, (32,))] * 5
+
+
 def test_stationary_qfi_straddle_flagged():
     # eps_sq = (a - b)(a + b) of mode 3 vanishes at h0 = -Re J + gamma Im J;
     # h sits 3e-7 above it, inside the default step 1e-6 max(1, |h|), so
