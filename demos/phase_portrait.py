@@ -35,7 +35,7 @@ def main() -> None:
 
     print()
     print("lower dome edge h_e = -max_phi (J^R + |gamma J^I|)")
-    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'polish evals':>12}")
+    print(f"{'(Z, alpha)':<12} {'h_e':>14} {'g evals':>12}")
     for z, alpha in RANGES:
         params = ModelParams(N=N, Z=z, alpha=alpha, gamma=GAMMA, h=-1.0)
         res = find_exceptional_point(params)

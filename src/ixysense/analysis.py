@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,8 +51,8 @@ class ScalingAnchor(Enum):
 
 @dataclass(frozen=True)
 class EPResult:
-    """Lower edge of the broken dome, and the evaluations of its polish: 45
-    for a full bracket, fewer only where it is clipped at phi = pi or near 0."""
+    """Lower edge of the broken dome, and the number of angles at which its
+    search evaluated g: coarse grid, refinement midpoints and polish."""
 
     h_e: float
     iterations: int
@@ -105,13 +106,17 @@ class StationaryScalingResult:
 def run_cells(fn, cells, threads: int = 1) -> list:
     """Apply fn to each cell, optionally on a thread pool.
 
-    Results come back in cell order regardless of thread count, and each
-    cell is a pure computation, so the output is identical for any
-    threads value.
+    The pool holds min(threads, cells, usable CPUs) workers, and the cells
+    run in order when that is 1.  Results come back in cell order
+    regardless of thread count, and each cell is a pure computation, so
+    the output is identical for any threads value.
     """
-    if threads <= 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(cells), cpus)
+    if workers <= 1:
         return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
 
 
@@ -185,7 +190,7 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
     w = full // m if m < EP_SCAN_ANGLES else 1
     angles = _odd_angles(m)
     gi = g(angles)
-    best = float(gi.max())
+    best, evaluated = float(gi.max()), m
     if w > 1:  # cells [a, a + w]; each edge half-cell reflected into a full one
         a = np.arange(-1, 2 * m, 2) * (w // 2)
         ga, gb = np.concatenate((gi[:1], gi)), np.concatenate((gi, gi[-1:]))
@@ -197,7 +202,7 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
         idx = a + w
         angles = idx * math.pi / full
         gi = g(angles)
-        best = max(best, float(gi.max()))
+        best, evaluated = max(best, float(gi.max())), evaluated + idx.size
         a, ga, gb = np.concatenate((a, idx)), np.concatenate((ga, gi)), np.concatenate((gi, gb))
     phi_k = float(angles[np.argmax(gi)])
     step = math.pi / EP_SCAN_ANGLES
@@ -205,7 +210,7 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
                           bounds=(max(phi_k - step, 1e-300), min(phi_k + step, math.pi)),
                           xatol=1e-13, maxiter=300)
     # res.fun is -g at the polished angle; keep the best grid value if it is higher
-    return EPResult(h_e=min(-best, float(res.fun)), iterations=res.nfev)
+    return EPResult(h_e=min(-best, float(res.fun)), iterations=evaluated + res.nfev)
 
 
 def fit_power_law(x, y, window: tuple[float, float]) -> PowerFit:

@@ -345,7 +345,7 @@ def _run_exceptional_point(params, cfg, writer, threads) -> int:
     writer.derived["h_e"] = row[4]
     writer.csv("exceptional_point.csv", "Z,alpha,gamma,N,h_e,iterations",
                [[value] for value in row])
-    print(f"h_e = {row[4]:.9f} ({row[5]} polish evaluations)")
+    print(f"h_e = {row[4]:.9f} ({row[5]} angles evaluated)")
     return 0
 
 

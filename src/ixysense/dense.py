@@ -5,7 +5,8 @@ strings, with no fermionic reduction, and computes the dynamical QFI
 from the matrix exponential and its exact Frechet derivative
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
 Everything here is an independent cross-check of the momentum-block
-pipeline: the only shared ingredient is the coupling profile.
+pipeline: the only shared ingredients are the coupling profile and
+`metrology.mode_qfi`, the QFI of a state and its derivative.
 
 Site basis: bit value 0 is spin up (sigma^z = +1), 1 is spin down, and
 site j is bit N-1-j of a state's index, so the all-up state is 0 and
@@ -36,7 +37,6 @@ for the imaginary anisotropy), and H_z = (1/2) sum_j sigma^z_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -46,25 +46,6 @@ from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
 MAX_DENSE_SITES = 14
-
-
-@dataclass(frozen=True)
-class SectorHamiltonian:
-    """H on the symmetric even sector, with its derivatives in h and gamma.
-
-    matrix  -- H, dense, in the order of the ascending representatives
-    d_gamma -- dH/dgamma = H_gamma, dense
-    d_h     -- dH/dh = H_z, as its diagonal
-    """
-
-    matrix: np.ndarray
-    d_gamma: np.ndarray
-    d_h: np.ndarray
-
-    def derivative(self, theta_kind: ThetaKind) -> np.ndarray:
-        if theta_kind is ThetaKind.FIELD_H:
-            return np.diag(self.d_h)
-        return self.d_gamma
 
 
 def _orbit_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,9 +100,11 @@ def _term_table(n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
-    """The periodic-chain Hamiltonian on the symmetric even sector.
+def build_spin_hamiltonian(params: ModelParams,
+                           theta_kind: ThetaKind) -> tuple[np.ndarray, np.ndarray]:
+    """H on the symmetric even sector and dH/dtheta: H_z for h, H_gamma for gamma.
 
+    Both are dense, with rows and columns in ascending representative order.
     Site indices wrap modulo N; every (j, r) term of the double sum is
     built literally, including both antipodal partners at r = N/2, whose
     parity strings dress complementary halves of the ring.  On a basis
@@ -166,11 +149,11 @@ def build_spin_hamiltonian(params: ModelParams) -> SectorHamiltonian:
         d_gamma *= 1j
     matrix = hop + params.gamma * d_gamma
     matrix[np.diag_indices(dim)] += params.h * d_h
-    return SectorHamiltonian(matrix=matrix, d_gamma=d_gamma, d_h=d_h)
+    return matrix, np.diag(d_h) if theta_kind is ThetaKind.FIELD_H else d_gamma
 
 
-def propagate_dense(op: SectorHamiltonian, t: float,
-                    theta_kind: ThetaKind) -> tuple[np.ndarray, np.ndarray]:
+def propagate_dense(matrix: np.ndarray, derivative: np.ndarray,
+                    t: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H t) psi0 and its theta-derivative, psi0 the vacuum.
 
     One call of scipy.linalg.expm_frechet gives U = exp(A) and its
@@ -181,16 +164,14 @@ def propagate_dense(op: SectorHamiltonian, t: float,
     """
     import scipy.linalg
 
-    a = -1j * t * op.matrix
-    e = -1j * t * op.derivative(theta_kind)
-    u, du = scipy.linalg.expm_frechet(a, e)
+    u, du = scipy.linalg.expm_frechet(-1j * t * matrix, -1j * t * derivative)
     return u[:, -1], du[:, -1]
 
 
 def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> float:
     """Dynamical QFI of the normalized evolved vacuum, from the dense evolution."""
     with np.errstate(over="ignore", invalid="ignore"):  # exp(-i H t) can overflow: checked below
-        qfi = mode_qfi(*propagate_dense(build_spin_hamiltonian(params), t, theta_kind))
+        qfi = mode_qfi(*propagate_dense(*build_spin_hamiltonian(params, theta_kind), t))
     if not np.isfinite(qfi):  # also wherever the evolved vectors are not finite
         raise NumericalError(f"non-finite dense evolution at N={params.N}, t={t!r}")
     return qfi

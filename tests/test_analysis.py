@@ -1,6 +1,7 @@
 """Power-law fits, the phase-boundary locator, and the sweep drivers."""
 
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -76,6 +77,25 @@ def test_find_exceptional_point_closed_form():
     res = find_exceptional_point(params)
     assert abs(res.h_e - (-math.sqrt(1.25))) <= 1e-14
     assert res.iterations > 0
+
+
+def test_exceptional_point_iterations_count_the_evaluated_angles(monkeypatch):
+    # coarse grid, refinement midpoints and polish: every angle at which the
+    # search evaluates J; the count grows with the range (m >= 4Z + 4)
+    angles = []
+
+    def counted(profile, phi):
+        angles.append(np.size(phi))
+        return momentum_coupling(profile, phi)
+
+    monkeypatch.setattr(analysis, "momentum_coupling", counted)
+    counts = []
+    for z in (1, 8, 64, 512):
+        angles.clear()
+        res = find_exceptional_point(ModelParams(N=1024, Z=z, alpha=1.0, gamma=0.5, h=-1.0))
+        assert res.iterations == sum(angles)
+        counts.append(res.iterations)
+    assert counts == sorted(set(counts))
 
 
 # Absolute gate of find_exceptional_point against a 30-digit -max_phi g;
@@ -357,3 +377,31 @@ def test_run_cells_order_and_threads():
     cells = list(range(20))
     fn = lambda c: c * c
     assert run_cells(fn, cells, threads=1) == run_cells(fn, cells, threads=5)
+
+
+def test_run_cells_caps_its_pool_at_the_usable_cpus(monkeypatch):
+    # a huge threads value starts no more workers than cells or CPUs; the
+    # recorder maps in order, so no thread is started at all
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recorder)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    cells = list(range(50))
+    assert run_cells(lambda c: c * c, cells, threads=10 ** 6) == [c * c for c in cells]
+    assert pools == ([] if cpus == 1 else [min(cpus, len(cells))])
+    assert run_cells(lambda c: c, [7], threads=10 ** 6) == [7]
+    assert len(pools) <= 1

@@ -166,6 +166,14 @@ def _isometry(n):
     return p
 
 
+def _built(params):
+    """(H, dH/dgamma, dH/dh) from the builder, one call per theta; H is the same."""
+    matrix, d_h = build_spin_hamiltonian(params, ThetaKind.FIELD_H)
+    same, d_gamma = build_spin_hamiltonian(params, ThetaKind.ANISOTROPY_GAMMA)
+    assert np.array_equal(matrix, same)
+    return matrix, d_gamma, d_h
+
+
 _SECTOR_CASES = [(n, z, mode) for n in (4, 6) for z in range(1, n // 2 + 1)
                  for mode in AnisotropyMode]
 
@@ -173,7 +181,7 @@ _SECTOR_CASES = [(n, z, mode) for n in (4, 6) for z in range(1, n // 2 + 1)
 @pytest.mark.parametrize("n,z,mode", _SECTOR_CASES)
 def test_sector_builder_matches_kron_reference(n, z, mode):
     params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
-    op = build_spin_hamiltonian(params)
+    matrix, d_gamma, d_h = _built(params)
     even = sector_states(n)
     p = _isometry(n)
 
@@ -182,15 +190,15 @@ def test_sector_builder_matches_kron_reference(n, z, mode):
 
     ref = _kron_hamiltonian(params)
     scale = np.abs(ref).max()
-    assert op.matrix.shape == (p.shape[1], p.shape[1])
-    assert np.abs(op.matrix - project(ref)).max() <= 1e-15 * scale
+    assert matrix.shape == d_gamma.shape == d_h.shape == (p.shape[1], p.shape[1])
+    assert np.abs(matrix - project(ref)).max() <= 1e-15 * scale
     # the reference is affine in gamma and h: its slopes are the derivatives
-    d_gamma = _kron_hamiltonian(replace(params, gamma=1.0, h=0.0)) \
+    ref_gamma = _kron_hamiltonian(replace(params, gamma=1.0, h=0.0)) \
         - _kron_hamiltonian(replace(params, gamma=0.0, h=0.0))
-    assert np.abs(op.d_gamma - project(d_gamma)).max() <= 1e-15
-    d_h = _kron_hamiltonian(replace(params, gamma=0.0, h=1.0)) \
+    assert np.abs(d_gamma - project(ref_gamma)).max() <= 1e-15
+    ref_h = _kron_hamiltonian(replace(params, gamma=0.0, h=1.0)) \
         - _kron_hamiltonian(replace(params, gamma=0.0, h=0.0))
-    assert np.abs(np.diag(op.d_h) - project(d_h)).max() <= 1e-15
+    assert np.abs(d_h - project(ref_h)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,z", [(n, z) for n in (4, 6, 8, 10, 12)
@@ -202,18 +210,18 @@ def test_zero_momentum_builder_matches_sector_reference(n, z):
     p = _isometry(n)
     for mode in AnisotropyMode:
         params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
-        op = build_spin_hamiltonian(params)
+        built, built_gamma, built_h = _built(params)
         matrix, d_gamma, d_h = _sector_hamiltonian(params)
         hp = matrix @ p
-        assert np.abs(p.T @ hp - op.matrix).max() <= 1e-14
-        assert np.abs(hp - p @ op.matrix).max() <= 1e-14
-        assert np.abs(p.T @ d_gamma @ p - op.d_gamma).max() <= 1e-14
-        assert np.abs((p.T * d_h) @ p - np.diag(op.d_h)).max() <= 1e-14
+        assert np.abs(p.T @ hp - built).max() <= 1e-14
+        assert np.abs(hp - p @ built).max() <= 1e-14
+        assert np.abs(p.T @ d_gamma @ p - built_gamma).max() <= 1e-14
+        assert np.abs((p.T * d_h) @ p - built_h).max() <= 1e-14
 
 
 def test_zero_momentum_dimensions():
     dims = {n: build_spin_hamiltonian(
-        ModelParams(N=n, Z=2, alpha=1.0, gamma=0.3, h=-0.7)).matrix.shape
+        ModelParams(N=n, Z=2, alpha=1.0, gamma=0.3, h=-0.7), ThetaKind.FIELD_H)[0].shape
         for n in (4, 6, 8, 10, 12, 14)}
     assert dims == {4: (4, 4), 6: (8, 8), 8: (18, 18), 10: (44, 44), 12: (122, 122),
                     14: (362, 362)}
@@ -227,11 +235,11 @@ def test_term_table_matches_loop_reference(n):
     for z in range(1, n // 2 + 1):
         for mode in AnisotropyMode:
             params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8, anisotropy_mode=mode)
-            op = build_spin_hamiltonian(params)
+            built, built_gamma, built_h = _built(params)
             matrix, d_gamma, d_h = _loop_hamiltonian(params)
-            assert np.array_equal(op.matrix, matrix)
-            assert np.array_equal(op.d_gamma, d_gamma)
-            assert np.array_equal(op.d_h, d_h)
+            assert np.array_equal(built, matrix)
+            assert np.array_equal(built_gamma, d_gamma)
+            assert np.array_equal(built_h, np.diag(d_h))
     for array in dense._term_table(n):
         with pytest.raises(ValueError):
             array[0] = array[0]
@@ -245,11 +253,11 @@ def test_cached_table_serves_every_z():
     p = _isometry(n)
     for z in (4, 1, 4):
         params = ModelParams(N=n, Z=z, alpha=1.3, gamma=0.45, h=-0.8)
-        op = build_spin_hamiltonian(params)
+        built, built_gamma, built_h = _built(params)
         matrix, d_gamma, d_h = _sector_hamiltonian(params)
-        assert np.abs(p.T @ matrix @ p - op.matrix).max() <= 1e-14
-        assert np.abs(p.T @ d_gamma @ p - op.d_gamma).max() <= 1e-14
-        assert np.abs((p.T * d_h) @ p - np.diag(op.d_h)).max() <= 1e-14
+        assert np.abs(p.T @ matrix @ p - built).max() <= 1e-14
+        assert np.abs(p.T @ d_gamma @ p - built_gamma).max() <= 1e-14
+        assert np.abs((p.T * d_h) @ p - built_h).max() <= 1e-14
     assert dense._term_table.cache_info().misses == 1
 
 
@@ -257,7 +265,7 @@ def test_polarized_diagonal_elements():
     # couplings are purely off-diagonal, so <all-up|H|all-up> = N h/2
     # and <all-down|H|all-down> = -N h/2
     params = ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=0.37)
-    m = build_spin_hamiltonian(params).matrix
+    m = build_spin_hamiltonian(params, ThetaKind.FIELD_H)[0]
     assert m[0, 0] == pytest.approx(2 * 0.37, rel=1e-14)
     assert m[-1, -1] == pytest.approx(-2 * 0.37, rel=1e-14)
 
@@ -268,15 +276,15 @@ def test_hermitian_mode_builds_hermitian_matrix():
     for n, z in ((4, 2), (6, 3), (10, 5), (12, 4)):
         params = ModelParams(N=n, Z=z, alpha=1.0, gamma=0.4, h=-0.7,
                              anisotropy_mode=AnisotropyMode.HERMITIAN)
-        m = build_spin_hamiltonian(params).matrix
+        m = build_spin_hamiltonian(params, ThetaKind.FIELD_H)[0]
         assert np.abs(m - m.conj().T).max() == 0.0
 
 
 def test_imaginary_anisotropy_conjugates_to_negated_gamma():
     for n, z in ((4, 2), (10, 5)):
         params = ModelParams(N=n, Z=z, alpha=1.0, gamma=0.4, h=-0.7)
-        m = build_spin_hamiltonian(params).matrix
-        m_neg = build_spin_hamiltonian(replace(params, gamma=-0.4)).matrix
+        m = build_spin_hamiltonian(params, ThetaKind.FIELD_H)[0]
+        m_neg = build_spin_hamiltonian(replace(params, gamma=-0.4), ThetaKind.FIELD_H)[0]
         assert np.abs(m.conj().T - m_neg).max() == 0.0
 
 
@@ -317,8 +325,9 @@ def test_polarized_vacuum_state():
     # the all-down state is its own one-state orbit and the last
     # representative, so the evolution at t = 0 returns the last basis state
     assert _orbits(4)[-1] == [2 ** 4 - 1]
-    op = build_spin_hamiltonian(ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=-0.7))
-    psi, dpsi = propagate_dense(op, 0.0, ThetaKind.FIELD_H)
+    op = build_spin_hamiltonian(ModelParams(N=4, Z=2, alpha=1.0, gamma=0.4, h=-0.7),
+                                ThetaKind.FIELD_H)
+    psi, dpsi = propagate_dense(*op, 0.0)
     assert psi.shape == (4,)
     assert psi[-1] == 1.0
     assert np.linalg.norm(psi) == 1.0
@@ -333,10 +342,10 @@ def test_frechet_derivative_matches_finite_difference(theta):
     theta0 = getattr(params, field)
 
     def state(v):
-        return propagate_dense(build_spin_hamiltonian(replace(params, **{field: v})),
-                               t, theta)[0]
+        return propagate_dense(*build_spin_hamiltonian(replace(params, **{field: v}), theta),
+                               t)[0]
 
-    _, dpsi = propagate_dense(build_spin_hamiltonian(params), t, theta)
+    _, dpsi = propagate_dense(*build_spin_hamiltonian(params, theta), t)
     fd = (state(theta0 + step) - state(theta0 - step)) / (2.0 * step)
     assert np.linalg.norm(dpsi - fd) <= 1e-7 * np.linalg.norm(dpsi)
 
@@ -344,7 +353,8 @@ def test_frechet_derivative_matches_finite_difference(theta):
 def test_size_guard():
     with pytest.raises(ValueError):
         build_spin_hamiltonian(
-            ModelParams(N=MAX_DENSE_SITES + 2, Z=1, alpha=1.0, gamma=0.3, h=-0.7))
+            ModelParams(N=MAX_DENSE_SITES + 2, Z=1, alpha=1.0, gamma=0.3, h=-0.7),
+            ThetaKind.FIELD_H)
 
 
 @pytest.mark.parametrize("theta", [ThetaKind.FIELD_H, ThetaKind.ANISOTROPY_GAMMA])

@@ -20,7 +20,7 @@ from ixysense.metrology import (
     qfi_ratio_time_avg,
     stationary_qfi,
 )
-from ixysense.model import AnisotropyMode, ModelParams, ThetaKind
+from ixysense.model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
 # Dual-route frozen value: the dense spin-basis oracle and the momentum
 # pipeline agree on this cell to 1e-10; the digits below are the pinned
@@ -521,6 +521,27 @@ def test_stationary_qfi_matches_closed_form_at_run_sizes(z, alpha, gamma, h, n, 
     assert sample.meta["defective_modes"] == 0
     # worst measured 4.4e-10 (Z = 4, theta = h)
     assert sample.value == pytest.approx(stationary_closed_form(params, theta), rel=1e-9)
+
+
+@pytest.mark.parametrize("z,alpha,c", [(1, 1.0, -2.7500), (2, 1.0, -4.0466),
+                                       (4, 1.0, -6.6157), (8, 1.2, -10.7870)])
+def test_hermitian_critical_field_size_law(z, alpha, c):
+    # At h = -1, J(0) = 1 makes a ~ -(sum r^2 J_r / 2) phi^2 and b ~ gamma B phi,
+    # B = sum r J_r, so x = a^2 + b^2 has a double zero at phi = 0 and
+    # F_h = b^2 / x^2 per mode reads 1 / (gamma B phi)^2 there.  Summed over
+    # the odd angles (2p - 1) pi / N that gives lead = N^2 / (8 gamma^2 B^2),
+    # and the next order is c_Z / N.  N (F / lead - 1) was measured within
+    # 5.4e-5 of the four-digit c_Z (Z = 2, mostly c_Z's rounding) and within
+    # 1.8e-5 of itself across N = 2^10-2^14; the gate is 1e-4.
+    gamma = 0.5
+    weights = coupling_profile(alpha, z).weights
+    b = float(np.arange(1, z + 1) @ weights)
+    for n in (1 << k for k in range(10, 15)):
+        params = ModelParams(N=n, Z=z, alpha=alpha, gamma=gamma, h=-1.0,
+                             anisotropy_mode=AnisotropyMode.HERMITIAN)
+        lead = n * n / (8.0 * gamma * gamma * b * b)
+        f = stationary_qfi(params, ThetaKind.FIELD_H).value
+        assert abs(n * (f / lead - 1.0) - c) <= 1e-4
 
 
 def test_stationary_qfi_stencil_shape(monkeypatch):
