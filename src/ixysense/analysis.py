@@ -12,9 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
-                    coupling_profile, critical_field_zero, momentum_coupling)
-from .blocks import _coupling
+from .model import (AnisotropyMode, ModelParams, ThetaKind, coupling_profile,
+                    critical_field_zero, grid_coupling, momentum_coupling)
 from .metrology import dynamical_qfi, qfi_curve, stationary_qfi
 
 # Time grids used throughout the scaling studies: the transient window
@@ -163,11 +162,12 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
     h+- = J^R +- gamma J^I, |h+-''| <= K = (1 + gamma) sum r^2 J_r, so a
     cell of width d holds no g above max(its ends) + K d^2 / 8.  The cells
     lie between m >= 4Z + 4 odd angles (EP_SCAN_ANGLES at most, or if K
-    overflows); g is even about 0 and pi, so each edge half-cell reflects
-    into a full cell with equal ends.  Cells bounded below the best g seen
-    are dropped, the rest halved until the midpoints are the odd angles of
-    EP_SCAN_ANGLES.  A golden-section search within a step of the best of
-    these gives h_e free of any finite chain's grid shift.
+    overflows), J on them from grid_coupling; g is even about 0 and pi,
+    so each edge half-cell reflects into a full cell with equal ends.  Cells
+    bounded below the best g seen are dropped, the rest halved until the
+    midpoints are the odd angles of EP_SCAN_ANGLES.  A golden-section search
+    within a step of the best of these gives h_e free of any finite chain's
+    grid shift.  The midpoints and the search take J by direct sums.
     """
     gamma = abs(params.gamma)
     if params.anisotropy_mode is AnisotropyMode.HERMITIAN or gamma == 0.0:
@@ -176,8 +176,7 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
             f"anisotropy={params.anisotropy_mode.value}, gamma={params.gamma!r}")
     profile = coupling_profile(params.alpha, params.Z)
 
-    def g(phi):
-        j = momentum_coupling(profile, phi)
+    def g(j):
         return j.real + gamma * abs(j.imag)
 
     r = np.arange(1, params.Z + 1)
@@ -188,8 +187,8 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
     # is the odd integers, which a capped coarse grid already is (w = 1)
     full = 2 * EP_SCAN_ANGLES
     w = full // m if m < EP_SCAN_ANGLES else 1
-    angles = _odd_angles(m)
-    gi = g(angles)
+    angles, j = grid_coupling(2 * m, params.Z, params.alpha)
+    gi = g(j)
     best, evaluated = float(gi.max()), m
     if w > 1:  # cells [a, a + w]; each edge half-cell reflected into a full one
         a = np.arange(-1, 2 * m, 2) * (w // 2)
@@ -201,12 +200,12 @@ def find_exceptional_point(params: ModelParams) -> EPResult:
         a, ga, gb, w = a[keep], ga[keep], gb[keep], w // 2
         idx = a + w
         angles = idx * math.pi / full
-        gi = g(angles)
+        gi = g(momentum_coupling(profile, angles))
         best, evaluated = max(best, float(gi.max())), evaluated + idx.size
         a, ga, gb = np.concatenate((a, idx)), np.concatenate((ga, gi)), np.concatenate((gi, gb))
     phi_k = float(angles[np.argmax(gi)])
     step = math.pi / EP_SCAN_ANGLES
-    res = minimize_scalar(lambda phi: -g(phi),
+    res = minimize_scalar(lambda phi: -g(momentum_coupling(profile, phi)),
                           bounds=(max(phi_k - step, 1e-300), min(phi_k + step, math.pi)),
                           xatol=1e-13, maxiter=300)
     # res.fun is -g at the polished angle; keep the best grid value if it is higher
@@ -295,8 +294,8 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
 
     For each offset dh the stationary QFI across N_list at the field
     anchor + dh (the h of params is ignored) is fitted to a power law in N.
-    The cells run size-major: each N's J(phi) fills the memo of block_arrays
-    before that N's offsets go to the pool, so it is evaluated once.  Then regroup by dh.
+    The cells run size-major: each N's J(phi) fills the memo of grid_coupling
+    before that N's offsets go to the pool, so it is computed once.  Then regroup by dh.
     """
     offsets = tuple(dh_list if dh_list is not None else STATIONARY_DH_LIST)
     sizes = np.array(N_list if N_list is not None else STATIONARY_N_LIST)
@@ -305,7 +304,7 @@ def sweep_stationary_scaling(params: ModelParams, theta_kind: ThetaKind,
 
     flat = []
     for n in sizes.tolist():
-        _coupling(n, params.Z, params.alpha)
+        grid_coupling(n, params.Z, params.alpha)
         flat += run_cells(lambda dh: stationary_qfi(
             replace(params, N=n, h=anchor_value + dh), theta_kind), offsets, threads)
     rows = []

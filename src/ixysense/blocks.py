@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .model import AnisotropyMode, ModelParams, _odd_angles, coupling_profile, momentum_coupling
+from .model import AnisotropyMode, ModelParams, grid_coupling
 
 # Classification tolerance: eigenvalue-squared magnitudes below this are
 # treated as coalesced rather than resolved into a sign.
@@ -83,27 +82,15 @@ def _describe(params: ModelParams) -> str:
             f"h={params.h}, {params.anisotropy_mode.value}")
 
 
-@lru_cache(maxsize=1)
-def _coupling(N: int, Z: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum grid phi_p = (2p - 1) pi / N, p = 1 .. N/2, and J(phi), read-only.
-
-    One block per (phi, -phi) pair, N fermionic modes in total; this is
-    the counting that matches the dense oracle.  Only the last coupling is kept.
-    """
-    phi = _odd_angles(N // 2)
-    j = momentum_coupling(coupling_profile(alpha, Z), phi)
-    phi.flags.writeable = j.flags.writeable = False
-    return phi, j
-
-
 def block_arrays(params: ModelParams):
     """Vectorized block data: (phi, j_real, j_imag, a, b, eps_sq).
 
     Every run path reads these columns; build_blocks wraps them in
-    dataclass records, a view for the acceptance suite.  J(phi) is evaluated
-    once per coupling (N, Z, alpha); each call returns arrays of its own.
+    dataclass records, a view for the acceptance suite.  J(phi) is
+    model.grid_coupling's, computed once per coupling (N, Z, alpha); each
+    call returns arrays of its own.
     """
-    phi, j = _coupling(params.N, params.Z, params.alpha)
+    phi, j = grid_coupling(params.N, params.Z, params.alpha)
     j_real = j.real.copy()
     j_imag = j.imag.copy()
     a = params.h + j_real

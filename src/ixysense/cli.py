@@ -244,7 +244,7 @@ def resolve_config(experiment: str, config_path: str | None,
 class RunWriter:
     """Collects output files, warnings, and derived values for one run.
 
-    The output directory is created by the first write, so a run that
+    The output directory is made once, by the first write, so a run that
     fails before writing anything leaves no directory behind.
     """
 
@@ -265,7 +265,8 @@ class RunWriter:
         return lines
 
     def _path(self, name: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:
+            self.dir.mkdir(parents=True, exist_ok=True)
         return self.dir / name
 
     def csv(self, name: str, header: str, columns) -> Path:

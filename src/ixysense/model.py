@@ -14,11 +14,11 @@ Momentum space enters through the coupling transform
 
 evaluated on the half-integer grid phi_p = (2p - 1) pi / N that a
 fermionic representation with antiperiodic boundary conditions selects
-in the even-parity sector.  momentum_coupling is the package's one
-evaluation of J: on such a grid of m = N/2 angles, r phi_p is an odd
-multiple of 2 pi / (4m), so J is the odd bins of one real FFT of length
-4m with the weights folded mod 4m, O(m log m) and exact in every
-harmonic; a scalar or any other angles get the direct Z-term sum.
+in the even-parity sector.  grid_coupling owns J on that grid: r phi_p
+is an odd multiple of 2 pi / (2N), so J is the odd bins of one real FFT
+of length 2N with the weights folded mod 2N, O(N log N) and exact in
+every harmonic.  momentum_coupling is the direct Z-term sum at any
+other angles.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,31 +97,33 @@ def coupling_profile(alpha: float, Z: int) -> CouplingProfile:
     return CouplingProfile(weights=r ** (-alpha) / kac_factor(alpha, Z))
 
 
-def _odd_angles(m: int) -> np.ndarray:
-    """The m angles (2p - 1) pi / (2m), p = 1 .. m: odd multiples of pi / (2m)."""
-    p = np.arange(1, m + 1, dtype=float)
-    return (2.0 * p - 1.0) * math.pi / (2 * m)
+@lru_cache(maxsize=1)
+def grid_coupling(N: int, Z: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum grid phi_p = (2p - 1) pi / N, p = 1 .. N/2, and J(phi), read-only.
+
+    One block per (phi, -phi) pair, N fermionic modes in total; this is
+    the counting that matches the dense oracle.  J is the odd bins of one
+    real FFT of length 2N, the weights folded mod 2N (every harmonic is
+    exact, whatever Z).  Only the last coupling is kept.
+    """
+    # the angles first, so an impossible N fails to allocate here
+    phi = (2.0 * np.arange(1, N // 2 + 1, dtype=float) - 1.0) * math.pi / N
+    weights = coupling_profile(alpha, Z).weights
+    folded = np.bincount(np.arange(1, Z + 1) % (2 * N), weights=weights, minlength=2 * N)
+    # rfft has exp(-i...); folded is real, so J is its conjugate
+    j = np.conj(np.fft.rfft(folded)[1:N:2])
+    phi.flags.writeable = j.flags.writeable = False
+    return phi, j
 
 
 def momentum_coupling(profile: CouplingProfile, phi):
-    """J(phi) = sum_r J_r exp(i r phi), the only evaluation of J in the package.
+    """J(phi) = sum_r J_r exp(i r phi) by the direct sum over the Z terms.
 
     Accepts a scalar angle or an ndarray of angles; returns complex of
-    the same shape.  On the half-integer grid phi = _odd_angles(m), the
-    m values are the odd bins of one real FFT of length 4m, the weights
-    folded mod 4m (every harmonic is exact, whatever Z); any other input
-    is a direct sum over the Z terms.  The path changes how J is
-    computed, never what beyond rounding.
+    the same shape.  J on a chain's own momentum grid is grid_coupling.
     """
     phi_arr = np.asarray(phi, dtype=float)
-    m = phi_arr.size
     r = np.arange(1, profile.weights.size + 1)
-    # _odd_angles(m) starts at pi / (2m) to the bit, so no other phi needs it built
-    if (phi_arr.ndim == 1 and m > 0 and phi_arr[0] == math.pi / (2 * m)
-            and np.array_equal(phi_arr, _odd_angles(m))):
-        folded = np.bincount(r % (4 * m), weights=profile.weights, minlength=4 * m)
-        # rfft has exp(-i...); folded is real, so J is its conjugate
-        return np.conj(np.fft.rfft(folded)[1:2 * m:2])
     # the direct sum holds one (angles x Z) array
     rphi = np.multiply.outer(phi_arr.ravel(), r)
     out = np.cos(rphi) @ profile.weights + 1j * (np.sin(rphi) @ profile.weights)

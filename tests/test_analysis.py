@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
-from ixysense import analysis, blocks
+from ixysense import analysis
 from ixysense.analysis import (
     EP_SCAN_ANGLES,
     LONGTIME_GRID,
@@ -28,8 +28,8 @@ from ixysense.analysis import (
 )
 from ixysense.errors import NumericalError
 from ixysense.metrology import dynamical_qfi, stationary_qfi
-from ixysense.model import (AnisotropyMode, ModelParams, ThetaKind, _odd_angles,
-                            coupling_profile, momentum_coupling)
+from ixysense.model import (AnisotropyMode, ModelParams, ThetaKind, coupling_profile,
+                            grid_coupling, momentum_coupling)
 
 
 def test_fit_power_law_exact():
@@ -79,21 +79,37 @@ def test_find_exceptional_point_closed_form():
     assert res.iterations > 0
 
 
-def test_exceptional_point_iterations_count_the_evaluated_angles(monkeypatch):
-    # coarse grid, refinement midpoints and polish: every angle at which the
-    # search evaluates J; the count grows with the range (m >= 4Z + 4)
+def _count_search_angles(monkeypatch):
+    """The number of angles of each J evaluation of find_exceptional_point:
+    its coarse grid's, then each direct sum's."""
     angles = []
 
-    def counted(profile, phi):
+    def grid(N, Z, alpha):
+        angles.append(N // 2)
+        return grid_coupling(N, Z, alpha)
+
+    def direct(profile, phi):
         angles.append(np.size(phi))
         return momentum_coupling(profile, phi)
 
-    monkeypatch.setattr(analysis, "momentum_coupling", counted)
+    monkeypatch.setattr(analysis, "grid_coupling", grid)
+    monkeypatch.setattr(analysis, "momentum_coupling", direct)
+    return angles
+
+
+def test_exceptional_point_iterations_count_the_evaluated_angles(monkeypatch):
+    # coarse grid, refinement midpoints and polish: every angle at which the
+    # search evaluates J; the count grows with the range (m >= 4Z + 4).  The
+    # coarse grid is one FFT, the refinement and polish are direct sums
+    angles = _count_search_angles(monkeypatch)
     counts = []
-    for z in (1, 8, 64, 512):
+    for z, want in ((1, 85), (8, 139), (64, 577), (512, 4152)):
         angles.clear()
+        grid_coupling.cache_clear()
         res = find_exceptional_point(ModelParams(N=1024, Z=z, alpha=1.0, gamma=0.5, h=-1.0))
-        assert res.iterations == sum(angles)
+        assert grid_coupling.cache_info().misses == 1
+        assert angles[0] == max(8, 1 << (4 * z + 3).bit_length())
+        assert res.iterations == sum(angles) == want
         counts.append(res.iterations)
     assert counts == sorted(set(counts))
 
@@ -138,12 +154,11 @@ def _reference_edge(alpha: float, Z: int, gamma: float, phi0: float, step: float
 
 
 def test_find_exceptional_point_matches_high_precision():
-    angles = _odd_angles(EP_SCAN_ANGLES)
     step = math.pi / EP_SCAN_ANGLES
     worst = 0.0
     for Z in (1, 2, 7, 64, 512):
         for alpha in (0.5, 2.0):
-            j = momentum_coupling(coupling_profile(alpha, Z), angles)
+            angles, j = grid_coupling(2 * EP_SCAN_ANGLES, Z, alpha)
             for gamma in (0.1, 0.5, 0.9):
                 phi0 = float(angles[np.argmax(j.real + gamma * np.abs(j.imag))])
                 exact, phi = _reference_edge(alpha, Z, gamma, phi0, step)
@@ -160,8 +175,7 @@ def test_ep_scan_bins_sit_at_their_labelled_angles():
     # angles[k]; at Z = 2 EP_SCAN_ANGLES a scan FFT grown past 4
     # EP_SCAN_ANGLES points put these bins 0.39 and 0.67 away from J there
     profile = coupling_profile(2.0, 2 * EP_SCAN_ANGLES)
-    angles = _odd_angles(EP_SCAN_ANGLES)
-    scan = momentum_coupling(profile, angles)
+    angles, scan = grid_coupling(2 * EP_SCAN_ANGLES, 2 * EP_SCAN_ANGLES, 2.0)
     for k in (21845, 65535):
         assert abs(scan[k] - momentum_coupling(profile, float(angles[k]))) < 1e-10
 
@@ -172,8 +186,7 @@ def _full_scan_polish(params):
     FFT), and that grid maximum."""
     gamma = abs(params.gamma)
     profile = coupling_profile(params.alpha, params.Z)
-    angles = _odd_angles(EP_SCAN_ANGLES)
-    j = momentum_coupling(profile, angles)
+    angles, j = grid_coupling(2 * EP_SCAN_ANGLES, params.Z, params.alpha)
     g_scan = j.real + gamma * np.abs(j.imag)
     k = int(np.argmax(g_scan))
     step = math.pi / EP_SCAN_ANGLES
@@ -257,9 +270,8 @@ def test_minimize_scalar_is_a_golden_section_search():
 def test_find_exceptional_point_edge_cells_and_z_at_half_n():
     # gamma <= 1e-3 puts the maximum next to phi = 0, inside the reflected
     # edge half-cell of the coarse grid; Z = N/2 is the longest range allowed
-    angles = _odd_angles(EP_SCAN_ANGLES)
     for Z, alpha, gamma in ((1, 1.0, 1e-3), (3, 1.0, 1e-3), (5, 0.5, 1e-9), (50, 0.5, 0.4)):
-        j = momentum_coupling(coupling_profile(alpha, Z), angles)
+        angles, j = grid_coupling(2 * EP_SCAN_ANGLES, Z, alpha)
         phi0 = float(angles[np.argmax(j.real + gamma * np.abs(j.imag))])
         exact, _ = _reference_edge(alpha, Z, gamma, phi0, math.pi / EP_SCAN_ANGLES)
         params = ModelParams(N=max(4, 2 * Z), Z=Z, alpha=alpha, gamma=gamma, h=-1.0)
@@ -278,13 +290,7 @@ def test_find_exceptional_point_capped_and_extreme_inputs():
 
 
 def test_find_exceptional_point_work_grows_with_z_not_the_scan_grid(monkeypatch):
-    evaluated = []
-
-    def counting(profile, phi):
-        evaluated.append(np.size(phi))
-        return momentum_coupling(profile, phi)
-
-    monkeypatch.setattr(analysis, "momentum_coupling", counting)
+    evaluated = _count_search_angles(monkeypatch)
     for Z in (1, 8):
         evaluated.clear()
         find_exceptional_point(ModelParams(N=64, Z=Z, alpha=1.0, gamma=0.5, h=-1.0))
@@ -357,11 +363,11 @@ def test_sweep_stationary_scaling_structure():
     # cells run size-major, so J(phi) is evaluated once per size, and each
     # row regroups exactly the per-cell values of its offset
     params = ModelParams(N=256, Z=1, alpha=1.0, gamma=0.3, h=-1.0)
-    blocks._coupling.cache_clear()
+    grid_coupling.cache_clear()
     res = sweep_stationary_scaling(params, ThetaKind.ANISOTROPY_GAMMA,
                                    dh_list=(0.0, -0.3, 0.05), N_list=(256, 512, 1024),
                                    anchor=ScalingAnchor.CRITICAL_POINT)
-    assert blocks._coupling.cache_info().misses == 3
+    assert grid_coupling.cache_info().misses == 3
     assert res.anchor_value == -1.0
     assert [r.dh for r in res.rows] == [0.0, -0.3, 0.05]
     for row in res.rows:
@@ -373,10 +379,11 @@ def test_sweep_stationary_scaling_structure():
         assert row.straddled_modes == sum(s.meta["straddled_modes"] for s in samples)
 
 
-def test_run_cells_order_and_threads():
+def test_run_cells_order_and_threads(two_cpu_pools):
     cells = list(range(20))
     fn = lambda c: c * c
     assert run_cells(fn, cells, threads=1) == run_cells(fn, cells, threads=5)
+    assert two_cpu_pools == [2]
 
 
 def test_run_cells_caps_its_pool_at_the_usable_cpus(monkeypatch):

@@ -10,13 +10,12 @@ from ixysense.blocks import (
     TOL_PHASE,
     ModeBlock,
     PhaseLabel,
-    _coupling,
     block_arrays,
     build_blocks,
     classify_phase,
     probe_vectors,
 )
-from ixysense.model import AnisotropyMode, ModelParams
+from ixysense.model import AnisotropyMode, ModelParams, grid_coupling
 
 
 def _block(a, b, hermitian=False):
@@ -47,7 +46,7 @@ def test_block_arrays_returns_arrays_the_caller_owns():
         col[:] = np.nan
     for col, want in zip(block_arrays(p), expected):
         assert_array_equal(col, want)
-    for cached in _coupling(p.N, p.Z, p.alpha):
+    for cached in grid_coupling(p.N, p.Z, p.alpha):
         with pytest.raises(ValueError):
             cached[0] = 0.0
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import ixysense
-from ixysense import blocks, dense, dynamics
+from ixysense import dense, dynamics
 from ixysense.analysis import STATIONARY_N_LIST, ScalingAnchor
 from ixysense.blocks import TOL_PHASE, block_arrays, build_blocks, classify_phase
 from ixysense.cli import EXPERIMENTS, RunWriter, build_parser, main, resolve_config
 from ixysense.errors import ConfigError
-from ixysense.model import ModelParams, ThetaKind, momentum_coupling
+from ixysense.model import ModelParams, ThetaKind, grid_coupling
 
 
 def _read_csv(path):
@@ -367,15 +367,23 @@ def test_package_root_exports_only_qfi_curve():
 
 
 def _cold_runs(out, *runs):
-    """In one new interpreter, main() on each argv in turn; per run its exit
-    code and the scipy modules loaded after it."""
+    """In one new interpreter that sees two usable CPUs, main() on each argv
+    in turn; per run its exit code, the scipy modules loaded after it and
+    the worker count of each pool it started (as the two_cpu_pools fixture)."""
     argvs = [[*run.split(), "--out", str(out / str(i))] for i, run in enumerate(runs)]
     code = _SCIPY_LOADED + (
-        "import contextlib, json, ixysense.cli\n"
+        "import contextlib, json, os, ixysense.analysis, ixysense.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "pools, pool = [], ixysense.analysis.ThreadPoolExecutor\n"
+        "def recorded(max_workers):\n"
+        "    pools.append(max_workers)\n"
+        "    return pool(max_workers=max_workers)\n"
+        "ixysense.analysis.ThreadPoolExecutor = recorded\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(sys.stderr):\n"
         "        code = ixysense.cli.main(argv)\n"
-        "    print(json.dumps([code, scipy_loaded()]))\n")
+        "    print(json.dumps([code, scipy_loaded(), pools]))\n"
+        "    pools.clear()\n")
     return [json.loads(line) for line in _fresh_python(code).splitlines()]
 
 
@@ -396,7 +404,7 @@ def test_only_the_oracle_loads_scipy(tmp_path):
     *free, oracle = _cold_runs(
         tmp_path, *SCIPY_FREE_RUNS,
         "oracle-check --set N_list=[4] --set t_list=[0.5]")
-    assert free == [[0, []]] * len(SCIPY_FREE_RUNS)
+    assert free == [[0, [], []]] * len(SCIPY_FREE_RUNS)
     assert oracle[0] == 0
     assert "scipy.linalg" in oracle[1] and "scipy.optimize" not in oracle[1]
 
@@ -527,6 +535,45 @@ def test_csv_row_template_writes_str_bytes(tmp_path):
     assert rows == want.encode()
 
 
+def test_the_run_directory_is_made_once_by_the_first_write(tmp_path, monkeypatch):
+    # a run that fails before its first write leaves no directory; one that
+    # writes a CSV, fits.json and manifest.json makes it once
+    made, mkdir = [], Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    out = tmp_path / "o"
+    assert main(["ratio", *_args("t0=8.0 t1=2.0"), "--out", str(out)]) == 2
+    assert made == [] and not out.exists()
+    assert main(["size-scaling", *_args("t_eval=5.0 N_list=[32,64,128]"),
+                 "--out", str(out)]) == 0
+    assert made == [out]
+    assert sorted(p.name for p in out.iterdir()) == ["fits.json", "manifest.json",
+                                                     "size_scaling.csv"]
+
+
+def test_each_run_path_computes_the_grid_fft_once_per_coupling(tmp_path):
+    # a miss of the one-entry memo is one FFT: one per Z of qfi-dynamics, one
+    # for both chains of ratio, one per search of exceptional-point, and one
+    # per (N, Z, alpha) of oracle-check, whose cells run in that order
+    runs = [("qfi-dynamics N=32 t_points=10", 1),
+            ("qfi-dynamics N=32 Z_list=[1,2,3] t_points=10", 3),
+            ("ratio N=32 t0=2.0 t1=8.0 n_grid=13", 1),
+            ("exceptional-point", 1),
+            ("oracle-check N_list=[4] Z_list=[2] gamma_list=[0.3] h_list=[-0.7] "
+             't_list=[1.0] theta_list=["h"]', 1),
+            ("oracle-check N_list=[4,6] t_list=[1.0]", 4)]
+    for i, (run, misses) in enumerate(runs):
+        experiment, *overrides = run.split()
+        grid_coupling.cache_clear()
+        assert main([experiment, *_args(" ".join(overrides)),
+                     "--out", str(tmp_path / str(i))]) == 0
+        assert grid_coupling.cache_info().misses == misses, run
+
+
 def test_exceptional_point_output(tmp_path):
     out = tmp_path / "o"
     assert main(["exceptional-point", "--out", str(out),
@@ -652,42 +699,39 @@ def test_reruns_are_byte_identical(tmp_path):
     assert a == b
 
 
-def test_threads_do_not_change_results(tmp_path):
+def test_threads_do_not_change_results(tmp_path, two_cpu_pools):
     base = ["size-scaling", "--set", "t_eval=5.0", "--set", "N_list=[32,64,128]"]
     assert main(base + ["--out", str(tmp_path / "a"), "--threads", "1"]) == 0
     assert main(base + ["--out", str(tmp_path / "b"), "--threads", "4"]) == 0
+    assert two_cpu_pools == [2]
     a = (tmp_path / "a" / "size_scaling.csv").read_bytes()
     b = (tmp_path / "b" / "size_scaling.csv").read_bytes()
     assert a == b
 
 
-def test_threads_do_not_change_stationary_results_from_a_cold_coupling(tmp_path, monkeypatch):
+def test_threads_do_not_change_stationary_results_from_a_cold_coupling(tmp_path,
+                                                                        two_cpu_pools):
     # pool threads share the one-entry J(phi) memo, which holds each size
     # before its cells start, so at any --threads J is evaluated once per
     # size (the critical-point anchor evaluates none of its own)
-    grid = []
-
-    def counted(*args):
-        grid.append(args)
-        return momentum_coupling(*args)
-
-    monkeypatch.setattr(blocks, "momentum_coupling", counted)
     for threads in ("2", "1"):
-        blocks._coupling.cache_clear()
-        grid.clear()
+        grid_coupling.cache_clear()
         assert main(["stationary-scaling", "--out", str(tmp_path / threads),
                      "--threads", threads]) == 0
-        assert len(grid) == len(STATIONARY_N_LIST)
+        assert grid_coupling.cache_info().misses == len(STATIONARY_N_LIST)
+    assert two_cpu_pools == [2] * len(STATIONARY_N_LIST)
     for name in ("stationary_scaling.csv", "fits.json"):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
-def test_threads_do_not_change_oracle_results_from_a_cold_term_table(tmp_path):
+def test_threads_do_not_change_oracle_results_from_a_cold_term_table(tmp_path,
+                                                                     two_cpu_pools):
     # the first build for each N can run on several run_cells threads at once
     base = ["oracle-check", "--set", "N_list=[4,6,8,10,12]", "--set", "t_list=[1.0]"]
     for threads in ("2", "1"):
         dense._term_table.cache_clear()
         assert main(base + ["--out", str(tmp_path / threads), "--threads", threads]) == 0
+    assert two_cpu_pools == [2]
     assert ((tmp_path / "2" / "oracle_check.csv").read_bytes()
             == (tmp_path / "1" / "oracle_check.csv").read_bytes())
 
@@ -696,7 +740,8 @@ def test_threads_do_not_change_results_when_scipy_loads_on_a_worker(tmp_path):
     # --threads 2 first, so scipy is first imported on run_cells pool threads
     runs = ["oracle-check --set N_list=[4,6] --threads 2",
             "oracle-check --set N_list=[4,6] --threads 1"]
-    assert [code for code, _ in _cold_runs(tmp_path, *runs)] == [0] * 2
+    assert [(code, pools) for code, _, pools in _cold_runs(tmp_path, *runs)] == [(0, [2]),
+                                                                                (0, [])]
     assert ((tmp_path / "0" / "oracle_check.csv").read_bytes()
             == (tmp_path / "1" / "oracle_check.csv").read_bytes())
 

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ixysense.blocks import block_arrays
-from ixysense import blocks, metrology
+from ixysense import metrology
 from ixysense.dynamics import _cell, evolve_mode_derivative, mode_columns, trajectory_arrays
 from ixysense.errors import NumericalError
 from ixysense.metrology import (
@@ -20,7 +20,7 @@ from ixysense.metrology import (
     qfi_ratio_time_avg,
     stationary_qfi,
 )
-from ixysense.model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
+from ixysense.model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile, grid_coupling
 
 # Dual-route frozen value: the dense spin-basis oracle and the momentum
 # pipeline agree on this cell to 1e-10; the digits below are the pinned
@@ -602,9 +602,9 @@ def test_ratio_arrays_consistent():
 def test_ratio_evaluates_j_once_for_both_chains():
     # the Hermitian benchmark differs only in anisotropy, so it shares J(phi)
     params = ModelParams(N=64, Z=3, alpha=1.5, gamma=0.3, h=-0.7)
-    blocks._coupling.cache_clear()
+    grid_coupling.cache_clear()
     qfi_ratio_time_avg(params, ThetaKind.FIELD_H, t0=5.0, t1=25.0, n_grid=11)
-    assert blocks._coupling.cache_info().misses == 1
+    assert grid_coupling.cache_info().misses == 1
 
 
 def test_ratio_window_validation():

@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 from ixysense.blocks import block_arrays
 from ixysense.model import (
     ModelParams,
-    _odd_angles,
     coupling_profile,
     critical_field_pi,
     critical_field_zero,
+    grid_coupling,
     kac_factor,
     momentum_coupling,
 )
@@ -87,36 +87,22 @@ def test_momentum_coupling_scalar_matches_array():
 
 
 @pytest.mark.parametrize("m,Z", [(8, 17), (8, 100), (5, 999), (1, 3)])
-def test_momentum_coupling_grid_folds_long_range(m, Z):
+def test_grid_coupling_folds_long_range(m, Z):
     # Z > 2m on the grid; past Z = 4m the weights fold mod 4m
-    prof = coupling_profile(0.7, Z)
-    phi = _odd_angles(m)
-    assert_allclose(momentum_coupling(prof, phi), _direct_sum(prof, phi), rtol=0, atol=1e-12)
+    phi, j = grid_coupling(2 * m, Z, 0.7)
+    assert_allclose(j, _direct_sum(coupling_profile(0.7, Z), phi), rtol=0, atol=1e-12)
 
 
-def test_momentum_coupling_grid_and_direct_paths_agree():
-    # the same angles, once as the grid and once shifted off it by one
-    # element, give the same J to rounding
+def test_grid_coupling_and_the_direct_sum_agree():
+    # the FFT on the odd grid and momentum_coupling's direct sum at the same
+    # angles give the same J to rounding; the memo hands out read-only arrays
     prof = coupling_profile(1.2, 40)
-    phi = _odd_angles(64)
-    grid = momentum_coupling(prof, phi)
-    direct = momentum_coupling(prof, np.append(phi, 0.5))[:-1]
-    assert_allclose(grid, direct, rtol=0, atol=1e-14)
+    phi, j = grid_coupling(128, 40, 1.2)
+    assert_allclose(phi, (2 * np.arange(1, 65) - 1) * math.pi / 128, rtol=1e-15)
+    assert_allclose(j, momentum_coupling(prof, phi), rtol=0, atol=1e-12)
+    assert not (phi.flags.writeable or j.flags.writeable)
+    assert grid_coupling(128, 40, 1.2)[1] is j
     assert momentum_coupling(prof, phi.reshape(8, 8)).shape == (8, 8)
-
-
-def test_momentum_coupling_perturbed_grid_takes_the_direct_sum():
-    # the first angle is the grid's to the bit but one interior angle is
-    # moved, so J is the direct sum: bit for bit the direct path's value
-    # (here forced by an extra off-grid angle), and the moved angle's own J
-    prof = coupling_profile(1.2, 40)
-    phi = _odd_angles(64)
-    phi[17] += 1e-3
-    assert phi[0] == math.pi / 128
-    got = momentum_coupling(prof, phi)
-    assert np.array_equal(got, momentum_coupling(prof, np.append(phi, 0.5))[:-1])
-    assert_allclose(got, _direct_sum(prof, phi), rtol=0, atol=1e-12)
-    assert abs(got[17] - momentum_coupling(prof, _odd_angles(64))[17]) > 1e-6
 
 
 # Absolute gate of J on the mode grid against a 30-digit sum.  On the 48
@@ -127,11 +113,11 @@ GRID_J_ATOL = 1e-15
 
 @pytest.mark.parametrize("N,Z,alpha", [(16, 8, 0.0), (1024, 512, 1.5), (8192, 100, 0.5),
                                        (8192, 4096, 1.0)])
-def test_momentum_coupling_grid_matches_high_precision(N, Z, alpha):
+def test_grid_coupling_matches_high_precision(N, Z, alpha):
     # exact angles: r phi_p = 2 pi k / (2N) with k = r (2p - 1) mod 2N,
     # so each term is a 2N-th root of unity, tabulated once at 30 digits
     prof = coupling_profile(alpha, Z)
-    got = momentum_coupling(prof, _odd_angles(N // 2))
+    got = grid_coupling(N, Z, alpha)[1]
     modes = np.unique(np.linspace(0, N // 2 - 1, 48).astype(int))
     r = np.arange(1, Z + 1)
     with mpmath.workdps(30):
