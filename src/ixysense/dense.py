@@ -2,11 +2,13 @@
 
 Builds the literal Hamiltonian of the periodic chain from its Pauli
 strings, with no fermionic reduction, and computes the dynamical QFI
-from the matrix exponential and its exact Frechet derivative
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).
-Everything here is an independent cross-check of the momentum-block
-pipeline: the only shared ingredients are the coupling profile and
-`metrology.mode_qfi`, the QFI of a state and its derivative.
+from the evolved vacuum and its exact derivative, by a truncated Taylor
+action (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) or by
+the matrix exponential and its Frechet derivative (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 30, 1639 (2009)).  Everything here is an
+independent cross-check of the momentum-block pipeline: the only shared
+ingredients are the coupling profile and `metrology.mode_qfi`, the QFI
+of a state and its derivative.
 
 Site basis: bit value 0 is spin up (sigma^z = +1), 1 is spin down, and
 site j is bit N-1-j of a state's index, so the all-up state is 0 and
@@ -37,6 +39,7 @@ for the imaginary anisotropy), and H_z = (1/2) sum_j sigma^z_j.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -46,6 +49,14 @@ from .metrology import mode_qfi
 from .model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
 MAX_DENSE_SITES = 14
+
+# Al-Mohy & Higham (2011), Table 3.1, (m, theta_m): s steps of m Taylor
+# terms give exp(X) to double precision when ||X||_1 <= s theta_m.
+_TAYLOR_TABLE = ((5, 2.4e-3), (10, 1.4e-1), (15, 6.4e-1), (20, 1.4), (25, 2.4), (30, 3.5),
+                 (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9))
+# The action's m s products cost less than expm_frechet while m s <= 2 d:
+# a timed sweep over N = 4-14 crossed at 1.6-1.9 d (N = 6, 8) to 3-6 d.
+_ACTION_PER_DIM = 2.0
 
 
 def _orbit_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,16 +167,49 @@ def propagate_dense(matrix: np.ndarray, derivative: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H t) psi0 and its theta-derivative, psi0 the vacuum.
 
-    One call of scipy.linalg.expm_frechet gives U = exp(A) and its
-    Frechet derivative L(A, E) for A = -i H t and E = -i t dH/dtheta.
-    The vacuum is its own one-state orbit and the last representative,
-    so U psi0 and its derivative L psi0 are the last columns.  scipy is
-    imported here, its only use, so the momentum path never loads it.
+    For A = -i H t and E = -i t dH/dtheta, exp([[A, E], [0, A]]) holds
+    exp(A) on its diagonal and the Frechet derivative L(A, E) above it
+    (Higham, Functions of Matrices, SIAM 2008, ch. 3).  The vacuum is its
+    own one-state orbit and the last representative, so that exponential
+    applied to [0; psi0] stacks L psi0 over U psi0.  The exact 1-norm of
+    the block matrix, with A shifted by mu = tr(A)/d, plans s steps of m
+    Taylor terms (Al-Mohy & Higham 2011, Algorithm 3.2, with its early
+    termination).  If m s <= 2 d the action runs as vector products;
+    otherwise (small sectors, long times) scipy.linalg.expm_frechet gives
+    the whole U and L, and their last columns are kept.  scipy is imported
+    there only, so the momentum path never loads it.  NaN if t ||B||_1 overflows.
     """
-    import scipy.linalg
+    dim = len(matrix)
+    mu = np.trace(matrix) / dim
+    shifted = matrix - mu * np.eye(dim)
+    norm = abs(t) * float((np.abs(shifted) + np.abs(derivative)).sum(axis=0).max())
+    cost = math.inf  # every plan takes at least norm 55 / 9.9 products; false for inf, NaN
+    if norm * 55 / 9.9 <= _ACTION_PER_DIM * dim:
+        cost, degree = min((m * max(math.ceil(norm / theta), 1), m) for m, theta in _TAYLOR_TABLE)
+    if not cost <= _ACTION_PER_DIM * dim:
+        if not math.isfinite(norm):
+            return np.full(dim, np.nan), np.full(dim, np.nan)
+        import scipy.linalg
 
-    u, du = scipy.linalg.expm_frechet(-1j * t * matrix, -1j * t * derivative)
-    return u[:, -1], du[:, -1]
+        u, du = scipy.linalg.expm_frechet(-1j * t * matrix, -1j * t * derivative)
+        return u[:, -1], du[:, -1]
+    steps = cost // degree
+    rows = np.hstack([shifted, derivative]) * (-1j * t / steps)  # [A E], shifted
+    phase = np.exp(-1j * t * mu / steps)
+    term = state = np.zeros(2 * dim, complex)
+    state[-1] = 1.0  # [0; psi0]
+    for _ in range(steps):
+        c1 = np.abs(term).max()
+        for j in range(1, degree + 1):
+            term = np.concatenate((rows @ term, rows[:, :dim] @ term[dim:])) / j
+            c2 = np.abs(term).max()
+            state = state + term
+            if c1 + c2 <= 2.0 ** -53 * np.abs(state).max():
+                break
+            c1 = c2
+        state *= phase
+        term = state
+    return state[dim:], state[:dim]
 
 
 def dense_evolve_qfi(params: ModelParams, t: float, theta_kind: ThetaKind) -> float:

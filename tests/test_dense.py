@@ -5,6 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ixysense import dense
 from ixysense.dense import (
@@ -13,7 +14,9 @@ from ixysense.dense import (
     dense_evolve_qfi,
     propagate_dense,
 )
-from ixysense.metrology import dynamical_qfi
+from ixysense.cli import main
+from ixysense.errors import NumericalError
+from ixysense.metrology import dynamical_qfi, mode_qfi
 from ixysense.model import AnisotropyMode, ModelParams, ThetaKind, coupling_profile
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -332,6 +335,69 @@ def test_polarized_vacuum_state():
     assert psi[-1] == 1.0
     assert np.linalg.norm(psi) == 1.0
     assert np.abs(dpsi).max() == 0.0
+
+
+def _frechet_columns(matrix, derivative, t):
+    """U psi0 and L psi0 from the whole expm_frechet pair, the reference path."""
+    u, du = scipy.linalg.expm_frechet(-1j * t * matrix, -1j * t * derivative)
+    return u[:, -1], du[:, -1]
+
+
+_ACTION_CASES = [(n, mode, theta) for n in (4, 6, 8, 10, 12)
+                 for mode in AnisotropyMode for theta in ThetaKind]
+_ACTION_CASES += [(14, mode, theta) for mode, theta in zip(AnisotropyMode, ThetaKind)]
+
+
+@pytest.mark.parametrize("n,mode,theta", _ACTION_CASES)
+def test_taylor_action_matches_expm_frechet(monkeypatch, n, mode, theta):
+    # the action forced on every cell, long times included, against
+    # expm_frechet's whole U and L.  Over these cells the worst measured
+    # differences are 6.3e-14 (U psi0), 9.1e-14 (L psi0, relative) and
+    # 1.6e-13 (QFI), all at t = 10: a step sums Taylor terms as large as
+    # 9.9^9 / 9! = 2.5e3 into a vector of norm about one
+    monkeypatch.setattr(dense, "_ACTION_PER_DIM", np.inf)
+    params = ModelParams(N=n, Z=n // 2, alpha=1.2, gamma=0.4, h=-1.2, anisotropy_mode=mode)
+    op = build_spin_hamiltonian(params, theta)
+    for t in (0.0, 0.3, 1.0, 3.0, 10.0):
+        psi, dpsi = propagate_dense(*op, t)
+        ref, dref = _frechet_columns(*op, t)
+        assert np.abs(psi - ref).max() <= 1.5e-13
+        assert np.abs(dpsi - dref).max() <= 2e-13 * np.abs(dref).max()
+        f, f_ref = mode_qfi(psi, dpsi), mode_qfi(ref, dref)
+        assert abs(f - f_ref) <= 3e-13 * max(f_ref, 1.0)
+
+
+def test_expm_frechet_serves_small_sectors_and_long_times(monkeypatch, tmp_path):
+    # the default oracle-check cells at N = 4 and 6, and a cell at t = 1e300,
+    # call expm_frechet; an N = 10, t = 1 cell takes the action
+    calls = []
+
+    def counted(a, e):
+        calls.append(len(a))
+        return expm_frechet(a, e)
+
+    expm_frechet = scipy.linalg.expm_frechet
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", counted)
+    assert main(["oracle-check", "--set", "N_list=[4,6]", "--out", str(tmp_path / "o")]) == 0
+    cells = 2 * 2 * 1 * 2 * 2 * 3 * 2  # N, Z, alpha, gamma, h, t, theta
+    assert sorted(calls) == [4] * (cells // 2) + [8] * (cells // 2)
+    params = ModelParams(N=4, Z=1, alpha=1.5, gamma=0.3, h=-0.7)
+    with pytest.raises(NumericalError):
+        dense_evolve_qfi(params, 1e300, ThetaKind.FIELD_H)
+    assert len(calls) == cells + 1
+    for theta in ThetaKind:
+        dense_evolve_qfi(replace(params, N=10, Z=2), 1.0, theta)
+    assert len(calls) == cells + 1
+
+
+@pytest.mark.parametrize("t", [1e300, 1.7e308])
+def test_overflowing_time_raises_numerical_error(t):
+    # at 1.7e308 t ||H||_1 overflows to inf: the plan routes it away from the
+    # action and scipy, so it ends in NumericalError, not in scipy's
+    # ValueError on infinite input or an OverflowError from a step count
+    for theta in ThetaKind:
+        with pytest.raises(NumericalError, match="non-finite dense evolution"):
+            dense_evolve_qfi(ModelParams(N=4, Z=1, alpha=1.5, gamma=0.3, h=-0.7), t, theta)
 
 
 @pytest.mark.parametrize("theta", [ThetaKind.FIELD_H, ThetaKind.ANISOTROPY_GAMMA])
